@@ -2,10 +2,17 @@
 
 Level n holds zeta of order p^{n+1}; pi = zeta - 1 is a uniformizer with
 Eisenstein minimal polynomial Phi_{p^{n+1}}(1+X), and an element is stored as
-its digit vector sum c_j pi^j, j < degree, with PadicInt digits.  Since
-p = (unit) pi^degree and the digit positions j + degree*v_p(c_j) are pairwise
-distinct, pi-valuations are read straight off the digits.  Equality always
-means equality mod pi^{pi_prec}.
+its digit vector sum c_j pi^j, j < degree: a list of int residues mod p^prec
+with one absolute precision ``prec`` for the whole element, propagated by the
+min rule.  Since p = (unit) pi^degree and the digit positions
+j + degree*v_p(c_j) are pairwise distinct, pi-valuations are read straight
+off the digits.  Equality always means equality mod pi^{pi_prec}.
+
+A product is one big-integer multiply (Kronecker substitution): each digit
+vector is packed into an integer, digit k in bit slot k, with slots wide
+enough that no coefficient of the product can carry into the next.  The
+product's slots of degree >= degree are folded back with the packed residues
+of X^degree, X^(degree+1), ... modulo the Eisenstein modulus.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .errors import (
     NotInSubfield,
     NotOneUnit,
     PrecisionExhausted,
+    UsageError,
 )
 from .padic import PadicCtx, PadicInt
 
@@ -29,18 +37,47 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+# -- packed digit vectors ----------------------------------------------------
+
+def _pack(digits, w: int) -> int:
+    """Digit k into bits [k w, (k+1) w); digits are nonnegative and < 2^w."""
+    n = 0
+    for c in reversed(digits):
+        n = (n << w) | c
+    return n
+
+
+def _unpack(n: int, w: int, count: int) -> list:
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(count):
+        out.append(n & mask)
+        n >>= w
+    return out
+
+
+def _combine(columns, coeffs) -> int:
+    """sum_k coeffs[k] * columns[k] on packed vectors."""
+    acc = 0
+    for c, col in zip(coeffs, columns):
+        if c:
+            acc += c * col
+    return acc
+
+
 class CycRing:
     __slots__ = (
         "ctx", "level", "degree", "pi_prec", "modulus_tail",
+        "_slot", "_fold", "_to_zeta", "_from_zeta",
         "_galois_images", "_base", "_embed_powers",
     )
 
     def __init__(self, ctx: PadicCtx, level: int, pi_prec: int | None = None):
         if level not in (0, 1):
-            raise ValueError(f"level must be 0 or 1, got {level}")
+            raise UsageError(f"level must be 0 or 1, got {level}")
         p = ctx.p
         if ctx.N < level + 1:
-            raise ValueError(
+            raise UsageError(
                 f"need at least {level + 1} p-adic digits for the level-{level} "
                 f"Galois action, ctx has {ctx.N}"
             )
@@ -48,7 +85,7 @@ class CycRing:
         if pi_prec is None:
             pi_prec = p + 3
         if not 1 <= pi_prec <= ctx.N * d:
-            raise ValueError(
+            raise UsageError(
                 f"pi_prec {pi_prec} outside 1..{ctx.N * d} supported by ctx"
             )
         self.ctx = ctx
@@ -66,10 +103,34 @@ class CycRing:
             assert full[d] == 1
             tail = full[:d]
         assert tail[0] == p
-        self.modulus_tail = [t % ctx.modulus for t in tail]
+        m = ctx.modulus
+        self.modulus_tail = [t % m for t in tail]
+        # a slot of a product, folded, sums fewer than 2d terms below p^(2N)
+        self._slot = w = 2 * m.bit_length() + d.bit_length() + 1
+        self._fold = self._fold_columns()
+        if level == 0:
+            # pi^j = sum_k C(j,k) (-1)^(j-k) zeta^k, zeta^k = sum_j C(k,j) pi^j
+            self._to_zeta = [
+                _pack([(-1) ** (j + k) * comb(j, k) % m for k in range(d)], w)
+                for j in range(d)
+            ]
+            self._from_zeta = [
+                _pack([comb(k, j) % m for j in range(d)], w) for k in range(d)
+            ]
         self._galois_images = {}
         self._base = None
         self._embed_powers = None
+
+    def _fold_columns(self) -> list:
+        # X^(d+k) mod the modulus for k < d - 1, the degrees a product reaches
+        m, tail = self.ctx.modulus, self.modulus_tail
+        r = [-t % m for t in tail]
+        cols = []
+        for _ in range(self.degree - 1):
+            cols.append(_pack(r, self._slot))
+            top = r[-1]
+            r = [(c - top * t) % m for c, t in zip([0] + r[:-1], tail)]
+        return cols
 
     def __eq__(self, other):
         return (
@@ -91,38 +152,42 @@ class CycRing:
     # -- constructors ----------------------------------------------------
 
     def zero(self) -> "CycElt":
-        return CycElt(self, [self.ctx.of(0)] * self.degree)
+        return CycElt(self, [0] * self.degree, self.ctx.N)
 
     def one(self) -> "CycElt":
         return self.from_scalar(1)
 
     def from_scalar(self, c) -> "CycElt":
-        c = c if isinstance(c, PadicInt) else self.ctx.of(c)
-        coeffs = [self.ctx.of(0)] * self.degree
-        coeffs[0] = c
-        return CycElt(self, coeffs)
+        return self.from_coeffs([c])
 
     def uniformizer(self) -> "CycElt":
-        coeffs = [self.ctx.of(0)] * self.degree
-        coeffs[1] = self.ctx.of(1)
-        return CycElt(self, coeffs)
+        return self.from_coeffs([0, 1])
 
     def zeta(self) -> "CycElt":
-        return self.uniformizer() + 1
+        return self.from_coeffs([1, 1])
 
     def from_coeffs(self, coeffs) -> "CycElt":
+        """Digits from ints or PadicInts; a PadicInt known to fewer
+        p-adic digits lowers the element's prec to its own."""
         coeffs = list(coeffs)
         if len(coeffs) > self.degree:
-            raise ValueError("too many digits")
-        coeffs += [0] * (self.degree - len(coeffs))
-        return CycElt(
-            self,
-            [c if isinstance(c, PadicInt) else self.ctx.of(c) for c in coeffs],
-        )
+            raise UsageError("too many digits")
+        prec = self.ctx.N
+        for c in coeffs:
+            if isinstance(c, PadicInt):
+                if c.ctx != self.ctx:
+                    raise UsageError("mixed p-adic contexts")
+                prec = min(prec, c.prec)
+        q = self.ctx.p ** prec
+        digits = [
+            (c.value if isinstance(c, PadicInt) else int(c)) % q for c in coeffs
+        ]
+        digits += [0] * (self.degree - len(digits))
+        return CycElt(self, digits, prec)
 
     def base_ring(self) -> "CycRing":
         if self.level == 0:
-            raise ValueError("level 0 has no lower cyclotomic level")
+            raise UsageError("level 0 has no lower cyclotomic level")
         if self._base is None:
             self._base = CycRing(self.ctx, 0, self.pi_prec)
         return self._base
@@ -148,17 +213,25 @@ def cyc_ring(p: int, level: int, prec: int = 4, pi_prec: int | None = None) -> C
 
 
 class CycElt:
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "digits", "prec")
 
-    def __init__(self, ring: CycRing, coeffs):
-        assert len(coeffs) == ring.degree
+    def __init__(self, ring: CycRing, digits: list, prec: int):
+        """``digits``: ``ring.degree`` ints, already reduced mod p^prec."""
+        assert len(digits) == ring.degree
         self.ring = ring
-        self.coeffs = list(coeffs)
+        self.digits = digits
+        self.prec = prec
+
+    @property
+    def coeffs(self) -> tuple:
+        """The digits as PadicInts at the element's prec (a read view)."""
+        ctx = self.ring.ctx
+        return tuple(PadicInt(ctx, c, self.prec) for c in self.digits)
 
     def _coerce(self, other):
         if isinstance(other, CycElt):
             if other.ring != self.ring:
-                raise ValueError("mixed cyclotomic rings")
+                raise UsageError("mixed cyclotomic rings")
             return other
         if isinstance(other, (int, PadicInt)):
             return self.ring.from_scalar(other)
@@ -168,7 +241,11 @@ class CycElt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElt(self.ring, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        prec = min(self.prec, o.prec)
+        q = self.ring.ctx.p ** prec
+        return CycElt(
+            self.ring, [(a + b) % q for a, b in zip(self.digits, o.digits)], prec
+        )
 
     __radd__ = __add__
 
@@ -176,7 +253,11 @@ class CycElt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElt(self.ring, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        prec = min(self.prec, o.prec)
+        q = self.ring.ctx.p ** prec
+        return CycElt(
+            self.ring, [(a - b) % q for a, b in zip(self.digits, o.digits)], prec
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -185,37 +266,28 @@ class CycElt:
         return o - self
 
     def __neg__(self):
-        return CycElt(self.ring, [-a for a in self.coeffs])
+        q = self.ring.ctx.p ** self.prec
+        return CycElt(self.ring, [-a % q for a in self.digits], self.prec)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.ring.degree
-        zero = self.ring.ctx.of(0)
-        raw = [zero] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    raw[i + j] = raw[i + j] + a * b
-        tail = self.ring.modulus_tail
-        for deg in range(2 * d - 2, d - 1, -1):
-            c = raw[deg]
-            if not c:
-                continue
-            base = deg - d
-            for j, m in enumerate(tail):
-                if m:
-                    raw[base + j] = raw[base + j] - c * m
-        return CycElt(self.ring, raw[:d])
+        ring = self.ring
+        d, w = ring.degree, ring._slot
+        prec = min(self.prec, o.prec)
+        q = ring.ctx.p ** prec
+        prod = _pack(self.digits, w) * _pack(o.digits, w)
+        low = d * w
+        high = [h % q for h in _unpack(prod >> low, w, d - 1)]
+        acc = (prod & ((1 << low) - 1)) + _combine(ring._fold, high)
+        return CycElt(ring, [c % q for c in _unpack(acc, w, d)], prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not defined here")
+            raise UsageError("negative powers are not defined here")
         result = self.ring.one()
         base = self
         while n:
@@ -233,50 +305,40 @@ class CycElt:
         return (self - o).vanishes_mod_pi(self.ring.pi_prec)
 
     def __repr__(self):
-        digs = ", ".join(str(c.value) for c in self.coeffs)
+        digs = ", ".join(str(c) for c in self.digits)
         return f"CycElt[{digs}]"
 
     # -- pi-adic structure ----------------------------------------------
 
     def vanishes_mod_pi(self, M: int) -> bool:
         d = self.ring.degree
-        for j, c in enumerate(self.coeffs):
-            need = _ceil_div(M - j, d)
-            if need <= 0:
-                continue
-            if need > c.prec:
-                raise PrecisionExhausted(
-                    f"digit {j} has {c.prec} p-adic digits, need {need} "
-                    f"to test mod pi^{M}"
-                )
-            if c.value % self.ring.ctx.p ** need != 0:
-                return False
-        return True
+        need = _ceil_div(M, d)
+        if need > self.prec:
+            raise PrecisionExhausted(
+                f"digits have {self.prec} p-adic digits, need {need} "
+                f"to test mod pi^{M}"
+            )
+        p = self.ring.ctx.p
+        return all(
+            c % p ** _ceil_div(M - j, d) == 0
+            for j, c in enumerate(self.digits) if j < M
+        )
 
     def pi_valuation(self) -> int:
-        """Exact pi-valuation read off the digit positions."""
-        d = self.ring.degree
-        exact_min = None
-        bound_min = None
-        for j, c in enumerate(self.coeffs):
-            v = c.valuation()
-            if v.exact:
-                cand = j + d * v.v
-                if exact_min is None or cand < exact_min:
-                    exact_min = cand
-            else:
-                cand = j + d * v.v
-                if bound_min is None or cand < bound_min:
-                    bound_min = cand
-        if exact_min is None:
-            raise IndistinguishableFromZero(
-                "every digit vanishes at the working precision"
-            )
-        if bound_min is not None and bound_min < exact_min:
-            raise PrecisionExhausted(
-                f"a vanished digit could hide valuation {bound_min} < {exact_min}"
-            )
-        return exact_min
+        """Exact pi-valuation read off the digit positions: the least
+        j + degree*v_p(c_j).  Every candidate lies below degree*prec, where
+        a vanished digit could start, so one prec never hides a smaller
+        valuation."""
+        p = self.ring.ctx.p
+        pv = 1
+        for v in range(self.prec):
+            pv *= p
+            for j, c in enumerate(self.digits):
+                if c % pv:
+                    return j + self.ring.degree * v
+        raise IndistinguishableFromZero(
+            "every digit vanishes at the working precision"
+        )
 
     def is_one_unit(self) -> bool:
         try:
@@ -287,8 +349,30 @@ class CycElt:
 
 # -- Galois action and norms -----------------------------------------------
 
+def _permute_zeta_basis(a: int, x: CycElt) -> CycElt:
+    # level 0: zeta^k -> zeta^(ak mod p) on the basis 1, ..., zeta^(p-2),
+    # with zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    ring, prec = x.ring, x.prec
+    d, w = ring.degree, ring._slot
+    q = ring.ctx.p ** prec
+    out = [0] * d
+    spill = 0
+    for k, c in enumerate(_unpack(_combine(ring._to_zeta, x.digits), w, d)):
+        m = a * k % (d + 1)
+        if m == d:
+            spill = c
+        else:
+            out[m] = c
+    moved = [(c - spill) % q for c in out]
+    digits = _unpack(_combine(ring._from_zeta, moved), w, d)
+    return CycElt(ring, [c % q for c in digits], prec)
+
+
 def galois_apply(a: int, x: CycElt) -> CycElt:
-    """sigma_a, the automorphism zeta -> zeta^a, i.e. pi -> (1+pi)^a - 1."""
+    """sigma_a, the automorphism zeta -> zeta^a, i.e. pi -> (1+pi)^a - 1.
+
+    Level 0 permutes the zeta-power basis; level 1 evaluates the digit
+    polynomial at sigma_a(pi) by Horner."""
     ring = x.ring
     q = ring.ctx.p ** (ring.level + 1)
     a = int(a.value if isinstance(a, PadicInt) else a) % q
@@ -296,13 +380,15 @@ def galois_apply(a: int, x: CycElt) -> CycElt:
         raise NotAUnitExponent(f"{a} is not a unit mod {q}")
     if a == 1:
         return x
+    if ring.level == 0:
+        return _permute_zeta_basis(a, x)
     image = ring._galois_images.get(a)
     if image is None:
         image = ring.zeta() ** a - 1
         ring._galois_images[a] = image
-    acc = ring.from_scalar(x.coeffs[-1])
-    for j in range(ring.degree - 2, -1, -1):
-        acc = acc * image + x.coeffs[j]
+    acc = CycElt(ring, [x.digits[-1]] + [0] * (ring.degree - 1), x.prec)
+    for c in reversed(x.digits[:-1]):
+        acc = acc * image + c
     return acc
 
 
@@ -311,7 +397,7 @@ def norm_down(x: CycElt) -> CycElt:
     represented by a = 1 + kp mod p^2."""
     ring = x.ring
     if ring.level != 1:
-        raise ValueError("norm_down starts at level 1")
+        raise UsageError("norm_down starts at level 1")
     p = ring.ctx.p
     acc = x
     for k in range(1, p):
@@ -320,25 +406,25 @@ def norm_down(x: CycElt) -> CycElt:
     # pi_0^j, whose top digit sits at position p*j with coefficient 1
     powers = ring._embeds()
     residual = acc
-    out = [ring.ctx.of(0)] * (p - 1)
+    out = [0] * (p - 1)
     for j in range(p - 2, -1, -1):
-        c = residual.coeffs[p * j]
+        c = residual.digits[p * j]
         out[j] = c
         residual = residual - powers[j] * c
     if not residual.vanishes_mod_pi(ring.pi_prec):
         raise NotInSubfield("norm does not lie in the level-0 subring")
-    return CycElt(ring.base_ring(), out)
+    return CycElt(ring.base_ring(), out, acc.prec)
 
 
 def embed_up(x: CycElt, ring1: CycRing) -> CycElt:
     """Include level 0 into level 1 via pi_0 -> (1+pi_1)^p - 1."""
     if x.ring.level != 0 or ring1.level != 1:
-        raise ValueError("embed_up goes from level 0 to level 1")
+        raise UsageError("embed_up goes from level 0 to level 1")
     if ring1.base_ring() != x.ring:
-        raise ValueError("rings are not aligned")
+        raise UsageError("rings are not aligned")
     powers = ring1._embeds()
-    acc = ring1.zero()
-    for j, c in enumerate(x.coeffs):
+    acc = CycElt(ring1, [0] * ring1.degree, x.prec)
+    for j, c in enumerate(x.digits):
         if c:
             acc = acc + powers[j] * c
     return acc
@@ -353,7 +439,7 @@ def norm_to_qp(x: CycElt) -> PadicInt:
     acc = x
     for a in range(2, p):
         acc = acc * galois_apply(a, x)
-    scalar = acc.coeffs[0]
+    scalar = ring.ctx.of(acc.digits[0], acc.prec)
     if not (acc - scalar).vanishes_mod_pi(ring.pi_prec):
         raise NotInBaseField("norm has nonscalar digits")
     return scalar
@@ -412,18 +498,13 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
     return acc
 
 
-def extended_valuation(x: CycElt) -> int:
-    """pi-valuation in pi-units (p has valuation degree)."""
-    return x.pi_valuation()
-
-
 def eigen_valuation(u: CycElt) -> Fraction:
     """Average pi-valuation of the Teichmuller-twisted conjugates, the
     valuation the omega-eigenprojection sees; 1/(p-1) sum_a v(sigma_a u)."""
     ring = u.ring
     ctx = ring.ctx
     total = sum(
-        extended_valuation(galois_apply(ctx.teichmuller(a), u))
+        galois_apply(ctx.teichmuller(a), u).pi_valuation()
         for a in range(1, ctx.p)
     )
     return Fraction(total, ctx.p - 1)
@@ -512,7 +593,7 @@ class NormCompatiblePair:
 
     def __init__(self, u1: CycElt, u0: CycElt):
         if u1.ring.level != 1 or u0.ring.level != 0:
-            raise ValueError("pair wants (level 1, level 0)")
+            raise UsageError("pair wants (level 1, level 0)")
         if norm_down(u1) != u0:
             raise NotInSubfield("norm_down(u1) differs from u0")
         self.u1 = u1

@@ -36,14 +36,6 @@ class UnitRep:
         self.u = u
         self.f = TruncSeries(list(u.coeffs))
 
-    def evaluate_at_pi(self) -> CycElt:
-        ring = self.u.ring
-        pi = ring.uniformizer()
-        acc = ring.from_scalar(self.f.coeffs[-1])
-        for j in range(len(self.f.coeffs) - 2, -1, -1):
-            acc = acc * pi + self.f.coeffs[j]
-        return acc
-
     def __repr__(self):
         return f"UnitRep({self.u!r})"
 
@@ -76,7 +68,7 @@ def lang_unit(ring: CycRing, lam) -> CycElt:
 
 
 def cw_unit(ring: CycRing, trunc: int | None = None) -> CycElt:
-    """beta - theta(zeta - 1), the bottom Coates-Wiles unit."""
+    """beta - theta(zeta - 1), the Coates-Wiles unit at the ring's level."""
     beta = ring.ctx.beta()
     u = ring.from_scalar(beta) - cw_tower_x(ring, trunc)
     assert u.is_one_unit()
@@ -96,16 +88,9 @@ def cw_unit_pair(ring1: CycRing, trunc: int | None = None) -> NormCompatiblePair
     p = ring1.ctx.p
     if trunc is None:
         trunc = max(default_trunc(p), p * ring1.base_ring().pi_prec + 1)
-    u1 = cw_unit_level1(ring1, trunc)
+    u1 = cw_unit(ring1, trunc)
     u0 = cw_unit(ring1.base_ring(), trunc)
     return NormCompatiblePair(u1, u0)
-
-
-def cw_unit_level1(ring1: CycRing, trunc: int | None = None) -> CycElt:
-    beta = ring1.ctx.beta()
-    u = ring1.from_scalar(beta) - cw_tower_x(ring1, trunc)
-    assert u.is_one_unit()
-    return u
 
 
 def lang_generator_search(ring: CycRing, i: int) -> PadicInt:

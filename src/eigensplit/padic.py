@@ -14,6 +14,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotAUnit,
     PrecisionExhausted,
+    UsageError,
     ZeroResidue,
 )
 
@@ -59,9 +60,9 @@ class PadicCtx:
 
     def __init__(self, p: int, N: int):
         if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
+            raise UsageError(f"p must be an odd prime, got {p}")
         if N < 1:
-            raise ValueError(f"precision must be >= 1, got {N}")
+            raise UsageError(f"precision must be >= 1, got {N}")
         self.p = p
         self.N = N
         self.modulus = p ** N

@@ -81,6 +81,18 @@ def test_lvalues_odd_character_is_usage_error(capsys):
     assert rc == 1
 
 
+def test_precision_too_low_for_pi_window_is_usage_error(capsys):
+    # the default pi window p + 3 = 8 needs more than one p-adic digit
+    rc = cli.main(["units", "--prime", "5", "--precision", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("eigensplit: error: pi_prec 8")
+    assert "Traceback" not in captured.err
+
+
 def test_homotopy_graded_schema(capsys):
     rc, out = _run(capsys, "homotopy", "J", "--prime", "5",
                    "--from", "-8", "--to", "8")

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensplit.cyclotomic import (
+    CycRing,
     NormCompatiblePair,
     as_mu_element,
     check_eps1_nontorsion,
@@ -27,7 +30,9 @@ from eigensplit.errors import (
     NotInSubfield,
     NotOneUnit,
     PrecisionExhausted,
+    UsageError,
 )
+from eigensplit.padic import PadicCtx
 
 
 def _random_one_unit(rng, ring):
@@ -62,7 +67,7 @@ def test_pi_valuations():
 
 def test_galois_is_an_action():
     rng = random.Random(31)
-    for p, level in ((5, 0), (7, 0), (3, 1)):
+    for p, level in ((5, 0), (7, 0), (3, 1), (7, 1)):
         ring = cyc_ring(p, level)
         q = p ** (level + 1)
         units = [a for a in range(1, q) if a % p != 0]
@@ -106,11 +111,12 @@ def test_norm_down_cyclotomic_compatibility():
 
 def test_norm_down_of_embedded_is_pth_power():
     rng = random.Random(43)
-    ring1 = cyc_ring(5, 1)
-    ring0 = ring1.base_ring()
-    for _ in range(5):
-        x = _random_one_unit(rng, ring0)
-        assert norm_down(embed_up(x, ring1)) == x ** 5
+    for p in (5, 7):
+        ring1 = cyc_ring(p, 1)
+        ring0 = ring1.base_ring()
+        for _ in range(5):
+            x = _random_one_unit(rng, ring0)
+            assert norm_down(embed_up(x, ring1)) == x ** p
 
 
 def test_embed_up_is_a_ring_map():
@@ -252,3 +258,80 @@ def test_eigen_valuation_returns_fraction():
     ring = cyc_ring(5, 0)
     v = eigen_valuation(ring.zeta() - 1)
     assert isinstance(v, Fraction)
+
+
+def test_bad_ring_arguments_are_usage_errors():
+    with pytest.raises(UsageError):
+        CycRing(PadicCtx(5, 4), 2)
+    with pytest.raises(UsageError):
+        CycRing(PadicCtx(5, 1), 1)  # level 1 Galois needs 2 digits
+    with pytest.raises(UsageError):
+        cyc_ring(5, 0, prec=1, pi_prec=8)
+    with pytest.raises(UsageError):
+        cyc_ring(5, 0, pi_prec=0)
+
+
+# -- the packed kernel against the per-digit schoolbook product -------------
+
+def _schoolbook(x, y):
+    """The per-digit product the packed kernel replaced: PadicInt digits,
+    schoolbook convolution, then Eisenstein reduction by modulus_tail."""
+    ring = x.ring
+    d = ring.degree
+    raw = [ring.ctx.of(0)] * (2 * d - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            raw[i + j] = raw[i + j] + a * b
+    for deg in range(2 * d - 2, d - 1, -1):
+        c = raw[deg]
+        for j, m in enumerate(ring.modulus_tail):
+            raw[deg - d + j] = raw[deg - d + j] - c * m
+    return raw[:d]
+
+
+@st.composite
+def _elements(draw, ring, count):
+    """Elements of ``ring``, each with its own prec in 1..N."""
+    out = []
+    for _ in range(count):
+        prec = draw(st.integers(1, ring.ctx.N))
+        digits = draw(st.lists(
+            st.integers(0, ring.ctx.p ** prec - 1),
+            min_size=ring.degree, max_size=ring.degree,
+        ))
+        out.append(ring.from_coeffs([ring.ctx.of(c, prec) for c in digits]))
+    return out
+
+
+_PRIMES = st.sampled_from((3, 5, 7, 11, 13))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_multiply_matches_schoolbook(data):
+    ring = cyc_ring(data.draw(_PRIMES), data.draw(st.sampled_from((0, 1))))
+    x, y = data.draw(_elements(ring, 2))
+    prec = min(x.prec, y.prec)
+    want = _schoolbook(x, y)
+    got = x * y
+    assert got.prec == prec
+    assert all(c.prec == prec for c in want)
+    assert [c.lift() for c in got.coeffs] == [c.lift() for c in want]
+    assert (x + y).prec == (x - y).prec == prec
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_level0_galois_permutation_matches_horner(data):
+    p = data.draw(_PRIMES)
+    ring = cyc_ring(p, 0)
+    (x,) = data.draw(_elements(ring, 1))
+    a = data.draw(st.integers(1, p - 1))
+    image = ring.zeta() ** a - 1
+    coeffs = x.coeffs
+    want = ring.from_scalar(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        want = want * image + c
+    got = galois_apply(a, x)
+    assert got.prec == want.prec == x.prec
+    assert got.digits == want.digits
