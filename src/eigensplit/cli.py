@@ -26,13 +26,14 @@ from .errors import (
 from .homotopy import (
     GradedModule,
     SpectrumId,
+    check_window,
     homotopy_of,
     les_consistency,
     verify_main_duality,
 )
 from .kummer import cw_unit, cw_unit_pair, kummer_phi, lang_unit
 from .lfunctions import configure_cache, irregular_pairs, lp_value
-from .padic import PadicCtx, is_prime
+from .padic import PadicCtx, check_odd_prime
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,18 +62,10 @@ def _emit_text(lines):
         sys.stdout.write(line + "\n")
 
 
-def _check_prime(p: int) -> int:
-    if not is_prime(p) or p == 2:
-        raise UsageError(f"{p} is not an odd prime")
-    return p
-
-
 def _resolve_window(args) -> tuple:
     if args.lo is None or args.hi is None:
         raise UsageError("this subcommand needs --from and --to")
-    bound = 6 * (args.prime - 1)
-    if args.lo < -bound or args.hi > bound:
-        raise UsageError(f"window must lie within [-{bound}, {bound}]")
+    check_window(args.prime, args.lo, args.hi)
     if args.lo > args.hi:
         raise UsageError("--from must not exceed --to")
     return args.lo, args.hi
@@ -126,7 +119,7 @@ def _pick_unit(args, ring):
 
 
 def _cmd_teich(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     ctx = PadicCtx(p, args.precision)
     values = [
         {"a": a, "omega": ctx.teichmuller(a).lift()} for a in range(1, p)
@@ -144,7 +137,7 @@ def _cmd_teich(args) -> int:
 
 
 def _cmd_units(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     pi_prec = args.pi_precision or p + 3
     ring = cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
     u = _pick_unit(args, ring)
@@ -178,7 +171,7 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_kummer(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     pi_prec = args.pi_precision or p + 3
     ring = cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
     u = _pick_unit(args, ring)
@@ -218,7 +211,7 @@ def _cmd_kummer(args) -> int:
 
 
 def _cmd_lvalues(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     if args.char is None or args.at is None:
         raise UsageError("lvalues needs --char and --at")
     val = lp_value(p, args.char, args.at, M=args.precision)
@@ -254,7 +247,7 @@ def _cmd_lvalues(args) -> int:
 
 
 def _cmd_irregular(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     pairs = irregular_pairs(p)
     if args.format == "json":
         _emit_json({"prime": p, "irregular_pairs": pairs})
@@ -267,7 +260,7 @@ def _cmd_irregular(args) -> int:
 
 
 def _cmd_homotopy(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     lo, hi = _resolve_window(args)
     sid = SpectrumId.parse(args.spectrum, p, kv_assume=args.kv_assume)
     M = homotopy_of(sid, (lo, hi))
@@ -286,7 +279,7 @@ def _cmd_homotopy(args) -> int:
 
 
 def _cmd_duality(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     lo, hi = _resolve_window(args)
     report = verify_main_duality(p, (lo, hi), kv_assume=args.kv_assume)
     if args.format == "json":
@@ -321,7 +314,7 @@ def _cmd_duality(args) -> int:
 
 
 def _cmd_les(args) -> int:
-    p = _check_prime(args.prime)
+    p = check_odd_prime(args.prime)
     lo, hi = _resolve_window(args)
     if args.char is None:
         raise UsageError("les needs --char")

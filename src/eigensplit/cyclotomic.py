@@ -30,30 +30,11 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .padic import PadicCtx, PadicInt
+from .padic import PadicCtx, PadicInt, pack_digits, unpack_digits
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-# -- packed digit vectors ----------------------------------------------------
-
-def _pack(digits, w: int) -> int:
-    """Digit k into bits [k w, (k+1) w); digits are nonnegative and < 2^w."""
-    n = 0
-    for c in reversed(digits):
-        n = (n << w) | c
-    return n
-
-
-def _unpack(n: int, w: int, count: int) -> list:
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(count):
-        out.append(n & mask)
-        n >>= w
-    return out
 
 
 def _combine(columns, coeffs) -> int:
@@ -111,11 +92,11 @@ class CycRing:
         if level == 0:
             # pi^j = sum_k C(j,k) (-1)^(j-k) zeta^k, zeta^k = sum_j C(k,j) pi^j
             self._to_zeta = [
-                _pack([(-1) ** (j + k) * comb(j, k) % m for k in range(d)], w)
+                pack_digits([(-1) ** (j + k) * comb(j, k) % m for k in range(d)], w)
                 for j in range(d)
             ]
             self._from_zeta = [
-                _pack([comb(k, j) % m for j in range(d)], w) for k in range(d)
+                pack_digits([comb(k, j) % m for j in range(d)], w) for k in range(d)
             ]
         self._galois_images = {}
         self._base = None
@@ -127,7 +108,7 @@ class CycRing:
         r = [-t % m for t in tail]
         cols = []
         for _ in range(self.degree - 1):
-            cols.append(_pack(r, self._slot))
+            cols.append(pack_digits(r, self._slot))
             top = r[-1]
             r = [(c - top * t) % m for c, t in zip([0] + r[:-1], tail)]
         return cols
@@ -277,11 +258,11 @@ class CycElt:
         d, w = ring.degree, ring._slot
         prec = min(self.prec, o.prec)
         q = ring.ctx.p ** prec
-        prod = _pack(self.digits, w) * _pack(o.digits, w)
+        prod = pack_digits(self.digits, w) * pack_digits(o.digits, w)
         low = d * w
-        high = [h % q for h in _unpack(prod >> low, w, d - 1)]
+        high = [h % q for h in unpack_digits(prod >> low, w, d - 1)]
         acc = (prod & ((1 << low) - 1)) + _combine(ring._fold, high)
-        return CycElt(ring, [c % q for c in _unpack(acc, w, d)], prec)
+        return CycElt(ring, [c % q for c in unpack_digits(acc, w, d)], prec)
 
     __rmul__ = __mul__
 
@@ -357,14 +338,14 @@ def _permute_zeta_basis(a: int, x: CycElt) -> CycElt:
     q = ring.ctx.p ** prec
     out = [0] * d
     spill = 0
-    for k, c in enumerate(_unpack(_combine(ring._to_zeta, x.digits), w, d)):
+    for k, c in enumerate(unpack_digits(_combine(ring._to_zeta, x.digits), w, d)):
         m = a * k % (d + 1)
         if m == d:
             spill = c
         else:
             out[m] = c
     moved = [(c - spill) % q for c in out]
-    digits = _unpack(_combine(ring._from_zeta, moved), w, d)
+    digits = unpack_digits(_combine(ring._from_zeta, moved), w, d)
     return CycElt(ring, [c % q for c in digits], prec)
 
 

@@ -1,10 +1,12 @@
 """The height-1 Lubin-Tate group with multiplication-by-p series X^p + pX.
 
-Everything is computed over exact rationals and only reduced to p-adic
-coefficients at the boundary, so the p-integrality of the strict isomorphism
-is a theorem we can check, not a rounding artifact.  The logarithm is derived
-degree by degree from log([p]X) = p log(X); the strict isomorphism to the
-multiplicative group is the solution of log_G(theta) = log(1+X).
+The logarithm is exact, solved over the rationals from log([p]X) = p log(X).
+``theta()``, the strict isomorphism exp_G(log(1+X)) to the multiplicative
+group, is exact too: the explicit API and the tests' reference.  The tower
+points x_n = theta(zeta_n - 1) need theta only mod p^N, solved degree by
+degree in Z/p^K from theta((1+X)^p - 1) = theta^p + p theta on packed ints,
+with K = N + ``_theta_loss``; each degree's exact division by p is the
+p-integrality witness.
 """
 
 from __future__ import annotations
@@ -13,63 +15,26 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import NonIntegralCoefficient, PrecisionExhausted, VerificationError
-from .padic import is_prime
+from .errors import (
+    NonIntegralCoefficient,
+    PrecisionExhausted,
+    UsageError,
+    VerificationError,
+)
+from .padic import check_odd_prime, pack_digits, unpack_digits
 from .series import TruncSeries, log_one_plus_x
 
 
 def _check_args(p: int, T: int):
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if T < 2:
-        raise ValueError(f"truncation must be >= 2, got {T}")
+        raise UsageError(f"truncation must be >= 2, got {T}")
 
 
 def default_trunc(p: int) -> int:
     """Enough to see X^{p^2}: covers the tower recursion and the mod X^p
     congruence with slack."""
     return p * p + 1
-
-
-# raw Fraction-list kernels; TruncSeries wrapping at this size would dominate
-# the runtime for p = 13 at T = 170
-
-def _mul(a, b, T):
-    out = [Fraction(0)] * T
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        lim = T - i
-        for j, bj in enumerate(b[:lim]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _pow(a, n, T):
-    result = None
-    base = list(a[:T])
-    while n:
-        if n & 1:
-            result = list(base) if result is None else _mul(result, base, T)
-        n >>= 1
-        if n:
-            base = _mul(base, base, T)
-    if result is None:
-        result = [Fraction(1)] + [Fraction(0)] * (T - 1)
-    return result
-
-
-def _inv(a, T):
-    out = [Fraction(1) / a[0]] + [Fraction(0)] * (T - 1)
-    t = 1
-    while t < T:
-        t = min(2 * t, T)
-        prod = _mul(a[:t], out[:t], t)
-        corr = [-c for c in prod]
-        corr[0] += 2
-        out = _mul(out[:t], corr, t)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -95,68 +60,90 @@ def lubin_tate_log(p: int, T: int | None = None) -> TruncSeries:
     return TruncSeries(list(_log_coeffs(p, T)))
 
 
-@lru_cache(maxsize=None)
-def _theta_coeffs(p: int, T: int) -> tuple:
-    # Newton solve of log_G(theta) = log(1+X), doubling correctness;
-    # log_G is supported on exponents = 1 mod (p-1), so an evaluation
-    # walks that progression with one fixed-step powering per term
-    log_c = _log_coeffs(p, T + 1)
-    target = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, T)]
+def _theta_loss(p: int, T: int) -> int:
+    """p-adic digits lost by solving theta mod X^T in Z/p^K: 1 plus the
+    number of j >= 1 with 2 p^j <= T - 1.
 
-    def log_at(g, t):
-        out = list(g[:t]) + [Fraction(0)] * max(0, t - len(g))
-        h = _pow(g, p - 1, t)
-        power = list(g[:t]) + [Fraction(0)] * max(0, t - len(g))
-        m = 1
-        while m + (p - 1) < t:
-            power = _mul(power, h, t)
-            m += p - 1
-            cm = log_c[m]
-            if cm:
-                for k in range(t):
-                    if power[k]:
-                        out[k] += cm * power[k]
-        return out
+    With E = (1+X)^p - 1, theta(E) = theta^p + p theta reads at X^m
+        (p^m - p) c_m = [X^m] theta^p - sum_{k<m} c_k [X^m] E^k,
+    so c_m is 1/p times a unit times a right side in c_1..c_{m-1}, known
+    mod p^K.  Let e_k be the valuation of the error in c_k (c_1 = 1 is
+    exact).  Errors enter the right side times p: through theta^p as the
+    binomials C(p, i), 0 < i < p (the D^p term has valuation p e_k > e_k),
+    and through E^k, as E = X^p + p X g(X) makes [X^m] E^k divisible by p
+    for m < pk, but [X^pk] E^k = 1.  After the division by p,
+        e_m >= min(K - 1, min_{k<m} e_k, e_{m/p} - 1)   (last if p | m),
+    and since L(m) = #{j >= 1 : 2 p^j <= m} has L(m/p) = L(m) - 1 for
+    m >= 2p, induction gives e_m >= K - 1 - L(m).  So K = N + loss leaves
+    every c_m, m < T, right mod p^N with e_m >= 1, and the right side's
+    divisibility by p is exactly the p-integrality of c_m.  The bound is
+    sharp: one digit less is wrong at the last 2 p^j below T (or at 2).
+    """
+    loss, pj = 1, p
+    while 2 * pj <= T - 1:
+        loss += 1
+        pj *= p
+    return loss
 
-    def dlog_at(g, t):
-        # log_G'(g) = sum_m m c_m g^{m-1}; the m = 1 term is 1
-        out = [Fraction(1)] + [Fraction(0)] * (t - 1)
-        h = _pow(g, p - 1, t)
-        power = None
-        m = 1
-        while (m - 1) + (p - 1) < t:
-            power = h if power is None else _mul(power, h, t)
-            m += p - 1
-            cm = log_c[m]
-            if cm:
-                cmm = cm * m
-                for k in range(t):
-                    if power[k]:
-                        out[k] += cmm * power[k]
-        return out
 
-    g = [Fraction(0), Fraction(1)]
-    t = 2
-    while t < T:
-        t = min(2 * t - 1, T)
-        g = g + [Fraction(0)] * (t - len(g))
-        err = log_at(g, t)
-        for k in range(t):
-            err[k] -= target[k]
-        upd = _mul(err, _inv(dlog_at(g, t), t), t)
-        g = [a - b for a, b in zip(g, upd)]
-    for k, ck in enumerate(g):
-        if ck.denominator % p == 0:
+def _theta_mod(p: int, T: int, K: int) -> list:
+    # theta mod (p^K, X^T), degree by degree; see _theta_loss for the
+    # digits that are right
+    q = p ** K
+    # a product slot sums at most T terms below q^2
+    w = 2 * q.bit_length() + T.bit_length()
+
+    def mul(a, b):
+        prod = pack_digits(a, w) * pack_digits(b, w)
+        return [x % q for x in unpack_digits(prod, w, T)]
+
+    def power(a, n):
+        out = None
+        while True:
+            if n & 1:
+                out = a if out is None else mul(out, a)
+            n >>= 1
+            if not n:
+                return out
+            a = mul(a, a)
+
+    e = ([0] + [comb(p, j) % q for j in range(1, p + 1)] + [0] * T)[:T]
+    c = [0] * T
+    c[1] = 1
+    e_pow = e
+    lhs = pack_digits(e, w)  # sum_{k<m} c_k E^k, one packed vector
+    mask = (1 << w) - 1
+    for m in range(2, T):
+        if (m - 2) % (p - 1) == 0:
+            # [X^j] theta^p uses c_k only for k <= j - p + 1, so this
+            # power from c_1..c_{m-1} is right through X^(m+p-2)
+            theta_p = power(c, p)
+        r = (theta_p[m] - ((lhs >> (m * w)) & mask)) % q
+        if r % p:
             raise NonIntegralCoefficient(
-                f"theta coefficient of X^{k} = {ck} is not p-integral"
+                f"theta coefficient of X^{m} is not p-integral"
             )
-    return tuple(g)
+        c[m] = r // p * pow(pow(p, m - 1, q) - 1, -1, q) % q
+        e_pow = mul(e_pow, e)
+        lhs += c[m] * pack_digits(e_pow, w)
+    return c
+
+
+@lru_cache(maxsize=None)
+def _theta_digits(p: int, T: int, N: int) -> tuple:
+    """theta mod (p^N, X^T) as int residues."""
+    m = p ** N
+    return tuple(x % m for x in _theta_mod(p, T, N + _theta_loss(p, T)))
+
+
+@lru_cache(maxsize=None)
+def _exact_theta(p: int, T: int) -> tuple:
+    return tuple(FormalGroupData(p, T).theta().coeffs)
 
 
 def theta(p: int, T: int | None = None) -> TruncSeries:
     """The strict isomorphism theta = exp_G(log(1+X)), exact and p-integral."""
-    _check_args(p, T := T or default_trunc(p))
-    return TruncSeries(list(_theta_coeffs(p, T)))
+    return TruncSeries(list(_exact_theta(p, T or default_trunc(p))))
 
 
 class FormalGroupData:
@@ -178,7 +165,13 @@ class FormalGroupData:
         return self._exp
 
     def theta(self) -> TruncSeries:
-        return theta(self.p, self.trunc)
+        th = self.exp_series.compose(log_one_plus_x(self.trunc))
+        for k, ck in enumerate(th.coeffs):
+            if ck.denominator % self.p == 0:
+                raise NonIntegralCoefficient(
+                    f"theta coefficient of X^{k} = {ck} is not p-integral"
+                )
+        return th
 
     def __repr__(self):
         return f"FormalGroupData(p={self.p}, trunc={self.trunc})"
@@ -208,9 +201,9 @@ def cw_tower_x(ring, trunc: int | None = None):
     # evaluation error has pi-valuation > top; cap at the storage
     # resolution of the digit vector, not the equality tolerance
     top = min(T - 1, ring.degree * ring.ctx.N - 1)
-    th = _theta_coeffs(p, top + 1)
+    th = _theta_digits(p, top + 1, ring.ctx.N)
     pi = ring.uniformizer()
-    acc = ring.from_scalar(ring.ctx.from_rational(th[top]))
+    acc = ring.from_scalar(th[top])
     for k in range(top - 1, 0, -1):
-        acc = acc * pi + ring.from_scalar(ring.ctx.from_rational(th[k]))
+        acc = acc * pi + ring.from_scalar(th[k])
     return acc * pi

@@ -23,7 +23,7 @@ from .errors import (
     WindowInsufficient,
 )
 from .lfunctions import lp_value, regularity_certificate
-from .padic import is_prime
+from .padic import check_odd_prime, is_prime
 
 
 class FgZpModule:
@@ -195,8 +195,7 @@ class SpectrumId:
 
     def __init__(self, tag: str, p: int, index: int | None = None,
                  kv_assume: bool = False):
-        if not is_prime(p) or p == 2:
-            raise UsageError(f"{p} is not an odd prime")
+        check_odd_prime(p)
         if tag in _PLAIN_TAGS:
             if index is not None:
                 raise UsageError(f"{tag} takes no index")
@@ -292,7 +291,7 @@ def _lvalue_exponent(p: int, i: int, s: int, prec: int) -> int:
     return lp_value(p, i, s, prec).certified_valuation()
 
 
-def _window_guard(p: int, lo: int, hi: int):
+def check_window(p: int, lo: int, hi: int):
     # keeps Bernoulli/L-value demands desk-scale; the floor of 40 admits
     # small-prime windows a few periods wide
     bound = max(6 * (p - 1), 40)
@@ -338,7 +337,7 @@ def homotopy_of(sid: SpectrumId, window, prec: int = 3) -> GradedModule:
     """The graded homotopy model of the named spectrum on the window."""
     lo, hi = window
     p = sid.p
-    _window_guard(p, lo, hi)
+    check_window(p, lo, hi)
     if sid.needs_kv() and not sid.kv_assume:
         raise KummerVandiverRequired(
             f"{sid!r} depends on the L-value description; p = {p} is not "
@@ -498,9 +497,8 @@ def verify_main_duality(p: int, window, kv_assume: bool = False,
     reported as informational flags.
     """
     lo, hi = window
-    if not is_prime(p) or p == 2:
-        raise UsageError(f"{p} is not an odd prime")
-    _window_guard(p, lo, hi)
+    check_odd_prime(p)
+    check_window(p, lo, hi)
     if regularity_certificate(p) is not True and not kv_assume:
         raise KummerVandiverRequired(
             f"p = {p} is not certified regular; pass kv_assume to verify "

@@ -22,7 +22,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .padic import PadicCtx, PadicInt, is_prime
+from .padic import PadicCtx, PadicInt, check_odd_prime
 
 
 class BernoulliTable:
@@ -152,8 +152,7 @@ class LValue:
 
 
 def _check_character(p: int, i: int) -> int:
-    if not is_prime(p) or p == 2:
-        raise UsageError(f"{p} is not an odd prime")
+    check_odd_prime(p)
     i %= p - 1
     if i == 0:
         raise PoleAtZeroCharacter(
@@ -250,8 +249,7 @@ DEFAULT_SCAN_CAP = 60
 def irregular_pairs(p: int, k_max: int | None = None) -> list:
     """Even k in 2..p-3 with p dividing numerator(B_k); for p > 200 the
     scan is capped (k <= 60) unless k_max widens it."""
-    if not is_prime(p) or p == 2:
-        raise UsageError(f"{p} is not an odd prime")
+    check_odd_prime(p)
     top = p - 3
     if k_max is not None:
         top = min(top, k_max)

@@ -14,6 +14,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotAUnit,
     PrecisionExhausted,
+    RingMismatch,
     UsageError,
     ZeroResidue,
 )
@@ -30,6 +31,30 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def check_odd_prime(p: int) -> int:
+    if not is_prime(p) or p == 2:
+        raise UsageError(f"{p} is not an odd prime")
+    return p
+
+
+# -- packed digit vectors: digit k in bits [k w, (k+1) w), all < 2^w -------
+
+def pack_digits(digits, w: int) -> int:
+    n = 0
+    for c in reversed(digits):
+        n = (n << w) | c
+    return n
+
+
+def unpack_digits(n: int, w: int, count: int) -> list:
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(count):
+        out.append(n & mask)
+        n >>= w
+    return out
 
 
 class Valuation:
@@ -59,8 +84,7 @@ class PadicCtx:
     __slots__ = ("p", "N", "modulus", "_teich", "_beta")
 
     def __init__(self, p: int, N: int):
-        if not is_prime(p) or p == 2:
-            raise UsageError(f"p must be an odd prime, got {p}")
+        check_odd_prime(p)
         if N < 1:
             raise UsageError(f"precision must be >= 1, got {N}")
         self.p = p
@@ -152,7 +176,7 @@ class PadicInt:
     def _coerce(self, other):
         if isinstance(other, PadicInt):
             if other.ctx != self.ctx:
-                raise ValueError("mixed p-adic contexts")
+                raise RingMismatch("mixed p-adic contexts")
             return other
         if isinstance(other, int):
             return PadicInt(self.ctx, other)

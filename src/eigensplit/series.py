@@ -15,6 +15,7 @@ from .errors import (
     NonzeroConstantTerm,
     NotReversible,
     RingMismatch,
+    UsageError,
 )
 from .padic import PadicInt
 
@@ -45,7 +46,7 @@ class TruncSeries:
 
     def __init__(self, coeffs):
         if len(coeffs) < 1:
-            raise ValueError("a series needs at least its constant term")
+            raise UsageError("a series needs at least its constant term")
         self.coeffs, self.ctx = _normalize(list(coeffs))
 
     # -- ring plumbing ---------------------------------------------------
@@ -81,7 +82,7 @@ class TruncSeries:
 
     def truncate(self, T: int) -> "TruncSeries":
         if T < 1 or T > self.trunc:
-            raise ValueError(f"cannot truncate to {T} (trunc {self.trunc})")
+            raise UsageError(f"cannot truncate to {T} (trunc {self.trunc})")
         return TruncSeries(self.coeffs[:T])
 
     def __eq__(self, other):
@@ -174,7 +175,7 @@ class TruncSeries:
 
     def derivative(self) -> "TruncSeries":
         if self.trunc < 2:
-            raise ValueError("cannot differentiate below trunc 2")
+            raise UsageError("cannot differentiate below trunc 2")
         return TruncSeries(
             [k * self.coeffs[k] for k in range(1, self.trunc)]
         )
@@ -289,7 +290,7 @@ def _x_like(model: TruncSeries, T: int) -> TruncSeries:
 def x_series(T: int) -> TruncSeries:
     """X as an exact-rational series mod X^T."""
     if T < 2:
-        raise ValueError("need T >= 2 to see X")
+        raise UsageError("need T >= 2 to see X")
     return TruncSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (T - 2))
 
 

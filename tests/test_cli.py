@@ -5,6 +5,7 @@ import json
 import pytest
 
 from eigensplit import cli
+from eigensplit.homotopy import SpectrumId, homotopy_of
 from eigensplit.lfunctions import configure_cache
 
 
@@ -122,8 +123,22 @@ def test_homotopy_needs_window(capsys):
 
 def test_homotopy_window_guard_is_strict(capsys):
     rc, _ = _run(capsys, "homotopy", "J", "--prime", "5",
-                 "--from", "-40", "--to", "40")
-    assert rc == 1  # CLI keeps the 6(p-1) bound
+                 "--from", "-41", "--to", "40")
+    assert rc == 1  # the library's max(6(p-1), 40) bound
+
+
+def test_homotopy_window_matches_library_guard(capsys):
+    # the CLI once bounded windows by 6(p-1) = 24 at p = 5, refusing
+    # windows the library accepts
+    rc, out = _run(capsys, "homotopy", "J", "--prime", "5",
+                   "--from", "-30", "--to", "30")
+    assert rc == 0
+    M = homotopy_of(SpectrumId("J", 5), (-30, 30))
+    assert json.loads(out)["groups"] == [
+        {"degree": n, "rank": M.entry(n).rank,
+         "torsion": list(M.entry(n).torsion)}
+        for n in M.degrees()
+    ]
 
 
 def test_kv_gate_exit_codes(capsys):

@@ -4,11 +4,16 @@ isomorphism to the multiplicative group."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigensplit.cyclotomic import cyc_ring
-from eigensplit.errors import PrecisionExhausted
+from eigensplit.errors import PrecisionExhausted, UsageError
 from eigensplit.formal_groups import (
     FormalGroupData,
+    _theta_digits,
+    _theta_loss,
+    _theta_mod,
     cw_tower_x,
     default_trunc,
     lubin_tate_log,
@@ -69,6 +74,48 @@ def test_theta_is_p_integral():
             assert c.denominator % p != 0
 
 
+# truncations of the exact oracle: past 2p^3 = 54 at p = 3 and 2p^2 = 50 at
+# p = 5; at p = 7 only past 2p = 14, as exact theta beyond 2p^2 = 98 takes
+# seconds
+_ORACLE_T = {3: 60, 5: 60, 7: 50}
+
+
+def _last_loss_degree(p, T):
+    # the largest 2 p^j (j >= 0) below T
+    m = 2
+    while m * p <= T - 1:
+        m *= p
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from(sorted(_ORACLE_T)), N=st.integers(1, 6),
+       T=st.integers(3, max(_ORACLE_T.values())))
+@example(p=3, N=6, T=60)
+@example(p=5, N=4, T=51)
+@example(p=7, N=1, T=15)
+def test_theta_mod_pk_matches_exact_theta(p, N, T):
+    T = min(T, _ORACLE_T[p])
+    q = p ** N
+    exact = theta(p, _ORACLE_T[p]).coeffs[:T]
+    want = [c.numerator * pow(c.denominator, -1, q) % q for c in exact]
+    assert list(_theta_digits(p, T, N)) == want
+    # the loss bound is sharp: one digit less goes wrong, first at the
+    # last degree where the bound loses a digit
+    short = [c % q for c in _theta_mod(p, T, N + _theta_loss(p, T) - 1)]
+    wrong = [k for k in range(T) if short[k] != want[k]]
+    assert wrong and wrong[0] == _last_loss_degree(p, T)
+
+
+def test_bad_arguments_are_usage_errors():
+    with pytest.raises(UsageError):
+        theta(9)
+    with pytest.raises(UsageError):
+        lubin_tate_log(5, 1)
+    with pytest.raises(UsageError):
+        FormalGroupData(2)
+
+
 def test_theta_defining_equation():
     # log_G(theta(X)) = log(1+X), checked by composition
     for p in (3, 5):
@@ -104,7 +151,7 @@ def test_exp_log_round_trip():
 
 
 def test_tower_bottom_relation():
-    for p in (3, 5):
+    for p in (3, 5, 7):
         ring = cyc_ring(p, 0)
         x0 = cw_tower_x(ring)
         assert (x0 ** p + x0 * p).vanishes_mod_pi(ring.pi_prec)
@@ -112,7 +159,7 @@ def test_tower_bottom_relation():
 
 
 def test_tower_step_relation():
-    for p in (3, 5):
+    for p in (3, 5, 7):
         ring1 = cyc_ring(p, 1)
         ring0 = cyc_ring(p, 0)
         from eigensplit.cyclotomic import embed_up

@@ -8,9 +8,17 @@ from eigensplit.errors import (
     NonIntegralCoefficient,
     NotAUnit,
     PrecisionExhausted,
+    RingMismatch,
+    UsageError,
     ZeroResidue,
 )
-from eigensplit.padic import PadicCtx, PadicInt, Valuation, is_prime
+from eigensplit.padic import (
+    PadicCtx,
+    PadicInt,
+    Valuation,
+    check_odd_prime,
+    is_prime,
+)
 
 
 def test_is_prime_small():
@@ -29,6 +37,18 @@ def test_ctx_rejects_bad_arguments():
         PadicCtx(2, 3)
     with pytest.raises(ValueError):
         PadicCtx(5, 0)
+
+
+def test_check_odd_prime():
+    assert check_odd_prime(7) == 7
+    for bad in (2, 9, 1, -3):
+        with pytest.raises(UsageError, match=f"^{bad} is not an odd prime$"):
+            check_odd_prime(bad)
+
+
+def test_mixed_contexts_raise_ring_mismatch():
+    with pytest.raises(RingMismatch):
+        PadicCtx(5, 3).of(1) + PadicCtx(5, 4).of(1)
 
 
 def test_ring_laws_random():

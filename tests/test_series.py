@@ -11,6 +11,7 @@ from eigensplit.errors import (
     NonzeroConstantTerm,
     NotReversible,
     RingMismatch,
+    UsageError,
 )
 from eigensplit.padic import PadicCtx
 from eigensplit.series import (
@@ -48,6 +49,18 @@ def test_trunc_bookkeeping():
     assert (f * g).trunc == 4
     assert f.derivative().trunc == 5
     assert f.invariant_derivative().trunc == 5
+
+
+def test_bad_sizes_are_usage_errors():
+    with pytest.raises(UsageError):
+        TruncSeries([])
+    f = TruncSeries([Fraction(1)])
+    with pytest.raises(UsageError):
+        f.truncate(2)
+    with pytest.raises(UsageError):
+        f.derivative()
+    with pytest.raises(UsageError):
+        x_series(1)
 
 
 def test_scalar_and_pow():
