@@ -23,7 +23,7 @@ from .errors import (
     WindowInsufficient,
 )
 from .lfunctions import lp_value, regularity_certificate
-from .padic import check_odd_prime, is_prime
+from .padic import check_odd_prime, vp
 
 
 class FgZpModule:
@@ -244,46 +244,12 @@ class SpectrumId:
         return f"SpectrumId({self.tag}({self.index}), p={self.p})"
 
 
-@lru_cache(maxsize=None)
-def _least_unit_generator(p: int) -> int:
-    """Least prime whose powers run through all units mod p^2."""
-    order = p * (p - 1)
-    qs = set()
-    t = p - 1
-    d = 2
-    while d * d <= t:
-        while t % d == 0:
-            qs.add(d)
-            t //= d
-        d += 1
-    if t > 1:
-        qs.add(t)
-    qs.add(p)
-    l = 2
-    while True:
-        if is_prime(l) and l % p != 0:
-            if all(pow(l, order // q, p * p) != 1 for q in qs):
-                return l
-        l += 1
-
-
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        raise UsageError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-@lru_cache(maxsize=None)
-def _j_exponent(p: int, m: int, l: int | None = None) -> int:
-    """v_p(l^{|m|(p-1)} - 1), the torsion exponent of the self-map
-    fiber in degree 2m(p-1)-1; independent of the choice of l."""
-    if l is None:
-        l = _least_unit_generator(p)
-    return _vp(pow(l, abs(m) * (p - 1)) - 1, p)
+def _j_exponent(p: int, m: int) -> int:
+    """v_p(l^{|m|(p-1)} - 1) for l generating the units mod p^2, the
+    torsion exponent of the self-map fiber in degree 2m(p-1)-1.  Such an
+    l has v_p(l^{p-1} - 1) = 1, so lifting the exponent gives
+    1 + v_p(m) whatever l is."""
+    return 1 + vp(m, p)
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +260,8 @@ def _lvalue_exponent(p: int, i: int, s: int, prec: int) -> int:
 def check_window(p: int, lo: int, hi: int):
     # keeps Bernoulli/L-value demands desk-scale; the floor of 40 admits
     # small-prime windows a few periods wide
+    if lo > hi:
+        raise UsageError(f"empty window [{lo}, {hi}]")
     bound = max(6 * (p - 1), 40)
     if lo < -bound or hi > bound:
         raise UsageError(
@@ -336,14 +304,21 @@ def _scalar_fiber_pattern(lo: int, hi: int, p: int, source_offset: int,
 def homotopy_of(sid: SpectrumId, window, prec: int = 3) -> GradedModule:
     """The graded homotopy model of the named spectrum on the window."""
     lo, hi = window
-    p = sid.p
-    check_window(p, lo, hi)
+    check_window(sid.p, lo, hi)
     if sid.needs_kv() and not sid.kv_assume:
         raise KummerVandiverRequired(
-            f"{sid!r} depends on the L-value description; p = {p} is not "
-            "certified regular, so pass kv_assume to proceed under the "
+            f"{sid!r} depends on the L-value description; p = {sid.p} is "
+            "not certified regular, so pass kv_assume to proceed under the "
             "Kummer-Vandiver hypothesis"
         )
+    return _build(sid, lo, hi, prec)
+
+
+def _build(sid: SpectrumId, lo: int, hi: int, prec: int) -> GradedModule:
+    # unguarded: the public entries check the window and the
+    # Kummer-Vandiver gate, and their internal routes may reach a degree
+    # or two past the checked window
+    p = sid.p
     tag, i = sid.tag, sid.index
     period = 2 * (p - 1)
 
@@ -400,33 +375,21 @@ def homotopy_of(sid: SpectrumId, window, prec: int = 3) -> GradedModule:
             return M
         return connected_cover(M, -3 if i == 0 else 1)
 
-    if tag in ("KZ", "TCZ", "FibTau"):
-        return _assemble(sid, lo, hi, prec)
-    raise UsageError(f"unhandled tag {tag!r}")
+    return _assemble(p, tag, lo, hi, prec)
 
 
-def _sub_id(sid: SpectrumId, tag: str, index: int | None = None) -> SpectrumId:
-    return SpectrumId(tag, sid.p, index, kv_assume=sid.kv_assume)
+def _assemble(p: int, tag: str, lo: int, hi: int, prec: int) -> GradedModule:
+    def piece(t, i=None):
+        return _build(SpectrumId(t, p, i), lo, hi, prec)
 
-
-def _assemble(sid: SpectrumId, lo: int, hi: int, prec: int) -> GradedModule:
-    p = sid.p
-    window = (lo, hi)
-    pieces = []
-    if sid.tag == "KZ":
-        pieces.append(homotopy_of(_sub_id(sid, "j"), window, prec))
-        for i in range(p - 1):
-            pieces.append(homotopy_of(_sub_id(sid, "y", i), window, prec))
-    elif sid.tag == "TCZ":
-        pieces.append(homotopy_of(_sub_id(sid, "j"), window, prec))
-        jp = homotopy_of(_sub_id(sid, "jprime"), (lo - 1, hi - 1), prec)
-        pieces.append(shift(jp, 1))
-        for i in range(p - 1):
-            pieces.append(homotopy_of(_sub_id(sid, "z", i), window, prec))
+    if tag == "KZ":
+        pieces = [piece("j")] + [piece("y", i) for i in range(p - 1)]
+    elif tag == "TCZ":
+        jp = _build(SpectrumId("jprime", p), lo - 1, hi - 1, prec)
+        pieces = [piece("j"), shift(jp, 1)]
+        pieces += [piece("z", i) for i in range(p - 1)]
     else:
-        pieces.append(homotopy_of(_sub_id(sid, "jprime"), window, prec))
-        for i in range(p - 1):
-            pieces.append(homotopy_of(_sub_id(sid, "x", i), window, prec))
+        pieces = [piece("jprime")] + [piece("x", i) for i in range(p - 1)]
     return direct_sum(*pieces)
 
 
@@ -508,17 +471,15 @@ def verify_main_duality(p: int, window, kv_assume: bool = False,
     period = 2 * (p - 1)
     for i in range(p - 1):
         def make_a(q, i=i):
-            A = homotopy_of(SpectrumId("x", p, i, kv_assume), (lo, hi), q)
+            A = _build(SpectrumId("x", p, i), lo, hi, q)
             if i == 1:
-                jp = homotopy_of(SpectrumId("jprime", p), (lo, hi), q)
-                A = direct_sum(A, jp)
+                A = direct_sum(A, _build(SpectrumId("jprime", p), lo, hi, q))
             return A
 
         def make_b(q, i=i):
             k = (p - i) % (p - 1)
-            kid = (SpectrumId("J", p) if k == 0
-                   else SpectrumId("Y", p, k, kv_assume))
-            K = homotopy_of(kid, (-hi - 2, -lo - 1), q)
+            kid = SpectrumId("J", p) if k == 0 else SpectrumId("Y", p, k)
+            K = _build(kid, -hi - 2, -lo - 1, q)
             return connected_cover(shift(anderson_dual(K), -1), -3)
 
         A = _with_prec(make_a, prec)

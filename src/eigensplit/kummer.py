@@ -23,29 +23,16 @@ from .padic import PadicInt
 from .series import TruncSeries
 
 
-class UnitRep:
-    """A level-0 1-unit together with its polynomial representative."""
-
-    __slots__ = ("u", "f")
-
-    def __init__(self, u: CycElt):
-        if u.ring.level != 0:
-            raise UsageError("representatives live at level 0")
-        if not u.is_one_unit():
-            raise NotOneUnit("not congruent to 1 mod pi")
-        self.u = u
-        self.f = TruncSeries(list(u.coeffs))
-
-    def __repr__(self):
-        return f"UnitRep({self.u!r})"
-
-
 def kummer_phi(i: int, u: CycElt) -> int:
     """D^i(log f_u) at X = 0, mod p, with D = (1+X) d/dX."""
     p = u.ring.ctx.p
     if not 1 <= i <= p - 2:
         raise UsageError(f"phi_{i} undefined, need 1 <= i <= {p - 2}")
-    f = UnitRep(u).f
+    if u.ring.level != 0:
+        raise UsageError("representatives live at level 0")
+    if not u.is_one_unit():
+        raise NotOneUnit("not congruent to 1 mod pi")
+    f = TruncSeries(list(u.coeffs))
     # dividing out the constant term shifts log f by a constant,
     # which every D^i with i >= 1 kills
     g = f.scale(f.constant_term().invert())

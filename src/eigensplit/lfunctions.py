@@ -22,7 +22,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .padic import PadicCtx, PadicInt, check_odd_prime
+from .padic import PadicCtx, PadicInt, check_odd_prime, vp
 
 
 class BernoulliTable:
@@ -125,17 +125,8 @@ class LValue:
 
     def certified_valuation(self) -> int:
         if self.rational is not None:
-            q = self.rational
-            p = self.value.ctx.p
-            v = 0
-            num, den = q.numerator, q.denominator
-            while num % p == 0:
-                num //= p
-                v += 1
-            while den % p == 0:
-                den //= p
-                v -= 1
-            return v
+            q, p = self.rational, self.value.ctx.p
+            return vp(q.numerator, p) - vp(q.denominator, p)
         v = self.value.valuation()
         if not v.exact or v.v >= self.guaranteed_prec - 1:
             raise PrecisionExhausted(
@@ -209,12 +200,7 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
     i = _check_character(p, i)
     if s == 1:
         raise UsageError("s = 1 is outside the implemented range")
-    vs = 0
-    step = s - 1
-    while step % p == 0:
-        step //= p
-        vs += 1
-    K = M + 2 + vs
+    K = M + 2 + vp(s - 1, p)
     ctx = PadicCtx(p, K)
     e_red = (1 - s) % (p ** (K - 1) * (p - 1))
     total = ctx.of(0)

@@ -39,6 +39,17 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
+def vp(n: int, p: int) -> int:
+    """The exponent of p in the nonzero integer n."""
+    if n == 0:
+        raise UsageError("valuation of zero")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 # -- packed digit vectors: digit k in bits [k w, (k+1) w), all < 2^w -------
 
 def pack_digits(digits, w: int) -> int:
@@ -254,11 +265,7 @@ class PadicInt:
     def valuation(self) -> Valuation:
         if self.value == 0:
             return Valuation(self.prec, exact=False)
-        v, x, p = 0, self.value, self.ctx.p
-        while x % p == 0:
-            x //= p
-            v += 1
-        return Valuation(v, exact=True)
+        return Valuation(vp(self.value, self.ctx.p), exact=True)
 
     def is_unit(self) -> bool:
         return self.value % self.ctx.p != 0
@@ -275,10 +282,9 @@ class PadicInt:
             raise ZeroDivisionError
         if k < 0:
             return (-self).div_int(-k)
-        v, u, p = 0, k, self.ctx.p
-        while u % p == 0:
-            u //= p
-            v += 1
+        p = self.ctx.p
+        v = vp(k, p)
+        u = k // p ** v
         if v == 0:
             return self * PadicInt(self.ctx, pow(u, -1, p ** self.prec))
         if v >= self.prec:

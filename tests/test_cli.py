@@ -159,6 +159,48 @@ def test_duality_passes(capsys):
     assert data["cells"]
 
 
+def test_duality_full_guard_window(capsys):
+    rc, out = _run(capsys, "duality", "--prime", "11",
+                   "--from", "-60", "--to", "60")
+    assert rc == 0
+    assert '"passed":true' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("duality", "--prime", "11", "--from", "-61", "--to", "60"),
+    ("homotopy", "TCZ", "--prime", "11", "--from", "-60", "--to", "61"),
+    ("les", "--prime", "11", "--char", "2", "--from", "-61", "--to", "60"),
+    ("duality", "--prime", "11", "--from", "3", "--to", "2"),
+    ("homotopy", "J", "--prime", "11", "--from", "3", "--to", "2"),
+    ("les", "--prime", "11", "--char", "2", "--from", "3", "--to", "2"),
+])
+def test_window_refused_with_exit_one(capsys, argv):
+    rc, out = _run(capsys, *argv)
+    assert (rc, out) == (1, "")
+
+
+@pytest.mark.parametrize("argv", [
+    (cmd, "--prime", "5", "--pi-precision", "8")
+    for cmd in ("teich", "irregular")
+] + [
+    ("lvalues", "--prime", "5", "--char", "2", "--at", "-1",
+     "--pi-precision", "8"),
+    ("irregular", "--prime", "5", "--precision", "6"),
+] + [
+    (*cmd, "--prime", "5", "--from", "-8", "--to", "16", flag, *value)
+    for cmd in (("homotopy", "J"), ("duality",), ("les", "--char", "2"))
+    for flag, value in (("--precision", ("6",)), ("--pi-precision", ("8",)))
+] + [
+    (*cmd, "--prime", "5", "--from", "-8", "--to", "16", "--dense")
+    for cmd in (("duality",), ("les", "--char", "2"))
+])
+def test_ignored_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 1
+    capsys.readouterr()
+
+
 def test_les_subcommand(capsys):
     rc, out = _run(capsys, "les", "--prime", "5", "--char", "2",
                    "--from", "-2", "--to", "20")

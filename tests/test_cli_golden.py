@@ -1,0 +1,135 @@
+"""Byte-exact CLI output: the SHA-256 of stdout and the exit code of every
+subcommand in every format at small primes, pinned so that refactors of
+the front end cannot change what it prints."""
+
+import hashlib
+
+import pytest
+
+from eigensplit import cli
+
+CASES = (
+    ("teich", "--prime", "5"),
+    ("units", "--prime", "5"),
+    ("units", "--prime", "5", "--unit", "lang", "--lambda", "2"),
+    ("kummer", "--prime", "7"),
+    ("kummer", "--prime", "7", "--unit", "lang", "--lambda", "2"),
+    ("lvalues", "--prime", "5", "--char", "2", "--at", "-1"),
+    ("lvalues", "--prime", "7", "--char", "4", "--at", "3"),
+    ("irregular", "--prime", "37"),
+    ("homotopy", "J", "--prime", "5", "--from", "-8", "--to", "8"),
+    ("homotopy", "J", "--prime", "5", "--from", "-2", "--to", "9", "--dense"),
+    ("homotopy", "TCZ", "--prime", "5", "--from", "-4", "--to", "12"),
+    ("duality", "--prime", "5", "--from", "-8", "--to", "16"),
+    ("les", "--prime", "5", "--char", "2", "--from", "-2", "--to", "20"),
+    ("homotopy", "J", "--prime", "5", "--from", "-41", "--to", "40"),
+    ("units", "--prime", "5", "--unit", "lang"),
+)
+
+FORMATS = ("json", "csv", "text")
+
+GOLDEN = {
+    "teich --prime 5 --format json":
+        (0, "43467a6927418f4e76ff9aff8df2348e05e3b9d1cb94ebd804dae883118df3e6"),
+    "teich --prime 5 --format csv":
+        (0, "a9fb57ea54acec792d2a695770a70b895bd1636fb1f78f8ac43ecc39608cdf26"),
+    "teich --prime 5 --format text":
+        (0, "ee25e3c443f12d3356fb494bd2eda51d80173147473d26bf399e43e37cdacd90"),
+    "units --prime 5 --format json":
+        (0, "e8875b7b0b13127f37d53a51e9d487beb257a1e248c25e7cddd8937b6dbf1441"),
+    "units --prime 5 --format csv":
+        (0, "ef6129f29d93c91ce48a2a9a68487f026bfcb81026fb91f56e8fe378817c86e4"),
+    "units --prime 5 --format text":
+        (0, "715b46ef01f9e54b9e1dd7975e28141a2a2ddc2b3e9e94ecec65d1e57908b742"),
+    "units --prime 5 --unit lang --lambda 2 --format json":
+        (0, "f56e71228992c2c804c884e17bae1c83603c3914d4656d396367a5cb5b75b059"),
+    "units --prime 5 --unit lang --lambda 2 --format csv":
+        (0, "28729ebed9ae1181a507a7952cc023c42ee6ca606dd0f63cd28ab2ca32611448"),
+    "units --prime 5 --unit lang --lambda 2 --format text":
+        (0, "9e4d7de4b555bb9bb253f1ed03f63cdfc4c011dd791e811fdeff2911d9fe276c"),
+    "kummer --prime 7 --format json":
+        (0, "afcd8ef6e600a4453e829c7587e6ae3720ed60a773b11ffbae0d50718070ca54"),
+    "kummer --prime 7 --format csv":
+        (0, "46ba137546bbe8cfa84575d027a1503634cc9d676978d3abaa518e73397fabf1"),
+    "kummer --prime 7 --format text":
+        (0, "55f715fb4b4ff59fb7285563e71a63ae9a3d65fafbd1c19feb6786cd65da589e"),
+    "kummer --prime 7 --unit lang --lambda 2 --format json":
+        (0, "86546ebd6fe11708a0ded7d3ad644e8dbf8f33926f9a223050508d67b4b7c738"),
+    "kummer --prime 7 --unit lang --lambda 2 --format csv":
+        (0, "874ac4d2314cdd22bb1bacfd8602f24d7981e778c471b8fabf5d32e571545b45"),
+    "kummer --prime 7 --unit lang --lambda 2 --format text":
+        (0, "01869fd8d14830e0206b6f70c8ed0af81e7cf1f1dd342deb788b7613afd202ae"),
+    "lvalues --prime 5 --char 2 --at -1 --format json":
+        (0, "48a364c6e4b5ca2bdade539a91bd0e9287bcee58d1ad081ddc172034eab7cd9a"),
+    "lvalues --prime 5 --char 2 --at -1 --format csv":
+        (0, "ff2d41d8c42ea3f5b668beabdfc97f353290e4675a6860fb6da856bf2dbea659"),
+    "lvalues --prime 5 --char 2 --at -1 --format text":
+        (0, "09e316deffecb6565597a023f952b4d4ef17bc4d6c43216baccb09a977fd7cd5"),
+    "lvalues --prime 7 --char 4 --at 3 --format json":
+        (0, "c8b050a3e351cba63e1dc237b1dddff26281a78c7ff30929d68a90003d7d890c"),
+    "lvalues --prime 7 --char 4 --at 3 --format csv":
+        (0, "e7633e5c62b4eda61531ad998bf182091b4996be4218f47522a52479fa53fa10"),
+    "lvalues --prime 7 --char 4 --at 3 --format text":
+        (0, "671df410d1c0c665f66f7370debf40440d0160d47a4b574fba48042f35821a9a"),
+    "irregular --prime 37 --format json":
+        (0, "e1bfebd3c5f482a2ad9e6f5ea5c229561f303eb5719a42e2d9fb7d2a6ad14347"),
+    "irregular --prime 37 --format csv":
+        (0, "02a57da24f2293784406dad6763faf099f43e3b54c292d1073dd2127200d7abb"),
+    "irregular --prime 37 --format text":
+        (0, "69d679ed3609d38334b63ad56383e51539221f557db438dc4e7a800e1f2d8987"),
+    "homotopy J --prime 5 --from -8 --to 8 --format json":
+        (0, "6f42e592ddaacdb28cf42f019179b592ae89e0271738db2a73979af14a79c3bd"),
+    "homotopy J --prime 5 --from -8 --to 8 --format csv":
+        (0, "d04eb63184cd190b04a4a726cedb6267dd82d1e1c6028899edd5985ed7ac35a3"),
+    "homotopy J --prime 5 --from -8 --to 8 --format text":
+        (0, "b9fb351d3c045d59217d30aa3049746678d8fed3daa2236dffb63c55698ca65c"),
+    "homotopy J --prime 5 --from -2 --to 9 --dense --format json":
+        (0, "707f68ca3be5f5e85cea1f9c41810f60be016c9b7108d347a9878a2bf7b520a9"),
+    "homotopy J --prime 5 --from -2 --to 9 --dense --format csv":
+        (0, "0919f34c22094610bc3b0c3471a0a8c8623b4829d2f1f97559c335bf2500f3ec"),
+    "homotopy J --prime 5 --from -2 --to 9 --dense --format text":
+        (0, "91f5db62c2c3c183032123f1f607359796f19ab500f916800047de3d68bfdb1d"),
+    "homotopy TCZ --prime 5 --from -4 --to 12 --format json":
+        (0, "0be3225a1ac67534a6c778b38d4277830163583bfaa4107f3444dde24ad6e1ef"),
+    "homotopy TCZ --prime 5 --from -4 --to 12 --format csv":
+        (0, "e4b0a0fe4104a7fab4b53406dab053940b8cf46ed619f58c268641343f79db3e"),
+    "homotopy TCZ --prime 5 --from -4 --to 12 --format text":
+        (0, "0a29eb5aded963e69d09100b44a2b6f1029a8eca904390e6f048693f860aa3bf"),
+    "duality --prime 5 --from -8 --to 16 --format json":
+        (0, "3d88bccfc4dd797e975fb8be12a2e2597ea685a6f6bc84a4970d871a8e226257"),
+    "duality --prime 5 --from -8 --to 16 --format csv":
+        (0, "ae89d4e49fa25cac94d5cae750243c57fd3f2b0d40db549d8fe87ecaa061b6dc"),
+    "duality --prime 5 --from -8 --to 16 --format text":
+        (0, "4f24df582087d2f1fe137359e1161f2ff75337b50c0e564d08b4bc511e15baa6"),
+    "les --prime 5 --char 2 --from -2 --to 20 --format json":
+        (0, "b23b9fffeab7f942353155f80f4bf34b4e275bae6baec60075f078b98069e7b8"),
+    "les --prime 5 --char 2 --from -2 --to 20 --format csv":
+        (0, "a379b7de3ff2dbbefe51e20634d393e9d62bf32078d537b5f12dc4c51c5ecb5d"),
+    "les --prime 5 --char 2 --from -2 --to 20 --format text":
+        (0, "15670a668a4c943a20c4658403425fc57b4f1bb6072825a24e80f2390f8ce5bc"),
+    "homotopy J --prime 5 --from -41 --to 40 --format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "homotopy J --prime 5 --from -41 --to 40 --format csv":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "homotopy J --prime 5 --from -41 --to 40 --format text":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "units --prime 5 --unit lang --format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "units --prime 5 --unit lang --format csv":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "units --prime 5 --unit lang --format text":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _digest(capsys, argv):
+    rc = cli.main(list(argv))
+    out = capsys.readouterr().out
+    return rc, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c))
+def test_cli_output_is_pinned(capsys, case, fmt):
+    argv = case + ("--format", fmt)
+    assert _digest(capsys, argv) == GOLDEN[" ".join(argv)]

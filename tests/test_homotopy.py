@@ -14,7 +14,6 @@ from eigensplit.homotopy import (
     GradedModule,
     SpectrumId,
     _j_exponent,
-    _least_unit_generator,
     anderson_dual,
     assemble,
     connected_cover,
@@ -26,6 +25,7 @@ from eigensplit.homotopy import (
     shift,
     verify_main_duality,
 )
+from eigensplit.padic import vp
 
 Zp = free()
 
@@ -155,12 +155,6 @@ def test_window_guard():
     homotopy_of(SpectrumId("J", 5), (-40, 40))
 
 
-def test_least_unit_generator():
-    assert _least_unit_generator(5) == 2
-    assert _least_unit_generator(7) == 3
-    assert _least_unit_generator(37) == 2
-
-
 def _order(a, m):
     k, x = 1, a % m
     while x != 1:
@@ -170,23 +164,18 @@ def _order(a, m):
 
 
 def test_j_exponent_independent_of_generator():
+    # oracle: the power form v_p(l^{|m|(p-1)} - 1) at the two least
+    # generators l of the units mod p^2
     for p in (5, 7, 13):
-        least = _least_unit_generator(p)
-        others = [
-            l for l in range(least + 1, 60)
-            if l % p != 0 and all(l % q for q in range(2, l))
-            and _order(l, p * p) == p * (p - 1)
-        ]
-        alt = others[0]
-        for m in range(1, 7):
+        gens = [l for l in range(2, 60)
+                if l % p and _order(l, p * p) == p * (p - 1)][:2]
+        assert len(gens) == 2
+        for m in range(-30, 31):
+            if m == 0:
+                continue
             e = _j_exponent(p, m)
-            assert e == _j_exponent(p, m, alt)
-            # lifting-the-exponent closed form
-            mm, v = m, 0
-            while mm % p == 0:
-                mm //= p
-                v += 1
-            assert e == 1 + v
+            for l in gens:
+                assert e == vp(l ** (abs(m) * (p - 1)) - 1, p), (p, m, l)
 
 
 def test_j_homotopy_table():
@@ -262,6 +251,19 @@ def test_assemble_tcz():
     assert M.entry(1).rank >= 1
 
 
+def test_assemble_tcz_full_guard_window():
+    # the j' summand is read one degree down, at [-61, 59]
+    lo, hi = -60, 60
+    M = assemble("TCZ", 11, (lo, hi), kv_assume=True)
+    jp = shift(homotopy_of(SpectrumId("jprime", 11), (lo, hi - 1)), 1)
+    # j' is connective, so its degree lo - 1 is zero
+    pieces = [
+        homotopy_of(SpectrumId("j", 11), (lo, hi)),
+        GradedModule(lo, hi, jp.entries),
+    ] + [homotopy_of(SpectrumId("z", 11, i), (lo, hi)) for i in range(10)]
+    assert M == direct_sum(*pieces)
+
+
 def test_assemble_kz_matches_known_table():
     M = assemble("KZ", 5, (0, 9))
     got = {n: M.entry(n) for n in M.degrees()}
@@ -282,6 +284,24 @@ def test_duality_passes_regular():
         assert report.passed
         assert all(c["status"] == "PASS" for c in report.cells)
         assert report.to_dict()["prime"] == p
+
+
+def test_duality_full_guard_window():
+    # the dual route reads [-hi-2, -lo-1], past the checked window
+    report = verify_main_duality(11, (-60, 60))
+    assert report.passed
+    assert report.cells
+
+
+@pytest.mark.parametrize("window", [(-61, 60), (-60, 61), (3, 2)])
+@pytest.mark.parametrize("entry", [
+    lambda w: homotopy_of(SpectrumId("J", 11), w),
+    lambda w: assemble("TCZ", 11, w, kv_assume=True),
+    lambda w: verify_main_duality(11, w),
+], ids=["homotopy_of", "assemble", "verify_main_duality"])
+def test_public_entries_guard_the_window(entry, window):
+    with pytest.raises(UsageError):
+        entry(window)
 
 
 def test_duality_low_degree_note():

@@ -18,6 +18,7 @@ from eigensplit.padic import (
     Valuation,
     check_odd_prime,
     is_prime,
+    vp,
 )
 
 
@@ -44,6 +45,15 @@ def test_check_odd_prime():
     for bad in (2, 9, 1, -3):
         with pytest.raises(UsageError, match=f"^{bad} is not an odd prime$"):
             check_odd_prime(bad)
+
+
+def test_vp():
+    assert vp(1, 5) == 0
+    assert vp(250, 5) == 3
+    assert vp(-250, 5) == 3
+    assert vp(3 * 7 ** 20, 7) == 20
+    with pytest.raises(UsageError, match="valuation of zero"):
+        vp(0, 5)
 
 
 def test_mixed_contexts_raise_ring_mismatch():
