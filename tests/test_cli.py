@@ -1,12 +1,14 @@
 """Command line behavior: formats, exit codes, determinism, cache wiring."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from eigensplit import cli
+from eigensplit import cli, lfunctions
 from eigensplit.homotopy import SpectrumId, homotopy_of
 from eigensplit.lfunctions import configure_cache
+from eigensplit.padic import PadicCtx
 
 
 def _run(capsys, *argv):
@@ -74,6 +76,15 @@ def test_lvalues_exact_branch(capsys):
     data = json.loads(out)
     assert data["rational"] == "1/3"
     assert data["valuation"] == 0
+
+
+def test_lvalues_exact_branch_honours_precision(capsys):
+    rc, out = _run(capsys, "lvalues", "--prime", "5", "--char", "2",
+                   "--at", "-1", "--precision", "8")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["modulus"] == 5 ** 8
+    assert data["value"] == PadicCtx(5, 8).from_rational(Fraction(1, 3)).lift()
 
 
 def test_lvalues_odd_character_is_usage_error(capsys):
@@ -274,6 +285,26 @@ def test_cache_flag_beats_env(tmp_path, capsys, monkeypatch):
         assert not (via_env / "bernoulli.tsv").exists()
     finally:
         configure_cache(None)
+
+
+@pytest.mark.parametrize("bad_row", [
+    "2\t1\tx",   # not an integer
+    "2\t1\t0",   # zero denominator
+    "2\t1\t7",   # not the von Staudt-Clausen denominator 6
+    "3\t1\t6",   # out of index order
+])
+def test_corrupt_cache_is_recomputed(tmp_path, capsys, monkeypatch, bad_row):
+    args = ("lvalues", "--prime", "5", "--char", "2", "--at", "-1")
+    monkeypatch.setattr(lfunctions, "_table", lfunctions.BernoulliTable())
+    clean = _run(capsys, *args)
+    rows = ["0\t1\t1", "1\t-1\t2", bad_row, "3\t0\t1", "4\t-1\t30"]
+    (tmp_path / "bernoulli.tsv").write_text("\n".join(rows) + "\n")
+    monkeypatch.setattr(lfunctions, "_table", lfunctions.BernoulliTable())
+    try:
+        assert _run(capsys, *args, "--cache-dir", str(tmp_path)) == clean
+    finally:
+        configure_cache(None)
+    assert json.loads(clean[1])["rational"] == "1/3"
 
 
 def test_text_formats_smoke(capsys):

@@ -1,6 +1,7 @@
 """Bernoulli numbers and p-adic L-values, checked against independent routes."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from eigensplit.errors import (
     UsageError,
 )
 from eigensplit.lfunctions import (
+    BernoulliTable,
     bernoulli,
     configure_cache,
     irregular_pairs,
@@ -20,22 +22,55 @@ from eigensplit.lfunctions import (
 )
 
 
-def _bernoulli_akiyama_tanigawa(n: int) -> Fraction:
-    # independent oracle; this variant yields B_1 = +1/2, so only use
-    # it away from n = 1
-    row = [Fraction(1, m + 1) for m in range(n + 1)]
-    for m in range(1, n + 1):
-        for j in range(n + 1 - m):
-            row[j] = (j + 1) * (row[j] - row[j + 1])
-    return row[0]
+def _bernoulli_akiyama_tanigawa(top: int) -> list:
+    # independent oracle for B_0..B_top; this variant yields B_1 = +1/2,
+    # so only use it away from n = 1
+    row, out = [], []
+    for m in range(top + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
+def _bernoulli_defining_recurrence(top: int) -> list:
+    # the reference route: sum_{k<=n} C(n+1,k) B_k = 0 over exact rationals
+    vals = [Fraction(1)]
+    for n in range(1, top + 1):
+        if n > 2 and n % 2 == 1:
+            vals.append(Fraction(0))
+            continue
+        total = Fraction(0)
+        for k in range(n):
+            if vals[k]:
+                total += comb(n + 1, k) * vals[k]
+        vals.append(-total / (n + 1))
+    return vals
 
 
 def test_bernoulli_against_independent_recurrence():
-    for n in range(0, 42, 2):
-        assert bernoulli(n) == _bernoulli_akiyama_tanigawa(n)
+    oracle = _bernoulli_akiyama_tanigawa(120)
+    for n in range(0, 121, 2):
+        assert bernoulli(n) == oracle[n]
     assert bernoulli(1) == Fraction(-1, 2)
-    for n in range(3, 41, 2):
+    for n in range(3, 121, 2):
         assert bernoulli(n) == 0
+
+
+def test_bernoulli_against_defining_recurrence():
+    table = BernoulliTable()
+    table.get(300)
+    assert table.values == _bernoulli_defining_recurrence(300)
+
+
+def test_bernoulli_extends_in_steps():
+    stepped = BernoulliTable()
+    for n in (10, 50, 300):
+        stepped.get(n)
+    once = BernoulliTable()
+    once.get(300)
+    assert stepped.values == once.values
 
 
 def test_bernoulli_known_values():
@@ -61,6 +96,7 @@ def test_irregular_pairs():
     assert irregular_pairs(37) == [32]
     assert irregular_pairs(59) == [44]
     assert 12 in irregular_pairs(691)
+    assert irregular_pairs(691, k_max=688) == [12, 200]
 
 
 def test_regularity_certificate():
@@ -118,6 +154,11 @@ def test_lp_value_dispatch():
     v2 = lp_value(5, 2, 3)
     assert v2.rational is None
     assert lp_value(5, 2, -1).certified_valuation() == 0
+    # interpolation points give at least 4 digits, and more when asked
+    for M, prec in ((3, 4), (4, 4), (8, 8)):
+        v = lp_value(5, 2, -1, M)
+        assert v.value.prec == prec
+        assert v.value == v.value.ctx.from_rational(v.rational)
 
 
 def test_kummer_congruence_spot_checks():
@@ -164,3 +205,31 @@ def test_cache_round_trip(tmp_path):
         assert bernoulli(30) == x
     finally:
         configure_cache(None)
+
+
+@pytest.mark.parametrize("bad_row", [
+    "4\t-1\t3O",       # not an integer
+    "4\t-1\t3\xff0",   # not text (written as one byte 0xff)
+    "4\t-1\t0",        # zero denominator
+    "4\t1\t7",         # not the von Staudt-Clausen denominator 30
+    "4\t-2\t60",       # not in lowest terms
+    "5\t-1\t30",       # out of index order
+])
+def test_corrupt_cache_keeps_valid_prefix(tmp_path, bad_row):
+    clean = BernoulliTable(str(tmp_path / "clean.tsv"))
+    clean.get(10)
+    path = tmp_path / "bernoulli.tsv"
+    rows = (tmp_path / "clean.tsv").read_text().splitlines()
+    rows[4] = bad_row
+    path.write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+    table = BernoulliTable(str(path))
+    assert table.values == clean.values[:4]
+    table.get(10)
+    assert path.read_text() == (tmp_path / "clean.tsv").read_text()
+
+
+def test_cache_odd_rows_must_be_zero(tmp_path):
+    path = tmp_path / "bernoulli.tsv"
+    path.write_text("0\t1\t1\n1\t-1\t2\n2\t1\t6\n3\t1\t1\n")
+    assert BernoulliTable(str(path)).values == [1, Fraction(-1, 2),
+                                                 Fraction(1, 6)]
