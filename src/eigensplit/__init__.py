@@ -8,109 +8,62 @@ Galois action and eigenprojection, the logarithmic-derivative
 homomorphisms on units, Bernoulli numbers and p-adic L-values, and a
 finitely generated graded model of the resulting spectra together with
 the duality it is supposed to satisfy.
+
+Each layer loads on first use.  Importing the package puts every
+`eigensplit.<layer>` module in `sys.modules`, but a layer's code runs only
+when one of its names is first read, through the package or from the
+layer's module.  So a command line run, when no bytecode cache is written,
+compiles only the layers its subcommand reaches.
 """
 
-from .cyclotomic import (
-    CycElt,
-    CycRing,
-    NormCompatiblePair,
-    check_eps1_nontorsion,
-    cyc_ring,
-    eigen_unit,
-    eigen_valuation,
-    galois_apply,
-    nontorsion_certified,
-    norm_down,
-    norm_to_qp,
-    unit_pow_zp,
-)
-from .errors import (
-    EigensplitError,
-    PrecisionError,
-    UsageError,
-    VerificationError,
-)
-from .formal_groups import cw_tower_x, lubin_tate_log, theta
-from .homotopy import (
-    DualityReport,
-    FgZpModule,
-    GradedModule,
-    LesReport,
-    SpectrumId,
-    anderson_dual,
-    assemble,
-    homotopy_of,
-    les_consistency,
-    verify_main_duality,
-)
-from .kummer import (
-    bernoulli_criterion_surrogate,
-    cw_unit,
-    cw_unit_pair,
-    generator_certificate,
-    kummer_phi,
-    lang_generator_search,
-    lang_unit,
-)
-from .lfunctions import (
-    LValue,
-    bernoulli,
-    configure_cache,
-    irregular_pairs,
-    lp_value,
-    regularity_certificate,
-)
-from .padic import PadicCtx, PadicInt, Valuation, is_prime
-from .series import TruncSeries
+import importlib.util
+import sys
+
+# the public names, by the layer that defines them, in dependency order
+_EXPORTS = {
+    "errors": ("EigensplitError", "PrecisionError", "UsageError",
+               "VerificationError"),
+    "padic": ("PadicCtx", "PadicInt", "Valuation", "is_prime"),
+    "series": ("TruncSeries",),
+    "formal_groups": ("cw_tower_x", "lubin_tate_log", "theta"),
+    "cyclotomic": ("CycElt", "CycRing", "NormCompatiblePair",
+                   "check_eps1_nontorsion", "cyc_ring", "eigen_unit",
+                   "eigen_valuation", "galois_apply", "nontorsion_certified",
+                   "norm_down", "norm_to_qp", "unit_pow_zp"),
+    "kummer": ("bernoulli_criterion_surrogate", "cw_unit", "cw_unit_pair",
+               "generator_certificate", "kummer_phi",
+               "lang_generator_search", "lang_unit"),
+    "lfunctions": ("LValue", "bernoulli", "configure_cache",
+                   "irregular_pairs", "lp_value", "regularity_certificate"),
+    "homotopy": ("DualityReport", "FgZpModule", "GradedModule", "LesReport",
+                 "SpectrumId", "anderson_dual", "assemble", "homotopy_of",
+                 "les_consistency", "verify_main_duality"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycElt",
-    "CycRing",
-    "DualityReport",
-    "EigensplitError",
-    "FgZpModule",
-    "GradedModule",
-    "LValue",
-    "LesReport",
-    "NormCompatiblePair",
-    "PadicCtx",
-    "PadicInt",
-    "PrecisionError",
-    "SpectrumId",
-    "TruncSeries",
-    "UsageError",
-    "Valuation",
-    "VerificationError",
-    "anderson_dual",
-    "assemble",
-    "bernoulli",
-    "bernoulli_criterion_surrogate",
-    "check_eps1_nontorsion",
-    "configure_cache",
-    "cw_tower_x",
-    "cw_unit",
-    "cw_unit_pair",
-    "cyc_ring",
-    "eigen_unit",
-    "eigen_valuation",
-    "galois_apply",
-    "generator_certificate",
-    "homotopy_of",
-    "irregular_pairs",
-    "is_prime",
-    "kummer_phi",
-    "lang_generator_search",
-    "lang_unit",
-    "les_consistency",
-    "lp_value",
-    "lubin_tate_log",
-    "nontorsion_certified",
-    "norm_down",
-    "norm_to_qp",
-    "regularity_certificate",
-    "theta",
-    "unit_pow_zp",
-    "verify_main_duality",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def _register_lazily(layer: str):
+    name = f"{__name__}.{layer}"
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({layer: _register_lazily(layer) for layer in _EXPORTS})
+
+
+def __getattr__(name: str):
+    for layer, names in _EXPORTS.items():
+        if name in names:
+            return getattr(globals()[layer], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -16,22 +16,15 @@ import os
 import sys
 from math import factorial
 
-from .cyclotomic import cyc_ring, eigen_unit, eigen_valuation
+# the layers are reached through their modules, so that a subcommand runs
+# only the layers it reads from (see the package docstring)
+from . import cyclotomic, homotopy, kummer, lfunctions
 from .errors import (
     EigensplitError,
     PrecisionError,
     UsageError,
     VerificationError,
 )
-from .homotopy import (
-    GradedModule,
-    SpectrumId,
-    homotopy_of,
-    les_consistency,
-    verify_main_duality,
-)
-from .kummer import cw_unit, cw_unit_pair, kummer_phi, lang_unit
-from .lfunctions import configure_cache, irregular_pairs, lp_value
 from .padic import PadicCtx, check_odd_prime
 
 
@@ -64,7 +57,7 @@ def _resolve_window(args) -> tuple:
     return args.lo, args.hi
 
 
-def _graded(M: GradedModule, dense: bool):
+def _graded(M: homotopy.GradedModule, dense: bool):
     """The json cells, csv rows and text lines of a graded module."""
     cells, rows, lines = [], [], []
     for n in range(M.lo, M.hi + 1) if dense else M.degrees():
@@ -88,8 +81,8 @@ def _pick_unit(args, ring):
             if args.lam == -1
             else ring.ctx.teichmuller(args.lam)
         )
-        return lang_unit(ring, lam)
-    return cw_unit(ring)
+        return kummer.lang_unit(ring, lam)
+    return kummer.cw_unit(ring)
 
 
 # Each handler returns its exit code, then the json payload, the csv
@@ -114,17 +107,17 @@ def _cmd_teich(args) -> tuple:
 def _cmd_units(args) -> tuple:
     p = check_odd_prime(args.prime)
     pi_prec = args.pi_precision or p + 3
-    ring = cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
+    ring = cyclotomic.cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
     u = _pick_unit(args, ring)
     digits = [c.lift() for c in u.coeffs]
     payload = {"prime": p, "unit": args.unit, "digits": digits}
     if args.unit == "lang":
         payload["lambda"] = args.lam
     else:
-        ring1 = cyc_ring(p, 1, prec=args.precision, pi_prec=pi_prec)
-        cw_unit_pair(ring1)  # raises VerificationError if the norm fails
+        ring1 = cyclotomic.cyc_ring(p, 1, prec=args.precision, pi_prec=pi_prec)
+        kummer.cw_unit_pair(ring1)  # raises VerificationError if the norm fails
         payload["norm_compatible"] = True
-    ev = eigen_valuation(ring.zeta() - 1)
+    ev = cyclotomic.eigen_valuation(ring.zeta() - 1)
     payload["uniformizer_eigen_valuation"] = str(ev)
     lines = [f"{args.unit} unit at level 0, prime {p}"]
     lines.extend(f"  pi^{k} digit: {d}" for k, d in enumerate(digits))
@@ -134,13 +127,13 @@ def _cmd_units(args) -> tuple:
 def _cmd_kummer(args) -> tuple:
     p = check_odd_prime(args.prime)
     pi_prec = args.pi_precision or p + 3
-    ring = cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
+    ring = cyclotomic.cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
     u = _pick_unit(args, ring)
     cw = args.unit == "coates-wiles"
     values, lines = [], []
     failed = False
     for i in range(1, p - 1):
-        phi = kummer_phi(i, u)
+        phi = kummer.kummer_phi(i, u)
         row = {"i": i, "phi": phi}
         tail = ""
         if cw:
@@ -162,7 +155,7 @@ def _cmd_lvalues(args) -> tuple:
     p = check_odd_prime(args.prime)
     if args.char is None or args.at is None:
         raise UsageError("lvalues needs --char and --at")
-    val = lp_value(p, args.char, args.at, M=args.precision)
+    val = lfunctions.lp_value(p, args.char, args.at, M=args.precision)
     try:
         v = val.certified_valuation()
     except PrecisionError:
@@ -186,7 +179,7 @@ def _cmd_lvalues(args) -> tuple:
 
 def _cmd_irregular(args) -> tuple:
     p = check_odd_prime(args.prime)
-    pairs = irregular_pairs(p)
+    pairs = lfunctions.irregular_pairs(p)
     body = ", ".join(str(k) for k in pairs) if pairs else "none found"
     return (
         0,
@@ -200,8 +193,9 @@ def _cmd_irregular(args) -> tuple:
 def _cmd_homotopy(args) -> tuple:
     p = check_odd_prime(args.prime)
     lo, hi = _resolve_window(args)
-    sid = SpectrumId.parse(args.spectrum, p, kv_assume=args.kv_assume)
-    cells, rows, lines = _graded(homotopy_of(sid, (lo, hi)), args.dense)
+    sid = homotopy.SpectrumId.parse(args.spectrum, p, kv_assume=args.kv_assume)
+    cells, rows, lines = _graded(homotopy.homotopy_of(sid, (lo, hi)),
+                                 args.dense)
     payload = {"prime": p, "spectrum": args.spectrum, "window": [lo, hi],
                "groups": cells}
     return 0, payload, ["degree", "kind", "exponent"], rows, lines
@@ -210,7 +204,8 @@ def _cmd_homotopy(args) -> tuple:
 def _cmd_duality(args) -> tuple:
     p = check_odd_prime(args.prime)
     lo, hi = _resolve_window(args)
-    report = verify_main_duality(p, (lo, hi), kv_assume=args.kv_assume)
+    report = homotopy.verify_main_duality(p, (lo, hi),
+                                          kv_assume=args.kv_assume)
     rows = [[cell["i"], cell["degree"], cell["status"]]
             for cell in report.cells + report.notes]
     lines = [f"duality check p={p} window [{lo}, {hi}]"]
@@ -243,10 +238,10 @@ def _cmd_les(args) -> tuple:
         raise UsageError("les needs --char")
     i = args.char % (p - 1)
     window = (lo, hi)
-    x = homotopy_of(SpectrumId("x", p, i, args.kv_assume), window)
-    y = homotopy_of(SpectrumId("y", p, i, args.kv_assume), window)
-    z = homotopy_of(SpectrumId("z", p, i, args.kv_assume), window)
-    report = les_consistency(x, y, z)
+    report = homotopy.les_consistency(*(
+        homotopy.homotopy_of(homotopy.SpectrumId(v, p, i, args.kv_assume),
+                             window)
+        for v in "xyz"))
     payload = {"prime": p, "char": i, "window": [lo, hi]}
     payload.update(report.to_dict())
     rows = [
@@ -290,6 +285,10 @@ _COMMANDS = (
     ("les", _cmd_les, ("--from", "--to", "--kv-assume", "--char")),
 )
 
+# the subcommands whose answers read Bernoulli numbers; the others leave
+# the cache, and the lfunctions layer, unloaded
+_READS_BERNOULLI = ("lvalues", "irregular", "homotopy", "duality", "les")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eigensplit")
@@ -311,8 +310,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache = args.cache_dir or os.environ.get("EIGENSPLIT_CACHE")
-    if cache:
-        configure_cache(cache)
+    if cache and args.command in _READS_BERNOULLI:
+        lfunctions.configure_cache(cache)
     try:
         rc, *renderings = args.func(args)
     except (UsageError, PrecisionError) as err:

@@ -13,7 +13,6 @@ point (tested, not assumed).
 from __future__ import annotations
 
 import os
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -117,6 +116,7 @@ class BernoulliTable:
     def _store(self):
         if self.path is None:
             return
+        import tempfile  # only a run that writes the cache pays for it
         directory = os.path.dirname(self.path) or "."
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -262,6 +262,7 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
     ctx = PadicCtx(p, K)
     e_red = (1 - s) % (p ** (K - 1) * (p - 1))
     total = ctx.of(0)
+    bernoulli(K + 1)  # extends the table, and writes the cache, once
     for a in range(1, p):
         inner = Fraction(0)
         for j in range(K + 2):

@@ -259,6 +259,26 @@ def test_cache_dir_flag(tmp_path, capsys):
         configure_cache(None)
 
 
+@pytest.mark.parametrize("argv, reads_bernoulli", [
+    (("teich", "--prime", "5"), False),
+    (("kummer", "--prime", "5"), False),
+    (("lvalues", "--prime", "5", "--char", "2", "--at", "-1"), True),
+    (("irregular", "--prime", "37"), True),
+    (("homotopy", "J", "--prime", "5", "--from", "-8", "--to", "8"), True),
+    (("duality", "--prime", "5", "--from", "-8", "--to", "16"), True),
+    (("les", "--prime", "5", "--char", "2", "--from", "-2", "--to", "20"),
+     True),
+], ids=lambda a: a[0] if isinstance(a, tuple) else None)
+def test_only_bernoulli_subcommands_open_the_cache(tmp_path, capsys, argv,
+                                                  reads_bernoulli):
+    try:
+        rc, _ = _run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert rc == 0
+        assert (tmp_path / "bernoulli.tsv").exists() == reads_bernoulli
+    finally:
+        configure_cache(None)
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     target = tmp_path / "via-env"
     target.mkdir()

@@ -133,3 +133,13 @@ def _digest(capsys, argv):
 def test_cli_output_is_pinned(capsys, case, fmt):
     argv = case + ("--format", fmt)
     assert _digest(capsys, argv) == GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c))
+def test_module_run_is_pinned(python, case):
+    # as users and the benchmark run it: one fresh `python -m` process,
+    # which loads only the layers the subcommand itself reaches
+    argv = case + ("--format", "json")
+    r = python("-m", "eigensplit.cli", *argv)
+    digest = hashlib.sha256(r.stdout).hexdigest()
+    assert (r.returncode, digest) == GOLDEN[" ".join(argv)]

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from eigensplit import lfunctions
 from eigensplit.errors import (
     PoleAtZeroCharacter,
     PrecisionExhausted,
@@ -233,3 +234,16 @@ def test_cache_odd_rows_must_be_zero(tmp_path):
     path.write_text("0\t1\t1\n1\t-1\t2\n2\t1\t6\n3\t1\t1\n")
     assert BernoulliTable(str(path)).values == [1, Fraction(-1, 2),
                                                  Fraction(1, 6)]
+
+
+def test_lp_at_writes_an_empty_cache_once(tmp_path, monkeypatch):
+    stores = []
+    store = BernoulliTable._store
+    monkeypatch.setattr(BernoulliTable, "_store",
+                        lambda table: stores.append(store(table)))
+    path = tmp_path / "bernoulli.tsv"
+    monkeypatch.setattr(lfunctions, "_table", BernoulliTable(str(path)))
+    # s = 3 is no interpolation point, so lp_at reads B_0..B_{K+1}, K = 8
+    lp_value(7, 4, 3, M=6)
+    assert len(stores) == 1
+    assert len(path.read_text().splitlines()) == 10
