@@ -310,9 +310,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache = args.cache_dir or os.environ.get("EIGENSPLIT_CACHE")
-    if cache and args.command in _READS_BERNOULLI:
-        lfunctions.configure_cache(cache)
     try:
+        if cache and args.command in _READS_BERNOULLI:
+            lfunctions.configure_cache(cache)
         rc, *renderings = args.func(args)
     except (UsageError, PrecisionError) as err:
         print(f"eigensplit: error: {err}", file=sys.stderr)

@@ -15,12 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import (
-    NonIntegralCoefficient,
-    PrecisionExhausted,
-    UsageError,
-    VerificationError,
-)
+from .errors import NonIntegralCoefficient, UsageError, VerificationError
 from .padic import check_odd_prime, pack_digits, unpack_digits
 from .series import TruncSeries, log_one_plus_x
 
@@ -189,15 +184,18 @@ def p_series(fg: FormalGroupData) -> TruncSeries:
     return got
 
 
-def cw_tower_x(ring, trunc: int | None = None):
+def cw_tower_x(ring):
     """x_n = theta(zeta_n - 1) in the level-n cyclotomic ring; the tower
-    satisfies x_0^p + p x_0 = 0 and x_{n+1}^p + p x_{n+1} = x_n."""
+    satisfies x_0^p + p x_0 = 0 and x_{n+1}^p + p x_{n+1} = x_n.
+
+    theta is taken mod X^T with T = max(p^2 + 1, p^n pi_prec + 1).  Norms
+    carry level n down to level 0, which shares pi_prec, and pi_0 has
+    pi_n-valuation p^n, so a unit built from x_n must be right to depth
+    p^n pi_prec for its norm to be right mod pi_0^pi_prec.  The floor
+    p^2 + 1 is `default_trunc`.
+    """
     p = ring.ctx.p
-    T = trunc or default_trunc(p)
-    if T < ring.pi_prec + 1:
-        raise PrecisionExhausted(
-            f"theta truncated at {T} cannot fill pi-precision {ring.pi_prec}"
-        )
+    T = max(default_trunc(p), p ** ring.level * ring.pi_prec + 1)
     # evaluation error has pi-valuation > top; cap at the storage
     # resolution of the digit vector, not the equality tolerance
     top = min(T - 1, ring.degree * ring.ctx.N - 1)

@@ -229,14 +229,10 @@ class SpectrumId:
     def needs_kv(self) -> bool:
         """Whether the torsion data rides on the L-value description,
         which is only available under the Kummer-Vandiver condition
-        (automatic for certified-regular p)."""
-        if self.tag in ("Y", "y", "X", "x"):
-            if self.index not in (0, 1):
-                return regularity_certificate(self.p) is not True
-            return False
-        if self.tag in ("KZ", "TCZ", "FibTau"):
-            return regularity_certificate(self.p) is not True
-        return False
+        (automatic for regular p)."""
+        uses_lvalues = self.tag in ("KZ", "TCZ", "FibTau") or (
+            self.tag in ("Y", "y", "X", "x") and self.index not in (0, 1))
+        return uses_lvalues and not regularity_certificate(self.p)
 
     def __repr__(self):
         if self.index is None:
@@ -308,7 +304,7 @@ def homotopy_of(sid: SpectrumId, window, prec: int = 3) -> GradedModule:
     if sid.needs_kv() and not sid.kv_assume:
         raise KummerVandiverRequired(
             f"{sid!r} depends on the L-value description; p = {sid.p} is "
-            "not certified regular, so pass kv_assume to proceed under the "
+            "irregular, so pass kv_assume to proceed under the "
             "Kummer-Vandiver hypothesis"
         )
     return _build(sid, lo, hi, prec)
@@ -462,9 +458,9 @@ def verify_main_duality(p: int, window, kv_assume: bool = False,
     lo, hi = window
     check_odd_prime(p)
     check_window(p, lo, hi)
-    if regularity_certificate(p) is not True and not kv_assume:
+    if not (regularity_certificate(p) or kv_assume):
         raise KummerVandiverRequired(
-            f"p = {p} is not certified regular; pass kv_assume to verify "
+            f"p = {p} is irregular; pass kv_assume to verify "
             "under the Kummer-Vandiver hypothesis"
         )
     report = DualityReport(p, lo, hi)

@@ -54,30 +54,20 @@ def lang_unit(ring: CycRing, lam) -> CycElt:
     return u
 
 
-def cw_unit(ring: CycRing, trunc: int | None = None) -> CycElt:
+def cw_unit(ring: CycRing) -> CycElt:
     """beta - theta(zeta - 1), the Coates-Wiles unit at the ring's level."""
     beta = ring.ctx.beta()
-    u = ring.from_scalar(beta) - cw_tower_x(ring, trunc)
+    u = ring.from_scalar(beta) - cw_tower_x(ring)
     assert u.is_one_unit()
     return u
 
 
-def cw_unit_pair(ring1: CycRing, trunc: int | None = None) -> NormCompatiblePair:
+def cw_unit_pair(ring1: CycRing) -> NormCompatiblePair:
     """The levels 0 and 1 Coates-Wiles units as a norm-compatible pair;
-    the norm relation is checked on construction.
-
-    The norm lands at level 0, where one pi-digit is p level-1 digits
-    fine, so theta is evaluated to depth p * pi_prec."""
+    the norm relation is checked on construction."""
     if ring1.level != 1:
         raise UsageError("pair construction starts at level 1")
-    from .formal_groups import default_trunc
-
-    p = ring1.ctx.p
-    if trunc is None:
-        trunc = max(default_trunc(p), p * ring1.base_ring().pi_prec + 1)
-    u1 = cw_unit(ring1, trunc)
-    u0 = cw_unit(ring1.base_ring(), trunc)
-    return NormCompatiblePair(u1, u0)
+    return NormCompatiblePair(cw_unit(ring1), cw_unit(ring1.base_ring()))
 
 
 def lang_generator_search(ring: CycRing, i: int) -> PadicInt:

@@ -3,7 +3,9 @@
 Bernoulli numbers follow t/(e^t - 1).  The even ones come from the integer
 tangent numbers of Brent and Harvey, with one exact division per index, and
 are cached (optionally on disk, one `n<TAB>num<TAB>den` record per line,
-each checked against von Staudt-Clausen when read).  L_p(1-n, omega^i) at
+each checked against von Staudt-Clausen when read).  The irregular pairs
+(p, k) come from a scan of every even k <= p-3 in that table, so whether p
+is regular is decided, never guessed.  L_p(1-n, omega^i) at
 interpolation points is the exact rational -(1 - p^{n-1}) B_n / n;
 elsewhere the value is produced by the finite Euler-MacLaurin style sum
 mod p^K, which agrees with the rational interpolation at every admissible
@@ -95,8 +97,11 @@ class BernoulliTable:
         its line number, the fraction is in lowest terms, and the
         denominator is that of `_denominators` (B_0, B_1 and odd B_n must
         equal their fixed values)."""
-        with open(self.path, encoding="ascii", errors="replace") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(self.path, encoding="ascii", errors="replace") as fh:
+                lines = fh.read().splitlines()
+        except OSError as err:
+            raise self._unusable(err) from err
         dens = _denominators(len(lines) - 1)
         loaded = []
         for n, line in enumerate(lines):
@@ -118,17 +123,24 @@ class BernoulliTable:
             return
         import tempfile  # only a run that writes the cache pays for it
         directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                for n, b in enumerate(self.values):
-                    fh.write(f"{n}\t{b.numerator}\t{b.denominator}\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    for n, b in enumerate(self.values):
+                        fh.write(f"{n}\t{b.numerator}\t{b.denominator}\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as err:
+            raise self._unusable(err) from err
+
+    def _unusable(self, err: OSError) -> UsageError:
+        return UsageError(f"cannot use Bernoulli cache {self.path}: "
+                          f"{err.strerror or err}")
 
     def get(self, n: int) -> Fraction:
         if n < 0:
@@ -291,34 +303,18 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
     return lp_at(p, i, s, M)
 
 
-DEFAULT_SCAN_CAP = 60
-
-
 def irregular_pairs(p: int, k_max: int | None = None) -> list:
-    """Even k in 2..p-3 with p dividing numerator(B_k); for p > 200 the
-    scan is capped (k <= 60) unless k_max widens it."""
+    """Even k in 2..p-3 with p dividing numerator(B_k), from the exact
+    table: the whole range, or k <= k_max when that narrows it."""
     check_odd_prime(p)
-    top = p - 3
-    if k_max is not None:
-        top = min(top, k_max)
-    elif p > 200:
-        top = min(top, DEFAULT_SCAN_CAP)
+    top = p - 3 if k_max is None else min(p - 3, k_max)
     bernoulli(top)
-    out = []
-    for k in range(2, top + 1, 2):
-        if bernoulli(k).numerator % p == 0:
-            out.append(k)
-    return out
+    return [k for k in range(2, top + 1, 2)
+            if bernoulli(k).numerator % p == 0]
 
 
 @lru_cache(maxsize=None)
-def regularity_certificate(p: int):
-    """True if the full even scan comes back empty, False if a pair was
-    found, None when the scan was capped and silent."""
-    top = p - 3
-    found = irregular_pairs(p)
-    if found:
-        return False
-    if p > 200 and top > DEFAULT_SCAN_CAP:
-        return None
-    return True
+def regularity_certificate(p: int) -> bool:
+    """Whether p is regular: no even k <= p-3 has p | B_k (Kummer's
+    criterion), decided by the full scan."""
+    return not irregular_pairs(p)

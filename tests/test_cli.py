@@ -279,6 +279,26 @@ def test_only_bernoulli_subcommands_open_the_cache(tmp_path, capsys, argv,
         configure_cache(None)
 
 
+@pytest.mark.parametrize("make_cache_dir", [
+    lambda tmp: (tmp / "bernoulli.tsv").mkdir() or tmp,
+    lambda tmp: (tmp / "file").write_text("") or tmp / "file" / "cache",
+], ids=["tsv-is-a-directory", "under-a-regular-file"])
+def test_unusable_cache_dir_exits_1_with_one_line(tmp_path, capsys,
+                                                  make_cache_dir):
+    cache = make_cache_dir(tmp_path)
+    try:
+        rc = cli.main(["lvalues", "--prime", "5", "--char", "2", "--at", "-1",
+                       "--cache-dir", str(cache)])
+    finally:
+        configure_cache(None)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"eigensplit: error: cannot use Bernoulli cache {cache}")
+    assert captured.err.count("\n") == 1
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     target = tmp_path / "via-env"
     target.mkdir()

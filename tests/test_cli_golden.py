@@ -24,6 +24,10 @@ CASES = (
     ("les", "--prime", "5", "--char", "2", "--from", "-2", "--to", "20"),
     ("homotopy", "J", "--prime", "5", "--from", "-41", "--to", "40"),
     ("units", "--prime", "5", "--unit", "lang"),
+    ("irregular", "--prime", "233"),
+    ("irregular", "--prime", "691"),
+    ("units", "--prime", "3", "--precision", "10", "--pi-precision", "20"),
+    ("kummer", "--prime", "5", "--precision", "8", "--pi-precision", "30"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -119,6 +123,30 @@ GOLDEN = {
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "units --prime 5 --unit lang --format text":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "irregular --prime 233 --format json":
+        (0, "1ecb97af8e627ab0e94836c419ee86bbdfe79399de6ec3572cd7e820fb48ef18"),
+    "irregular --prime 233 --format csv":
+        (0, "27c85801a538196a014a9478fce695d0f7130880e45f08422901d263a863bdf3"),
+    "irregular --prime 233 --format text":
+        (0, "129403d54b7508c86d31deb1e62cf29bece6a0bc1033d9b8732cd982948cb70b"),
+    "irregular --prime 691 --format json":
+        (0, "a18b15e92e4f92b0e3ff4eed6cd4ba0b5f9d4292c6e704e391574e5d71982aa1"),
+    "irregular --prime 691 --format csv":
+        (0, "6aa210704c7654547e62a7f46863a27db13d7982137716583afc415898918e0f"),
+    "irregular --prime 691 --format text":
+        (0, "0defe283518388e7006ad000c8973f5ef927403ba5c86beca9245a891c34e51c"),
+    "units --prime 3 --precision 10 --pi-precision 20 --format json":
+        (0, "bb4f44253487a6dc0df8f4242d5884ed9ac31da14aff0e8f8c05af664ca44c97"),
+    "units --prime 3 --precision 10 --pi-precision 20 --format csv":
+        (0, "5b4e6e295778b852cd8e1447639b43e90929dbfde3dc29ad732c8d309cca802a"),
+    "units --prime 3 --precision 10 --pi-precision 20 --format text":
+        (0, "629cf9e6b9bce64887b76f3993a9494cdfe037169bb34b0291bc7e2aacc565ee"),
+    "kummer --prime 5 --precision 8 --pi-precision 30 --format json":
+        (0, "b18284676d50637e5fae2dfa91f309a1ddea51e452193212747182071d8246b4"),
+    "kummer --prime 5 --precision 8 --pi-precision 30 --format csv":
+        (0, "5979bd3bc1ebb5af64636354567baa463cf2d606d096a62a6426c84b43237f4c"),
+    "kummer --prime 5 --precision 8 --pi-precision 30 --format text":
+        (0, "7a10295a4b78305833d9f9d83d1efea2cf4f0590dce8ecf42ca17b58b119512c"),
 }
 
 

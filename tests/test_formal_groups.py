@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensplit.cyclotomic import cyc_ring
-from eigensplit.errors import PrecisionExhausted, UsageError
+from eigensplit.errors import UsageError
 from eigensplit.formal_groups import (
     FormalGroupData,
     _theta_digits,
@@ -168,9 +168,3 @@ def test_tower_step_relation():
         x0 = cw_tower_x(ring0)
         lhs = x1 ** p + x1 * p
         assert (lhs - embed_up(x0, ring1)).vanishes_mod_pi(p + 3)
-
-
-def test_tower_needs_enough_theta_terms():
-    ring = cyc_ring(5, 0)
-    with pytest.raises(PrecisionExhausted):
-        cw_tower_x(ring, trunc=ring.pi_prec)

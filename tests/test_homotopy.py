@@ -147,6 +147,17 @@ def test_kv_gating():
     homotopy_of(SpectrumId("z", 37, 3), (-4, 4))
 
 
+def test_kv_gate_is_decided_above_200():
+    # 211 is regular, 233 is not (233 | B_84)
+    window = (-4, 12)
+    homotopy_of(SpectrumId("KZ", 211), window)
+    assert verify_main_duality(211, window).passed
+    with pytest.raises(KummerVandiverRequired):
+        homotopy_of(SpectrumId("KZ", 233), window)
+    with pytest.raises(KummerVandiverRequired):
+        verify_main_duality(233, window)
+
+
 def test_window_guard():
     with pytest.raises(UsageError):
         homotopy_of(SpectrumId("J", 5), (-100, 4))

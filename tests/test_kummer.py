@@ -13,6 +13,7 @@ from eigensplit.cyclotomic import (
     norm_down,
 )
 from eigensplit.errors import UsageError
+from eigensplit.formal_groups import _theta_digits
 from eigensplit.kummer import (
     bernoulli_criterion_surrogate,
     cw_unit,
@@ -101,6 +102,23 @@ def test_cw_values_small_primes():
         assert u.is_one_unit()
         for i in range(1, p - 1):
             assert kummer_phi(i, u) == (-factorial(i - 1)) % p
+
+
+@pytest.mark.parametrize("p, prec, pi_prec", [(3, 10, 20), (5, 8, 30)])
+def test_cw_unit_theta_depth_follows_pi_prec(p, prec, pi_prec):
+    # pi_prec > p^2, refused while theta stopped at p^2 + 1 terms; the
+    # unit must match the one built from theta at the full storage depth
+    ring = cyc_ring(p, 0, prec=prec, pi_prec=pi_prec)
+    u = cw_unit(ring)
+    for i in range(1, p - 1):
+        assert kummer_phi(i, u) == (-factorial(i - 1)) % p
+    th = _theta_digits(p, ring.degree * prec, prec)
+    pi = ring.uniformizer()
+    x = ring.zero()
+    for k in range(len(th) - 1, 0, -1):
+        x = (x + ring.from_scalar(th[k])) * pi
+    full = ring.from_scalar(ring.ctx.beta()) - x
+    assert (u.digits, u.prec) == (full.digits, full.prec)
 
 
 def test_cw_pair_is_norm_compatible():

@@ -98,14 +98,41 @@ def test_irregular_pairs():
     assert irregular_pairs(59) == [44]
     assert 12 in irregular_pairs(691)
     assert irregular_pairs(691, k_max=688) == [12, 200]
+    # k_max only narrows the scan
+    assert irregular_pairs(691, k_max=100) == [12]
+
+
+def _power_sum_pairs(p: int) -> list:
+    # independent oracle: for even 2 <= k <= p-3, sum_{a<p} a^k = p B_k
+    # mod p^2, so p | B_k exactly when that power sum is 0 mod p^2
+    q = p * p
+    return [k for k in range(2, p - 2, 2)
+            if sum(pow(a, k, q) for a in range(1, p)) % q == 0]
+
+
+@pytest.mark.parametrize("p, pairs", [
+    (211, []), (233, [84]), (257, [164]), (353, [186, 300]),
+    (491, [292, 336, 338]), (691, [12, 200]),
+])
+def test_irregular_pairs_scan_every_k(p, pairs):
+    assert irregular_pairs(p) == _power_sum_pairs(p) == pairs
 
 
 def test_regularity_certificate():
     assert regularity_certificate(5) is True
     assert regularity_certificate(7) is True
     assert regularity_certificate(37) is False
-    # beyond the scan cap, a clean scan proves nothing either way
-    assert regularity_certificate(211) is None
+    # decided at every prime, above 200 too
+    assert regularity_certificate(211) is True
+    assert regularity_certificate(233) is False
+
+
+def test_cache_file_that_is_a_directory_is_a_usage_error(tmp_path):
+    (tmp_path / "bernoulli.tsv").mkdir()
+    with pytest.raises(UsageError, match="cannot use Bernoulli cache .*tsv"):
+        configure_cache(str(tmp_path))
+    # the table in use is left as it was
+    assert lfunctions._table.path is None
 
 
 def test_character_guards():
