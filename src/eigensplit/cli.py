@@ -106,15 +106,14 @@ def _cmd_teich(args) -> tuple:
 
 def _cmd_units(args) -> tuple:
     p = check_odd_prime(args.prime)
-    pi_prec = args.pi_precision or p + 3
-    ring = cyclotomic.cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
+    ring = cyclotomic.cyc_ring(p, 0, args.precision, args.pi_precision)
     u = _pick_unit(args, ring)
     digits = [c.lift() for c in u.coeffs]
     payload = {"prime": p, "unit": args.unit, "digits": digits}
     if args.unit == "lang":
         payload["lambda"] = args.lam
     else:
-        ring1 = cyclotomic.cyc_ring(p, 1, prec=args.precision, pi_prec=pi_prec)
+        ring1 = cyclotomic.cyc_ring(p, 1, args.precision, ring.pi_prec)
         kummer.cw_unit_pair(ring1)  # raises VerificationError if the norm fails
         payload["norm_compatible"] = True
     ev = cyclotomic.eigen_valuation(ring.zeta() - 1)
@@ -126,8 +125,7 @@ def _cmd_units(args) -> tuple:
 
 def _cmd_kummer(args) -> tuple:
     p = check_odd_prime(args.prime)
-    pi_prec = args.pi_precision or p + 3
-    ring = cyclotomic.cyc_ring(p, 0, prec=args.precision, pi_prec=pi_prec)
+    ring = cyclotomic.cyc_ring(p, 0, args.precision, args.pi_precision)
     u = _pick_unit(args, ring)
     cw = args.unit == "coates-wiles"
     values, lines = [], []

@@ -8,6 +8,11 @@ min rule.  Since p = (unit) pi^degree and the digit positions
 j + degree*v_p(c_j) are pairwise distinct, pi-valuations are read straight
 off the digits.  Equality always means equality mod pi^{pi_prec}.
 
+The Galois action, the norm one level down and the embedding one level up
+all go through the zeta-power basis 1, zeta, ..., zeta^(degree-1), at both
+levels: sigma_a permutes it, and since zeta_0 = zeta_1^p the level-0 ring
+sits at the level-1 positions divisible by p.
+
 A product is one big-integer multiply (Kronecker substitution): each digit
 vector is packed into an integer, digit k in bit slot k, with slots wide
 enough that no coefficient of the product can carry into the next.  The
@@ -49,8 +54,7 @@ def _combine(columns, coeffs) -> int:
 class CycRing:
     __slots__ = (
         "ctx", "level", "degree", "pi_prec", "modulus_tail",
-        "_slot", "_fold", "_to_zeta", "_from_zeta",
-        "_galois_images", "_base", "_embed_powers",
+        "_slot", "_fold", "_to_zeta", "_from_zeta", "_base",
     )
 
     def __init__(self, ctx: PadicCtx, level: int, pi_prec: int | None = None):
@@ -89,18 +93,16 @@ class CycRing:
         # a slot of a product, folded, sums fewer than 2d terms below p^(2N)
         self._slot = w = 2 * m.bit_length() + d.bit_length() + 1
         self._fold = self._fold_columns()
-        if level == 0:
-            # pi^j = sum_k C(j,k) (-1)^(j-k) zeta^k, zeta^k = sum_j C(k,j) pi^j
-            self._to_zeta = [
-                pack_digits([(-1) ** (j + k) * comb(j, k) % m for k in range(d)], w)
-                for j in range(d)
-            ]
-            self._from_zeta = [
-                pack_digits([comb(k, j) % m for j in range(d)], w) for k in range(d)
-            ]
-        self._galois_images = {}
+        # row n of Pascal's triangle mod m: zeta^n = sum_i C(n,i) pi^i and
+        # pi^n = sum_i (-1)^(n-i) C(n,i) zeta^i
+        self._to_zeta, self._from_zeta = [], []
+        row = [1]
+        for n in range(d):
+            self._from_zeta.append(pack_digits(row, w))
+            signed = [(-1) ** (n - i) * c % m for i, c in enumerate(row)]
+            self._to_zeta.append(pack_digits(signed, w))
+            row = [1] + [(a + b) % m for a, b in zip(row, row[1:])] + [1]
         self._base = None
-        self._embed_powers = None
 
     def _fold_columns(self) -> list:
         # X^(d+k) mod the modulus for k < d - 1, the degrees a product reaches
@@ -172,19 +174,6 @@ class CycRing:
         if self._base is None:
             self._base = CycRing(self.ctx, 0, self.pi_prec)
         return self._base
-
-    # pi_0 = (1 + pi_1)^p - 1 and its powers; degrees stay below p(p-1)
-    # so no modular reduction ever mixes in
-
-    def _embeds(self):
-        if self._embed_powers is None:
-            p = self.ctx.p
-            e = self.zeta() ** p - 1
-            powers = [self.one()]
-            for _ in range(p - 2):
-                powers.append(powers[-1] * e)
-            self._embed_powers = powers
-        return self._embed_powers
 
 
 @lru_cache(maxsize=None)
@@ -330,52 +319,59 @@ class CycElt:
 
 # -- Galois action and norms -----------------------------------------------
 
-def _permute_zeta_basis(a: int, x: CycElt) -> CycElt:
-    # level 0: zeta^k -> zeta^(ak mod p) on the basis 1, ..., zeta^(p-2),
-    # with zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-    ring, prec = x.ring, x.prec
-    d, w = ring.degree, ring._slot
+def _zeta_coeffs(x: CycElt) -> list:
+    """x on the basis 1, zeta, ..., zeta^(degree-1), mod p^prec."""
+    ring = x.ring
+    q = ring.ctx.p ** x.prec
+    packed = _combine(ring._to_zeta, x.digits)
+    return [c % q for c in unpack_digits(packed, ring._slot, ring.degree)]
+
+
+def _from_zeta_coeffs(ring: CycRing, coeffs: list, prec: int) -> CycElt:
+    """sum coeffs[k] zeta^k as an element of ``ring`` at ``prec``."""
     q = ring.ctx.p ** prec
-    out = [0] * d
-    spill = 0
-    for k, c in enumerate(unpack_digits(_combine(ring._to_zeta, x.digits), w, d)):
-        m = a * k % (d + 1)
-        if m == d:
-            spill = c
-        else:
-            out[m] = c
-    moved = [(c - spill) % q for c in out]
-    digits = unpack_digits(_combine(ring._from_zeta, moved), w, d)
+    packed = _combine(ring._from_zeta, [c % q for c in coeffs])
+    digits = unpack_digits(packed, ring._slot, ring.degree)
     return CycElt(ring, [c % q for c in digits], prec)
 
 
 def galois_apply(a: int, x: CycElt) -> CycElt:
     """sigma_a, the automorphism zeta -> zeta^a, i.e. pi -> (1+pi)^a - 1.
 
-    Level 0 permutes the zeta-power basis; level 1 evaluates the digit
-    polynomial at sigma_a(pi) by Horner."""
+    At level n (degree d = p^n (p-1)) it sends zeta^k to zeta^(ak mod
+    p^(n+1)) on the zeta-power basis; an image zeta^(d+r), r < p^n, is
+    -(sum over j < p-1 of zeta^(j p^n + r)) because Phi_{p^(n+1)}(zeta) = 0.
+    """
     ring = x.ring
-    q = ring.ctx.p ** (ring.level + 1)
+    p = ring.ctx.p
+    q = p ** (ring.level + 1)
     a = int(a.value if isinstance(a, PadicInt) else a) % q
-    if a % ring.ctx.p == 0:
+    if a % p == 0:
         raise NotAUnitExponent(f"{a} is not a unit mod {q}")
     if a == 1:
         return x
-    if ring.level == 0:
-        return _permute_zeta_basis(a, x)
-    image = ring._galois_images.get(a)
-    if image is None:
-        image = ring.zeta() ** a - 1
-        ring._galois_images[a] = image
-    acc = CycElt(ring, [x.digits[-1]] + [0] * (ring.degree - 1), x.prec)
-    for c in reversed(x.digits[:-1]):
-        acc = acc * image + c
-    return acc
+    d = ring.degree
+    step = q // p
+    out = [0] * d
+    spill = [0] * step
+    for k, c in enumerate(_zeta_coeffs(x)):
+        e = a * k % q
+        if e < d:
+            out[e] = c
+        else:
+            spill[e - d] = c
+    for r, c in enumerate(spill):
+        if c:
+            for j in range(r, d, step):
+                out[j] -= c
+    return _from_zeta_coeffs(ring, out, x.prec)
 
 
 def norm_down(x: CycElt) -> CycElt:
     """Norm from level 1 to level 0; the Galois group of the step is
-    represented by a = 1 + kp mod p^2."""
+    represented by a = 1 + kp mod p^2.  The product of the conjugates is
+    read off the zeta_1-positions divisible by p, where zeta_0 = zeta_1^p
+    puts the level-0 ring."""
     ring = x.ring
     if ring.level != 1:
         raise UsageError("norm_down starts at level 1")
@@ -383,32 +379,22 @@ def norm_down(x: CycElt) -> CycElt:
     acc = x
     for k in range(1, p):
         acc = acc * galois_apply(1 + k * p, x)
-    # peel off the level-0 digit vector against the staircase basis
-    # pi_0^j, whose top digit sits at position p*j with coefficient 1
-    powers = ring._embeds()
-    residual = acc
-    out = [0] * (p - 1)
-    for j in range(p - 2, -1, -1):
-        c = residual.digits[p * j]
-        out[j] = c
-        residual = residual - powers[j] * c
-    if not residual.vanishes_mod_pi(ring.pi_prec):
+    base = ring.base_ring()
+    out = _from_zeta_coeffs(base, _zeta_coeffs(acc)[::p], acc.prec)
+    if not (acc - embed_up(out, ring)).vanishes_mod_pi(ring.pi_prec):
         raise NotInSubfield("norm does not lie in the level-0 subring")
-    return CycElt(ring.base_ring(), out, acc.prec)
+    return out
 
 
 def embed_up(x: CycElt, ring1: CycRing) -> CycElt:
-    """Include level 0 into level 1 via pi_0 -> (1+pi_1)^p - 1."""
+    """Include level 0 into level 1 via zeta_0 -> zeta_1^p."""
     if x.ring.level != 0 or ring1.level != 1:
         raise UsageError("embed_up goes from level 0 to level 1")
     if ring1.base_ring() != x.ring:
         raise UsageError("rings are not aligned")
-    powers = ring1._embeds()
-    acc = CycElt(ring1, [0] * ring1.degree, x.prec)
-    for j, c in enumerate(x.digits):
-        if c:
-            acc = acc + powers[j] * c
-    return acc
+    coeffs = [0] * ring1.degree
+    coeffs[::ring1.ctx.p] = _zeta_coeffs(x)
+    return _from_zeta_coeffs(ring1, coeffs, x.prec)
 
 
 def norm_to_qp(x: CycElt) -> PadicInt:

@@ -248,9 +248,19 @@ def _j_exponent(p: int, m: int) -> int:
     return 1 + vp(m, p)
 
 
+_PREC_LADDER = (3, 5, 7, 9)
+
+
 @lru_cache(maxsize=None)
-def _lvalue_exponent(p: int, i: int, s: int, prec: int) -> int:
-    return lp_value(p, i, s, prec).certified_valuation()
+def _lvalue_exponent(p: int, i: int, s: int) -> int:
+    """v_p of L_p(s, omega^i), at the first precision of the ladder that
+    certifies it."""
+    for M in _PREC_LADDER[:-1]:
+        try:
+            return lp_value(p, i, s, M).certified_valuation()
+        except PrecisionExhausted:
+            pass
+    return lp_value(p, i, s, _PREC_LADDER[-1]).certified_valuation()
 
 
 def check_window(p: int, lo: int, hi: int):
@@ -297,7 +307,7 @@ def _scalar_fiber_pattern(lo: int, hi: int, p: int, source_offset: int,
     return out
 
 
-def homotopy_of(sid: SpectrumId, window, prec: int = 3) -> GradedModule:
+def homotopy_of(sid: SpectrumId, window) -> GradedModule:
     """The graded homotopy model of the named spectrum on the window."""
     lo, hi = window
     check_window(sid.p, lo, hi)
@@ -307,10 +317,10 @@ def homotopy_of(sid: SpectrumId, window, prec: int = 3) -> GradedModule:
             "irregular, so pass kv_assume to proceed under the "
             "Kummer-Vandiver hypothesis"
         )
-    return _build(sid, lo, hi, prec)
+    return _build(sid, lo, hi)
 
 
-def _build(sid: SpectrumId, lo: int, hi: int, prec: int) -> GradedModule:
+def _build(sid: SpectrumId, lo: int, hi: int) -> GradedModule:
     # unguarded: the public entries check the window and the
     # Kummer-Vandiver gate, and their internal routes may reach a degree
     # or two past the checked window
@@ -344,7 +354,7 @@ def _build(sid: SpectrumId, lo: int, hi: int, prec: int) -> GradedModule:
         else:
             M = _scalar_fiber_pattern(
                 lo, hi, p, 2 * i - 1,
-                lambda src: _lvalue_exponent(p, i, -((src - 1) // 2), prec),
+                lambda src: _lvalue_exponent(p, i, -((src - 1) // 2)),
             )
         return connected_cover(M, 1) if tag == "y" else M
 
@@ -365,23 +375,23 @@ def _build(sid: SpectrumId, lo: int, hi: int, prec: int) -> GradedModule:
         else:
             M = _scalar_fiber_pattern(
                 lo, hi, p, 2 * i - 1,
-                lambda src: _lvalue_exponent(p, p - i, (src + 1) // 2, prec),
+                lambda src: _lvalue_exponent(p, p - i, (src + 1) // 2),
             )
         if tag == "X":
             return M
         return connected_cover(M, -3 if i == 0 else 1)
 
-    return _assemble(p, tag, lo, hi, prec)
+    return _assemble(p, tag, lo, hi)
 
 
-def _assemble(p: int, tag: str, lo: int, hi: int, prec: int) -> GradedModule:
+def _assemble(p: int, tag: str, lo: int, hi: int) -> GradedModule:
     def piece(t, i=None):
-        return _build(SpectrumId(t, p, i), lo, hi, prec)
+        return _build(SpectrumId(t, p, i), lo, hi)
 
     if tag == "KZ":
         pieces = [piece("j")] + [piece("y", i) for i in range(p - 1)]
     elif tag == "TCZ":
-        jp = _build(SpectrumId("jprime", p), lo - 1, hi - 1, prec)
+        jp = _build(SpectrumId("jprime", p), lo - 1, hi - 1)
         pieces = [piece("j"), shift(jp, 1)]
         pieces += [piece("z", i) for i in range(p - 1)]
     else:
@@ -389,17 +399,15 @@ def _assemble(p: int, tag: str, lo: int, hi: int, prec: int) -> GradedModule:
     return direct_sum(*pieces)
 
 
-def assemble(tag: str, p: int, window, kv_assume: bool = False,
-             prec: int = 3) -> GradedModule:
+def assemble(tag: str, p: int, window,
+             kv_assume: bool = False) -> GradedModule:
     if tag not in ("KZ", "TCZ", "FibTau"):
         raise UsageError(f"assemble expects KZ, TCZ or FibTau, got {tag!r}")
-    return homotopy_of(SpectrumId(tag, p, kv_assume=kv_assume), window, prec)
+    return homotopy_of(SpectrumId(tag, p, kv_assume=kv_assume), window)
 
 
 # ---------------------------------------------------------------------------
 # duality verification
-
-_PREC_LADDER = (3, 5, 7, 9)
 
 
 class DualityReport:
@@ -431,19 +439,8 @@ def _module_cell(m: FgZpModule) -> dict:
     return {"rank": m.rank, "torsion": list(m.torsion)}
 
 
-def _with_prec(make, prec_start: int):
-    ladder = [q for q in _PREC_LADDER if q >= prec_start]
-    for k, q in enumerate(ladder):
-        try:
-            return make(q)
-        except PrecisionExhausted:
-            if k == len(ladder) - 1:
-                raise
-    raise AssertionError("unreachable")
-
-
-def verify_main_duality(p: int, window, kv_assume: bool = False,
-                        prec: int = 3) -> DualityReport:
+def verify_main_duality(p: int, window,
+                        kv_assume: bool = False) -> DualityReport:
     """Compare, per character index, the fiber-side piece against the
     covered and shifted dual of the matching K-theory eigenpiece.
 
@@ -466,20 +463,13 @@ def verify_main_duality(p: int, window, kv_assume: bool = False,
     report = DualityReport(p, lo, hi)
     period = 2 * (p - 1)
     for i in range(p - 1):
-        def make_a(q, i=i):
-            A = _build(SpectrumId("x", p, i), lo, hi, q)
-            if i == 1:
-                A = direct_sum(A, _build(SpectrumId("jprime", p), lo, hi, q))
-            return A
-
-        def make_b(q, i=i):
-            k = (p - i) % (p - 1)
-            kid = SpectrumId("J", p) if k == 0 else SpectrumId("Y", p, k)
-            K = _build(kid, -hi - 2, -lo - 1, q)
-            return connected_cover(shift(anderson_dual(K), -1), -3)
-
-        A = _with_prec(make_a, prec)
-        B = _with_prec(make_b, prec)
+        A = _build(SpectrumId("x", p, i), lo, hi)
+        if i == 1:
+            A = direct_sum(A, _build(SpectrumId("jprime", p), lo, hi))
+        k = (p - i) % (p - 1)
+        kid = SpectrumId("J", p) if k == 0 else SpectrumId("Y", p, k)
+        K = _build(kid, -hi - 2, -lo - 1)
+        B = connected_cover(shift(anderson_dual(K), -1), -3)
         for n in range(lo, hi + 1):
             a, b = A.entry(n), B.entry(n)
             if a == b:

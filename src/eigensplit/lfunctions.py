@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .padic import PadicCtx, PadicInt, check_odd_prime, vp
+from .padic import PadicCtx, PadicInt, check_odd_prime, check_precision, vp
 
 
 def _tangent_numbers():
@@ -235,6 +235,7 @@ def _check_character(p: int, i: int) -> int:
 def lp_neg(p: int, i: int, n: int, prec: int = 4) -> LValue:
     """L_p(1-n, omega^i) = -(1 - p^{n-1}) B_n / n for n = i mod p-1."""
     i = _check_character(p, i)
+    check_precision(prec)
     if n < 1:
         raise UsageError("interpolation index n must be >= 1")
     if (n - i) % (p - 1) != 0:
@@ -268,6 +269,7 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
     invisible mod p^K.
     """
     i = _check_character(p, i)
+    check_precision(M)
     if s == 1:
         raise UsageError("s = 1 is outside the implemented range")
     K = M + 2 + vp(s - 1, p)
@@ -294,6 +296,7 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
     """Dispatch: exact interpolation when s = 1-n with n = i mod p-1 and
     n >= 1; the congruence-class evaluation otherwise."""
     i = _check_character(p, i)
+    check_precision(M)
     n = 1 - s
     if n >= 1 and (n - i) % (p - 1) == 0:
         # The exact value costs nothing to expand, so keep the floor of 4

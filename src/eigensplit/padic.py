@@ -39,6 +39,11 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
+def check_precision(N: int) -> None:
+    if N < 1:
+        raise UsageError(f"precision must be >= 1, got {N}")
+
+
 def vp(n: int, p: int) -> int:
     """The exponent of p in the nonzero integer n."""
     if n == 0:
@@ -96,8 +101,7 @@ class PadicCtx:
 
     def __init__(self, p: int, N: int):
         check_odd_prime(p)
-        if N < 1:
-            raise UsageError(f"precision must be >= 1, got {N}")
+        check_precision(N)
         self.p = p
         self.N = N
         self.modulus = p ** N

@@ -105,6 +105,26 @@ def test_precision_too_low_for_pi_window_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("units", "--prime", "5", "--pi-precision", "0"), "pi_prec 0 outside"),
+    (("kummer", "--prime", "5", "--pi-precision", "0"), "pi_prec 0 outside"),
+    (("lvalues", "--prime", "5", "--char", "2", "--at", "-1",
+      "--precision", "0"), "precision must be >= 1, got 0"),
+    (("lvalues", "--prime", "5", "--char", "2", "--at", "3",
+      "--precision", "0"), "precision must be >= 1, got 0"),
+])
+def test_zero_precision_is_usage_error(capsys, argv, message):
+    # 0 is refused by the library like any value below 1, not replaced
+    # by a default
+    rc = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"eigensplit: error: {message}")
+
+
 def test_homotopy_graded_schema(capsys):
     rc, out = _run(capsys, "homotopy", "J", "--prime", "5",
                    "--from", "-8", "--to", "8")

@@ -28,6 +28,8 @@ CASES = (
     ("irregular", "--prime", "691"),
     ("units", "--prime", "3", "--precision", "10", "--pi-precision", "20"),
     ("kummer", "--prime", "5", "--precision", "8", "--pi-precision", "30"),
+    ("units", "--prime", "13"),
+    ("units", "--prime", "11", "--unit", "lang", "--lambda", "2"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -147,6 +149,18 @@ GOLDEN = {
         (0, "5979bd3bc1ebb5af64636354567baa463cf2d606d096a62a6426c84b43237f4c"),
     "kummer --prime 5 --precision 8 --pi-precision 30 --format text":
         (0, "7a10295a4b78305833d9f9d83d1efea2cf4f0590dce8ecf42ca17b58b119512c"),
+    "units --prime 13 --format json":
+        (0, "e2b7ba4cb8b350dbaf7608f5b10c66af3a038a6210d07801f9187e6cf8584609"),
+    "units --prime 13 --format csv":
+        (0, "2a4e63e2793f43e4905204ea7bf3733c78fcfa26e9013f85d4204c2cd987376d"),
+    "units --prime 13 --format text":
+        (0, "d8b159034cc58caf3cff4288731e79a2e784af2aef05485533ca038224cec6d1"),
+    "units --prime 11 --unit lang --lambda 2 --format json":
+        (0, "c767cbeea59346b0150fb90291db9c8a5798261ef838e85d656ab28a468f51df"),
+    "units --prime 11 --unit lang --lambda 2 --format csv":
+        (0, "77171022dcfcec16405a1d9ce18be8c42d2b92dd88c7ca8a4b6d53e4d2c38c0b"),
+    "units --prime 11 --unit lang --lambda 2 --format text":
+        (0, "263994db96d3cceee3eb1c0266acb634688040d60a5e36a4e8ab6692fce3f245"),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigensplit.cyclotomic import (
+    CycElt,
     CycRing,
     NormCompatiblePair,
     as_mu_element,
@@ -67,7 +68,7 @@ def test_pi_valuations():
 
 def test_galois_is_an_action():
     rng = random.Random(31)
-    for p, level in ((5, 0), (7, 0), (3, 1), (7, 1)):
+    for p, level in ((5, 0), (7, 0), (3, 1), (7, 1), (11, 1), (13, 1)):
         ring = cyc_ring(p, level)
         q = p ** (level + 1)
         units = [a for a in range(1, q) if a % p != 0]
@@ -320,18 +321,96 @@ def test_packed_multiply_matches_schoolbook(data):
     assert (x + y).prec == (x - y).prec == prec
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_level0_galois_permutation_matches_horner(data):
-    p = data.draw(_PRIMES)
-    ring = cyc_ring(p, 0)
-    (x,) = data.draw(_elements(ring, 1))
-    a = data.draw(st.integers(1, p - 1))
+# -- the zeta-basis Galois action, norm and embedding against the paths
+# they replaced ---------------------------------------------------------------
+
+def _horner_galois(a, x):
+    """sigma_a as the digit polynomial evaluated at zeta^a - 1 by Horner."""
+    ring = x.ring
     image = ring.zeta() ** a - 1
     coeffs = x.coeffs
-    want = ring.from_scalar(coeffs[-1])
+    acc = ring.from_scalar(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        want = want * image + c
+        acc = acc * image + c
+    return acc
+
+
+def _pi0_powers(ring1):
+    """pi_0^j = ((1 + pi_1)^p - 1)^j for j < p - 1, as level-1 elements."""
+    p = ring1.ctx.p
+    e = ring1.zeta() ** p - 1
+    powers = [ring1.one()]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * e)
+    return powers
+
+
+def _norm_down_by_peel(x):
+    """The product of the Horner conjugates, peeled against the staircase
+    basis pi_0^j, whose top digit sits at position p*j with coefficient 1."""
+    ring = x.ring
+    p = ring.ctx.p
+    acc = x
+    for k in range(1, p):
+        acc = acc * _horner_galois(1 + k * p, x)
+    residual = acc
+    out = [0] * (p - 1)
+    for j, power in reversed(list(enumerate(_pi0_powers(ring)))):
+        out[j] = residual.digits[p * j]
+        residual = residual - power * out[j]
+    return CycElt(ring.base_ring(), out, acc.prec)
+
+
+def _embed_by_powers(x, ring1):
+    """sum c_j pi_0^j over the digits c_j of a level-0 element."""
+    acc = ring1.from_coeffs([ring1.ctx.of(0, x.prec)])
+    for c, power in zip(x.digits, _pi0_powers(ring1)):
+        acc = acc + power * c
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_galois_permutation_matches_horner(data):
+    p = data.draw(_PRIMES)
+    level = data.draw(st.sampled_from((0, 1)))
+    ring = cyc_ring(p, level)
+    (x,) = data.draw(_elements(ring, 1))
+    q = p ** (level + 1)
+    a = data.draw(st.integers(1, q - 1).filter(lambda a: a % p))
+    want = _horner_galois(a, x)
     got = galois_apply(a, x)
     assert got.prec == want.prec == x.prec
+    assert got.digits == want.digits
+
+
+@st.composite
+def _level1_rings(draw):
+    """Level-1 rings with mixed prec and pi_prec, pi_prec within what the
+    level-0 ring below accepts."""
+    p = draw(_PRIMES)
+    prec = draw(st.integers(2, 5))
+    return cyc_ring(p, 1, prec, draw(st.integers(1, prec * (p - 1))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_norm_down_and_embed_up_match_pi0_powers(data):
+    ring1 = data.draw(_level1_rings())
+    ring0 = ring1.base_ring()
+    (x1,) = data.draw(_elements(ring1, 1))
+    (x0,) = data.draw(_elements(ring0, 1))
+    up = embed_up(x0, ring1)
+    want = _embed_by_powers(x0, ring1)
+    assert up.prec == want.prec == x0.prec
+    assert up.digits == want.digits
+    want = _norm_down_by_peel(x1)
+    if -(-ring1.pi_prec // ring1.degree) > x1.prec:
+        # too few p-adic digits to test the subring membership
+        with pytest.raises(PrecisionExhausted):
+            norm_down(x1)
+        return
+    got = norm_down(x1)
+    assert got.ring == ring0
+    assert got.prec == want.prec == x1.prec
     assert got.digits == want.digits

@@ -6,6 +6,7 @@ import pytest
 
 from eigensplit.errors import (
     KummerVandiverRequired,
+    PrecisionExhausted,
     UsageError,
     WindowInsufficient,
 )
@@ -14,6 +15,7 @@ from eigensplit.homotopy import (
     GradedModule,
     SpectrumId,
     _j_exponent,
+    _lvalue_exponent,
     anderson_dual,
     assemble,
     connected_cover,
@@ -25,6 +27,7 @@ from eigensplit.homotopy import (
     shift,
     verify_main_duality,
 )
+from eigensplit.lfunctions import lp_value
 from eigensplit.padic import vp
 
 Zp = free()
@@ -248,6 +251,14 @@ def test_x_odd_carries_lvalue_torsion():
     x5 = homotopy_of(SpectrumId("x", 37, 5, kv_assume=True), (0, 100))
     assert x5.entry(8) == cyclic(1)
     assert x5.entry(80) == cyclic(1)
+
+
+def test_lvalue_exponent_climbs_the_precision_ladder():
+    # L_37(13, omega^32) has valuation 2, which 3 digits cannot certify
+    with pytest.raises(PrecisionExhausted):
+        lp_value(37, 32, 13, 3).certified_valuation()
+    assert lp_value(37, 32, 13, 5).certified_valuation() == 2
+    assert _lvalue_exponent(37, 32, 13) == 2
 
 
 def test_assemble_fib_tau():

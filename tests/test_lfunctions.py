@@ -146,6 +146,18 @@ def test_character_guards():
         lp_at(5, 2, 1)  # s = 1 is outside the domain here
 
 
+@pytest.mark.parametrize("call", [
+    lambda M: lp_value(5, 2, -1, M),  # the exact interpolation branch
+    lambda M: lp_value(5, 2, 3, M),
+    lambda M: lp_at(5, 2, 3, M),
+    lambda M: lp_neg(5, 2, 2, M),
+])
+@pytest.mark.parametrize("M", [0, -2])
+def test_precision_below_one_is_refused(call, M):
+    with pytest.raises(UsageError, match=f"precision must be >= 1, got {M}$"):
+        call(M)
+
+
 def test_lp_neg_exact_rational():
     # -(1 - p^{n-1}) B_n / n, computed here from scratch
     for p, i, n in ((5, 2, 2), (5, 2, 6), (7, 4, 4), (7, 2, 8)):
