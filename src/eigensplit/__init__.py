@@ -25,7 +25,8 @@ _EXPORTS = {
                "VerificationError"),
     "padic": ("PadicCtx", "PadicInt", "Valuation", "is_prime"),
     "series": ("TruncSeries",),
-    "formal_groups": ("cw_tower_x", "lubin_tate_log", "theta"),
+    "formal_groups": ("cw_tower_x", "lubin_tate_exp", "lubin_tate_log",
+                      "theta"),
     "cyclotomic": ("CycElt", "CycRing", "NormCompatiblePair",
                    "check_eps1_nontorsion", "cyc_ring", "eigen_unit",
                    "eigen_valuation", "galois_apply", "nontorsion_certified",

@@ -76,12 +76,7 @@ def _pick_unit(args, ring):
     if args.unit == "lang":
         if args.lam is None:
             raise UsageError("--unit lang needs --lambda")
-        lam = (
-            ring.ctx.of(-1)
-            if args.lam == -1
-            else ring.ctx.teichmuller(args.lam)
-        )
-        return kummer.lang_unit(ring, lam)
+        return kummer.lang_unit(ring, args.lam)
     return kummer.cw_unit(ring)
 
 

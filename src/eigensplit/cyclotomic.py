@@ -77,16 +77,14 @@ class CycRing:
         self.level = level
         self.degree = d
         self.pi_prec = pi_prec
-        # lower coefficients of the monic Eisenstein modulus of pi
-        if level == 0:
-            tail = [comb(p, j + 1) for j in range(d)]
-        else:
-            full = [0] * (d + 1)
-            for k in range(p):
-                for j in range(min(k * p, d) + 1):
-                    full[j] += comb(k * p, j)
-            assert full[d] == 1
-            tail = full[:d]
+        # lower coefficients of the monic Eisenstein modulus of pi,
+        # sum_{k<p} (1 + pi)^(k p^level)
+        full = [0] * (d + 1)
+        for k in range(0, p * p ** level, p ** level):
+            for j in range(min(k, d) + 1):
+                full[j] += comb(k, j)
+        assert full[d] == 1
+        tail = full[:d]
         assert tail[0] == p
         m = ctx.modulus
         self.modulus_tail = [t % m for t in tail]

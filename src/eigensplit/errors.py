@@ -47,10 +47,6 @@ class NonUnitConstantTerm(UsageError):
     pass
 
 
-class NotReversible(UsageError):
-    pass
-
-
 class PrecisionExhausted(PrecisionError):
     pass
 

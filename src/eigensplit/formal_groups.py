@@ -1,6 +1,7 @@
 """The height-1 Lubin-Tate group with multiplication-by-p series X^p + pX.
 
-The logarithm is exact, solved over the rationals from log([p]X) = p log(X).
+The logarithm and the exponential are exact, solved degree by degree over
+the rationals from log([p]X) = p log(X) and exp(pY) = [p](exp(Y)).
 ``theta()``, the strict isomorphism exp_G(log(1+X)) to the multiplicative
 group, is exact too: the explicit API and the tests' reference.  The tower
 points x_n = theta(zeta_n - 1) need theta only mod p^N, solved degree by
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import NonIntegralCoefficient, UsageError, VerificationError
+from .errors import NonIntegralCoefficient, UsageError
 from .padic import check_odd_prime, pack_digits, unpack_digits
 from .series import TruncSeries, log_one_plus_x
 
@@ -51,8 +52,31 @@ def _log_coeffs(p: int, T: int) -> tuple:
 
 def lubin_tate_log(p: int, T: int | None = None) -> TruncSeries:
     """log_G mod X^T; its support lies in exponents = 1 mod (p-1)."""
-    _check_args(p, T := T or default_trunc(p))
+    _check_args(p, T := default_trunc(p) if T is None else T)
     return TruncSeries(list(_log_coeffs(p, T)))
+
+
+@lru_cache(maxsize=None)
+def _exp_support(p: int, T: int) -> tuple:
+    # h with exp_G(Y) = Y h(Y^(p-1)) mod Y^T.  exp(pY) = exp(Y)^p + p exp(Y)
+    # reads (p^m - p) e_m = [Y^m] exp^p, and at m = 1 + n(p-1) that is
+    # (p^m - p) h_n = [Z^(n-1)] h^p, which the power recurrence for g = h^p,
+    # n g_n = sum_{k=1..n} ((p+1)k - n) h_k g_(n-k), gets from h_0..h_(n-1)
+    h, g = [Fraction(1)], [Fraction(1)]
+    for n in range(1, (T - 2) // (p - 1) + 1):
+        h.append(g[n - 1] / (Fraction(p) ** (1 + n * (p - 1)) - p))
+        g.append(sum(((p + 1) * k - n) * h[k] * g[n - k]
+                     for k in range(1, n + 1)) / n)
+    return tuple(h)
+
+
+def lubin_tate_exp(p: int, T: int | None = None) -> TruncSeries:
+    """exp_G mod Y^T, the compositional inverse of log_G; its support lies
+    in exponents = 1 mod (p-1)."""
+    _check_args(p, T := default_trunc(p) if T is None else T)
+    e = [Fraction(0)] * T
+    e[1::p - 1] = _exp_support(p, T)
+    return TruncSeries(e)
 
 
 def _theta_loss(p: int, T: int) -> int:
@@ -133,55 +157,28 @@ def _theta_digits(p: int, T: int, N: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _exact_theta(p: int, T: int) -> tuple:
-    return tuple(FormalGroupData(p, T).theta().coeffs)
+    # exp_G(Y) = Y h(Y^(p-1)), so theta = L h(L^(p-1)) with L = log(1+X):
+    # Horner over the coefficients of h only
+    L = log_one_plus_x(T)
+    Lp = L
+    for _ in range(p - 2):
+        Lp = Lp * L
+    acc = TruncSeries([Fraction(0)] * T)
+    for hn in reversed(_exp_support(p, T)):
+        acc = acc * Lp + hn
+    th = acc * L
+    for k, ck in enumerate(th.coeffs):
+        if ck.denominator % p == 0:
+            raise NonIntegralCoefficient(
+                f"theta coefficient of X^{k} = {ck} is not p-integral"
+            )
+    return tuple(th.coeffs)
 
 
 def theta(p: int, T: int | None = None) -> TruncSeries:
     """The strict isomorphism theta = exp_G(log(1+X)), exact and p-integral."""
-    return TruncSeries(list(_exact_theta(p, T or default_trunc(p))))
-
-
-class FormalGroupData:
-    """log and (lazily) exp for the group, at a fixed truncation."""
-
-    __slots__ = ("p", "trunc", "log_series", "_exp")
-
-    def __init__(self, p: int, trunc: int | None = None):
-        _check_args(p, trunc := trunc or default_trunc(p))
-        self.p = p
-        self.trunc = trunc
-        self.log_series = lubin_tate_log(p, trunc)
-        self._exp = None
-
-    @property
-    def exp_series(self) -> TruncSeries:
-        if self._exp is None:
-            self._exp = self.log_series.reversion()
-        return self._exp
-
-    def theta(self) -> TruncSeries:
-        th = self.exp_series.compose(log_one_plus_x(self.trunc))
-        for k, ck in enumerate(th.coeffs):
-            if ck.denominator % self.p == 0:
-                raise NonIntegralCoefficient(
-                    f"theta coefficient of X^{k} = {ck} is not p-integral"
-                )
-        return th
-
-    def __repr__(self):
-        return f"FormalGroupData(p={self.p}, trunc={self.trunc})"
-
-
-def p_series(fg: FormalGroupData) -> TruncSeries:
-    """exp_G(p log_G X); verified to equal X^p + pX on the nose."""
-    got = fg.exp_series.compose(fg.log_series.scale(fg.p))
-    for k, ck in enumerate(got.coeffs):
-        want = Fraction(fg.p) if k == 1 else Fraction(1) if k == fg.p else Fraction(0)
-        if k < got.trunc and ck != want:
-            raise VerificationError(
-                f"[p]-series coefficient of X^{k} is {ck}, expected {want}"
-            )
-    return got
+    _check_args(p, T := default_trunc(p) if T is None else T)
+    return TruncSeries(list(_exact_theta(p, T)))
 
 
 def cw_tower_x(ring):

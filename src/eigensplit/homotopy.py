@@ -275,32 +275,25 @@ def check_window(p: int, lo: int, hi: int):
         )
 
 
-def _free_pattern(lo: int, hi: int, p: int, offset: int,
-                  floor: int | None = None) -> GradedModule:
-    """Z_p in each degree = offset mod 2(p-1), optionally only at
-    degrees >= floor."""
+def _free_pattern(lo: int, hi: int, p: int, offset: int) -> GradedModule:
+    """Z_p in each degree = offset mod 2(p-1)."""
     out = GradedModule(lo, hi)
     period = 2 * (p - 1)
     start = lo + (offset - lo) % period
     for n in range(start, hi + 1, period):
-        if floor is None or n >= floor:
-            out.set(n, free())
+        out.set(n, free())
     return out
 
 
 def _scalar_fiber_pattern(lo: int, hi: int, p: int, source_offset: int,
-                          exponent_of, floor: int | None = None) -> GradedModule:
+                          exponent_of) -> GradedModule:
     """Fiber of a degreewise scalar on the Z_p-pattern at source_offset
     mod 2(p-1): torsion Z/p^e one degree below each source copy, where
-    e = exponent_of(source degree); sources with floor apply to the
-    torsion degree when covering afterwards, so floor here bounds the
-    source degrees considered."""
+    e = exponent_of(source degree)."""
     out = GradedModule(lo, hi)
     period = 2 * (p - 1)
     first = (lo + 1) + (source_offset - (lo + 1)) % period
     for src in range(first, hi + 2, period):
-        if floor is not None and src < floor:
-            continue
         e = exponent_of(src)
         if e and lo <= src - 1 <= hi:
             out.set(src - 1, cyclic(e))
@@ -329,7 +322,7 @@ def _build(sid: SpectrumId, lo: int, hi: int) -> GradedModule:
     period = 2 * (p - 1)
 
     if tag == "ell":
-        return _free_pattern(lo, hi, p, 0, floor=0)
+        return connected_cover(_free_pattern(lo, hi, p, 0), -1)
     if tag == "L":
         return _free_pattern(lo, hi, p, 0)
     if tag in ("J", "Jprime", "j", "jprime"):

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .errors import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
-    NotReversible,
     RingMismatch,
     UsageError,
 )
@@ -146,19 +145,6 @@ class TruncSeries:
         c = self._coerce_scalar(c)
         return TruncSeries([c * a for a in self.coeffs])
 
-    def pow_int(self, n: int) -> "TruncSeries":
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        result = TruncSeries([self._coerce_scalar(1)] + [self._zero()] * (self.trunc - 1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     # -- composition and friends ----------------------------------------
 
     def compose(self, g: "TruncSeries") -> "TruncSeries":
@@ -189,109 +175,21 @@ class TruncSeries:
         return TruncSeries(out)
 
     def log(self) -> "TruncSeries":
-        """log f as (f-1) - (f-1)^2/2 + ...
-
-        Over the rationals the constant term must be exactly 1.  Over p-adic
-        coefficients it must be a 1-unit; when it is not exactly 1 the
-        alternating series converges coefficientwise and is summed until the
-        tail is invisible at the working precision.
-        """
-        c0 = self.coeffs[0]
-        if self.ctx is None:
-            if c0 != 1:
-                raise NonUnitConstantTerm(
-                    "rational log needs constant term exactly 1"
-                )
-            K = self.trunc - 1
-        else:
-            if (c0.value - 1) % self.ctx.p != 0:
-                raise NonUnitConstantTerm(
-                    "p-adic log needs a 1-unit constant term"
-                )
-            if c0.value == 1:
-                K = self.trunc - 1
-            else:
-                # (f-1)^k/k for k > K is invisible mod (p^N, X^trunc):
-                # the coefficient of X^j carries p^{k-j} and v_p(k) <= E
-                p = self.ctx.p
-                E = 1
-                while p ** E < self.ctx.N + self.trunc + E + 1:
-                    E += 1
-                K = self.ctx.N + self.trunc - 1 + E
+        """log f as (f-1) - (f-1)^2/2 + ..., for constant term exactly 1."""
+        if self.coeffs[0] != 1:
+            raise NonUnitConstantTerm("log needs constant term exactly 1")
         g = self - 1
         out = TruncSeries([self._zero()] * self.trunc)
         power = g
-        for k in range(1, K + 1):
+        for k in range(1, self.trunc):
             if self.ctx is not None:
                 term = TruncSeries([c.div_int(k) for c in power.coeffs])
             else:
                 term = power.scale(Fraction(1, k))
             out = out + (term if k % 2 == 1 else -term)
-            if k < K:
+            if k < self.trunc - 1:
                 power = power * g
         return out
-
-    def inverse(self) -> "TruncSeries":
-        """1/f for unit constant term, by Newton doubling."""
-        c0 = self.coeffs[0]
-        if self.ctx is None:
-            if c0 == 0:
-                raise NonUnitConstantTerm("constant term 0 is not invertible")
-            seed = Fraction(1) / c0
-        else:
-            seed = c0.invert()
-        T = self.trunc
-        out = TruncSeries([seed] + [self._zero()] * (T - 1))
-        t = 1
-        while t < T:
-            t = min(2 * t, T)
-            approx = self.truncate(t)
-            out_t = out.truncate(t) if out.trunc >= t else TruncSeries(
-                out.coeffs + [self._zero()] * (t - out.trunc)
-            )
-            out = out_t * (2 - approx * out_t)
-        return out
-
-    def reversion(self) -> "TruncSeries":
-        """Compositional inverse g with self(g) = X = g(self)."""
-        if self.coeffs[0]:
-            raise NotReversible("reversion needs zero constant term")
-        if self.trunc < 2:
-            raise NotReversible("reversion needs trunc >= 2")
-        c1 = self.coeffs[1]
-        if self.ctx is None:
-            if c1 == 0:
-                raise NotReversible("linear coefficient must be invertible")
-            c1_inv = Fraction(1) / c1
-        else:
-            if not c1.is_unit():
-                raise NotReversible("linear coefficient must be a unit")
-            c1_inv = c1.invert()
-        T = self.trunc
-        g = TruncSeries([self._zero(), c1_inv])
-        t = 2
-        while t < T:
-            t = min(2 * t - 1, T)
-            g = TruncSeries(g.coeffs + [self._zero()] * (t - g.trunc))
-            f_t = self.truncate(t)
-            err = f_t.compose(g) - _x_like(self, t)
-            deriv = f_t.derivative()
-            dencomp = TruncSeries(deriv.coeffs + [self._zero()]).truncate(t).compose(g)
-            g = g - err * dencomp.inverse()
-        return g
-
-
-def _x_like(model: TruncSeries, T: int) -> TruncSeries:
-    coeffs = [model._zero() for _ in range(T)]
-    coeffs[1] = model._coerce_scalar(1)
-    return TruncSeries(coeffs)
-
-
-def x_series(T: int) -> TruncSeries:
-    """X as an exact-rational series mod X^T."""
-    if T < 2:
-        raise UsageError("need T >= 2 to see X")
-    return TruncSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (T - 2))
 
 
 def log_one_plus_x(T: int) -> TruncSeries:
@@ -299,13 +197,3 @@ def log_one_plus_x(T: int) -> TruncSeries:
     return TruncSeries(
         [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, T)]
     )
-
-
-def one_plus_x_pow(a: int, T: int) -> TruncSeries:
-    """(1+X)^a - 1 over the rationals, any integer a."""
-    coeffs = [Fraction(0)] * T
-    num = Fraction(1)
-    for k in range(1, T):
-        num *= Fraction(a - (k - 1), k)
-        coeffs[k] = num
-    return TruncSeries(coeffs)

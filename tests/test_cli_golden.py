@@ -30,6 +30,8 @@ CASES = (
     ("kummer", "--prime", "5", "--precision", "8", "--pi-precision", "30"),
     ("units", "--prime", "13"),
     ("units", "--prime", "11", "--unit", "lang", "--lambda", "2"),
+    ("units", "--prime", "5", "--unit", "lang", "--lambda", "-1"),
+    ("kummer", "--prime", "7", "--unit", "lang", "--lambda", "-1"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -161,6 +163,18 @@ GOLDEN = {
         (0, "77171022dcfcec16405a1d9ce18be8c42d2b92dd88c7ca8a4b6d53e4d2c38c0b"),
     "units --prime 11 --unit lang --lambda 2 --format text":
         (0, "263994db96d3cceee3eb1c0266acb634688040d60a5e36a4e8ab6692fce3f245"),
+    "units --prime 5 --unit lang --lambda -1 --format json":
+        (0, "b39dbde8c6546c6daf880352ea64f1a75e6b2cdf7432c9d5396da4dcce4a8d73"),
+    "units --prime 5 --unit lang --lambda -1 --format csv":
+        (0, "dd16b21a0758537a0e907a263a3454119618215281d8308b11b2b622afb1b3ea"),
+    "units --prime 5 --unit lang --lambda -1 --format text":
+        (0, "3e6667abff57a39ff6415b174959a4f6a5368f2898f6d91c3b2efda503202be4"),
+    "kummer --prime 7 --unit lang --lambda -1 --format json":
+        (0, "8dd78123b5dbbc4ed27aea2c55d17f1a4ee2fb5512badf5c2f09d065874feeec"),
+    "kummer --prime 7 --unit lang --lambda -1 --format csv":
+        (0, "75b1d83445458a2ffb77e9ba0b2d888f40ba654b0b14e36b954970c367181a80"),
+    "kummer --prime 7 --unit lang --lambda -1 --format text":
+        (0, "5f998c063a5085d3f53ad014477c7c8721a4682b95f5750319b1777ca5a02f5d"),
 }
 
 

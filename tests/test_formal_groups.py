@@ -10,17 +10,22 @@ from hypothesis import strategies as st
 from eigensplit.cyclotomic import cyc_ring
 from eigensplit.errors import UsageError
 from eigensplit.formal_groups import (
-    FormalGroupData,
     _theta_digits,
     _theta_loss,
     _theta_mod,
     cw_tower_x,
     default_trunc,
+    lubin_tate_exp,
     lubin_tate_log,
-    p_series,
     theta,
 )
-from eigensplit.series import TruncSeries, log_one_plus_x, one_plus_x_pow
+from eigensplit.series import TruncSeries, log_one_plus_x
+
+
+def _poly(T, *coeffs):
+    # the polynomial sum_k coeffs[k] X^k as a series mod X^T
+    return TruncSeries([Fraction(c) for c in coeffs]
+                       + [Fraction(0)] * (T - len(coeffs)))
 
 
 def test_log_functional_equation_via_generic_compose():
@@ -74,10 +79,9 @@ def test_theta_is_p_integral():
             assert c.denominator % p != 0
 
 
-# truncations of the exact oracle: past 2p^3 = 54 at p = 3 and 2p^2 = 50 at
-# p = 5; at p = 7 only past 2p = 14, as exact theta beyond 2p^2 = 98 takes
-# seconds
-_ORACLE_T = {3: 60, 5: 60, 7: 50}
+# truncations of the exact oracle: past 2p^3 = 54 at p = 3, 2p^2 = 50 at
+# p = 5 and 2p^2 = 98 at p = 7
+_ORACLE_T = {3: 60, 5: 60, 7: 100}
 
 
 def _last_loss_degree(p, T):
@@ -94,6 +98,7 @@ def _last_loss_degree(p, T):
 @example(p=3, N=6, T=60)
 @example(p=5, N=4, T=51)
 @example(p=7, N=1, T=15)
+@example(p=7, N=4, T=100)
 def test_theta_mod_pk_matches_exact_theta(p, N, T):
     T = min(T, _ORACLE_T[p])
     q = p ** N
@@ -113,7 +118,11 @@ def test_bad_arguments_are_usage_errors():
     with pytest.raises(UsageError):
         lubin_tate_log(5, 1)
     with pytest.raises(UsageError):
-        FormalGroupData(2)
+        lubin_tate_exp(2)
+    # a truncation of 0 is refused, not replaced by the default
+    for build, p in ((lubin_tate_log, 5), (lubin_tate_exp, 5), (theta, 3)):
+        with pytest.raises(UsageError, match="truncation must be >= 2, got 0"):
+            build(p, 0)
 
 
 def test_theta_defining_equation():
@@ -129,25 +138,39 @@ def test_theta_intertwines_doubling():
     # isomorphism carries multiplicative doubling to formal doubling
     for p in (3, 5):
         T = p * p + 1
-        fg = FormalGroupData(p, T)
         th = theta(p, T)
-        lhs = th.compose(one_plus_x_pow(2, T))
-        rhs = fg.exp_series.compose(fg.log_series.compose(th).scale(2))
+        lhs = th.compose(_poly(T, 0, 2, 1))
+        rhs = lubin_tate_exp(p, T).compose(
+            lubin_tate_log(p, T).compose(th).scale(2))
         assert lhs == rhs
 
 
 def test_p_series_is_verified_on_the_nose():
+    # exp_G(p log_G X) = X^p + pX in every coefficient
     for p in (3, 5):
-        got = p_series(FormalGroupData(p, p + 3))
-        assert got.coeffs[1] == p
-        assert got.coeffs[p] == 1
+        T = p + 3
+        got = lubin_tate_exp(p, T).compose(lubin_tate_log(p, T).scale(p))
+        want = [0] * T
+        want[1], want[p] = p, 1
+        assert got.coeffs == want
 
 
 def test_exp_log_round_trip():
-    fg = FormalGroupData(5, 12)
-    x = TruncSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * 10)
-    assert fg.log_series.compose(fg.exp_series) == x
-    assert fg.exp_series.compose(fg.log_series) == x
+    for p in (3, 5, 7):
+        T = default_trunc(p)
+        lg, ex = lubin_tate_log(p, T), lubin_tate_exp(p, T)
+        x = _poly(T, 0, 1)
+        assert lg.compose(ex) == x
+        assert ex.compose(lg) == x
+
+
+def test_theta_is_exp_of_log_one_plus_x():
+    # the definition, by generic composition, against the Horner over the
+    # support of exp_G that theta() runs
+    for p in (3, 5, 7):
+        T = p * p + 1
+        assert (lubin_tate_exp(p, T).compose(log_one_plus_x(T))
+                == theta(p, T))
 
 
 def test_tower_bottom_relation():
