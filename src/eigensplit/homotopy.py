@@ -5,7 +5,9 @@ finitely generated Z_p-module over a declared degree window.  The base
 patterns are the Adams summand (free of rank 1 in degrees divisible by
 2(p-1)) and fibers of degreewise scalar maps on its shifts, where the
 scalars are p-adic L-values; a fiber of multiplication by c on Z_p
-contributes Z/p^{v(c)} one degree down and kills the free summand.
+contributes Z/p^{v(c)} one degree down and kills the free summand.  By
+Kummer's congruence such an L-value is a unit unless (p, i) is an
+irregular pair, so it is computed only at irregular pairs.
 
 Degreewise, the Anderson dual has free part dual to the free part in the
 mirror degree and torsion pulled from one degree below the mirror, and
@@ -22,7 +24,7 @@ from .errors import (
     UsageError,
     WindowInsufficient,
 )
-from .lfunctions import lp_value, regularity_certificate
+from .lfunctions import bernoulli, lp_value, regularity_certificate
 from .padic import check_odd_prime, vp
 
 
@@ -176,10 +178,13 @@ def anderson_dual(M: GradedModule) -> GradedModule:
     """Degreewise dual: rank from the mirror degree, torsion from one
     below it; determined on [-hi, -lo-1] and undefined outside."""
     out = GradedModule(-M.hi, -M.lo - 1)
-    for n in range(out.lo, out.hi + 1):
-        src_free = M.entry(-n)
-        src_tors = M.entry(-n - 1)
-        out.set(n, FgZpModule(src_free.rank, src_tors.torsion))
+    # a stored degree d feeds only the free part of -d and the torsion
+    # of -d-1; every other degree of the dual is zero
+    for d in M.entries:
+        for n in (-d, -d - 1):
+            if out.lo <= n <= out.hi:
+                out.set(n, FgZpModule(M.entry(-n).rank,
+                                      M.entry(-n - 1).torsion))
     return out
 
 
@@ -253,8 +258,19 @@ _PREC_LADDER = (3, 5, 7, 9)
 
 @lru_cache(maxsize=None)
 def _lvalue_exponent(p: int, i: int, s: int) -> int:
-    """v_p of L_p(s, omega^i), at the first precision of the ladder that
-    certifies it."""
+    """v_p of L_p(s, omega^i) for even i in 2..p-3.
+
+    At a regular pair (p does not divide the numerator of B_i) this is 0
+    by Kummer's congruence: L_p(s, omega^i) is a power series over Z_p in
+    (1+p)^s - 1, which is 0 mod p, so for every s it is congruent mod p
+    to L_p(1-i, omega^i) = -(1 - p^{i-1}) B_i / i.  Here i and
+    1 - p^{i-1} are units and B_i is p-integral (von Staudt: p-1 does
+    not divide i), so the value is a unit exactly when p does not divide
+    the numerator of B_i.  Only at an irregular pair is the value
+    computed, at the first precision of the ladder that certifies it.
+    """
+    if bernoulli(i).numerator % p:
+        return 0
     for M in _PREC_LADDER[:-1]:
         try:
             return lp_value(p, i, s, M).certified_valuation()
@@ -463,7 +479,9 @@ def verify_main_duality(p: int, window,
         kid = SpectrumId("J", p) if k == 0 else SpectrumId("Y", p, k)
         K = _build(kid, -hi - 2, -lo - 1)
         B = connected_cover(shift(anderson_dual(K), -1), -3)
-        for n in range(lo, hi + 1):
+        # A and B share the window [lo, hi]; a degree where both are
+        # zero adds no cell
+        for n in sorted(A.entries.keys() | B.entries.keys()):
             a, b = A.entry(n), B.entry(n)
             if a == b:
                 if not a.is_zero():
@@ -486,12 +504,10 @@ def verify_main_duality(p: int, window,
                 report.passed = False
         if i >= 2 and i % 2 == 0:
             # the alternative reading puts the free pattern two higher
-            adopted = {n for n in A.degrees()}
-            prose = {
-                n for n in range(lo, hi + 1)
-                if (n - 2 * i) % period == 0 and n >= 2
-            }
-            for n in sorted(adopted ^ prose):
+            start = max(lo, 2)
+            prose = set(range(start + (2 * i - start) % period, hi + 1,
+                              period))
+            for n in sorted(A.entries.keys() ^ prose):
                 report.prose_flags.append({"i": i, "degree": n})
     return report
 

@@ -32,6 +32,15 @@ CASES = (
     ("units", "--prime", "11", "--unit", "lang", "--lambda", "2"),
     ("units", "--prime", "5", "--unit", "lang", "--lambda", "-1"),
     ("kummer", "--prime", "7", "--unit", "lang", "--lambda", "-1"),
+    # irregular primes: the L-value torsion at (37, 32) and (101, 68)
+    ("duality", "--prime", "37", "--from", "-60", "--to", "60",
+     "--kv-assume"),
+    ("homotopy", "KZ", "--prime", "37", "--from", "-60", "--to", "60",
+     "--kv-assume"),
+    ("les", "--prime", "37", "--char", "5", "--from", "-40", "--to", "80",
+     "--kv-assume"),
+    ("duality", "--prime", "101", "--from", "-200", "--to", "180",
+     "--kv-assume"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -175,6 +184,30 @@ GOLDEN = {
         (0, "75b1d83445458a2ffb77e9ba0b2d888f40ba654b0b14e36b954970c367181a80"),
     "kummer --prime 7 --unit lang --lambda -1 --format text":
         (0, "5f998c063a5085d3f53ad014477c7c8721a4682b95f5750319b1777ca5a02f5d"),
+    "duality --prime 37 --from -60 --to 60 --kv-assume --format json":
+        (0, "4f668e863c709e8d255c0c79254fa7bef4094cdf0a825006fd0220f20fb2aa47"),
+    "duality --prime 37 --from -60 --to 60 --kv-assume --format csv":
+        (0, "cfb633113d4afcfb7b3378b1822c3e276f022f773563e523e918ed583b01a0f6"),
+    "duality --prime 37 --from -60 --to 60 --kv-assume --format text":
+        (0, "a06df79a9b1ba4c0b24f66fb07ab8eb826d1d6643badb51098fe86c567320cec"),
+    "homotopy KZ --prime 37 --from -60 --to 60 --kv-assume --format json":
+        (0, "4dc3ce5bfacd89572b8ffcf0df6c2c86174afca57ed1f350c648a5b361f44530"),
+    "homotopy KZ --prime 37 --from -60 --to 60 --kv-assume --format csv":
+        (0, "73e3b577692205daae627dcfb76293c705dcb81fdb6487f94b80106e0e6d450c"),
+    "homotopy KZ --prime 37 --from -60 --to 60 --kv-assume --format text":
+        (0, "bfed02b0fe31c637f77c3e9b6b32f90770a55f07936256430121762bb23ca6b1"),
+    "les --prime 37 --char 5 --from -40 --to 80 --kv-assume --format json":
+        (0, "3d32a47ae886d6f73f1456b215302af7fae6394e1bf944610bdbc447de46e16b"),
+    "les --prime 37 --char 5 --from -40 --to 80 --kv-assume --format csv":
+        (0, "1392f02453b82358ca0bcd72d069af7029635a90f7fc92e12f44a57b1e643a01"),
+    "les --prime 37 --char 5 --from -40 --to 80 --kv-assume --format text":
+        (0, "2d85d17d5eacbf85f3ae0898b7e0a454d5968986efc8ac6bbc3c1740c8e72d08"),
+    "duality --prime 101 --from -200 --to 180 --kv-assume --format json":
+        (0, "4a7565c7619b7ab8c79e1ac0dbe1a7e8ed1c8e7c7a5312a3e652fe934946d79e"),
+    "duality --prime 101 --from -200 --to 180 --kv-assume --format csv":
+        (0, "5819ec4280cacd0b72bda6f05afd2a36dc645aeedd87f7a6cabec87f3ddc529f"),
+    "duality --prime 101 --from -200 --to 180 --kv-assume --format text":
+        (0, "511d857c7aed0a1664075d274303ab43287ffb98292886b918e5e8bf49844c0b"),
 }
 
 

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from eigensplit import homotopy
 from eigensplit.errors import (
     KummerVandiverRequired,
     PrecisionExhausted,
@@ -14,8 +17,11 @@ from eigensplit.homotopy import (
     FgZpModule,
     GradedModule,
     SpectrumId,
+    _PREC_LADDER,
+    _build,
     _j_exponent,
     _lvalue_exponent,
+    _module_cell,
     anderson_dual,
     assemble,
     connected_cover,
@@ -109,6 +115,40 @@ def test_anderson_dual_window_and_entries():
     D2 = anderson_dual(M2)
     assert D2.entry(0) == FgZpModule(1)
     assert D2.entry(-1) == cyclic(2)
+
+
+def _dense_anderson_dual(M):
+    # oracle: every degree of the dual window, read off the mirror degree
+    # and the one below it
+    out = GradedModule(-M.hi, -M.lo - 1)
+    for n in range(out.lo, out.hi + 1):
+        out.set(n, FgZpModule(M.entry(-n).rank, M.entry(-n - 1).torsion))
+    return out
+
+
+@st.composite
+def _graded_modules(draw):
+    lo = draw(st.integers(-30, 30))
+    # the dual of [lo, hi] is [-hi, -lo-1], so one degree has no dual
+    hi = lo + draw(st.integers(1, 30))
+    degrees = draw(st.lists(st.integers(lo, hi), max_size=hi - lo + 1,
+                            unique=True))
+    return GradedModule(lo, hi, {
+        n: FgZpModule(draw(st.integers(0, 3)),
+                      draw(st.lists(st.integers(1, 4), max_size=3)))
+        for n in degrees
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graded_modules())
+@example(GradedModule(0, 1))
+@example(GradedModule(0, 1, {0: FgZpModule(1, (2,))}))
+@example(GradedModule(-3, 2, {-3: cyclic(1), 2: free()}))
+def test_sparse_dual_matches_dense_walk(M):
+    D = anderson_dual(M)
+    assert D == _dense_anderson_dual(M)
+    assert all(not m.is_zero() for m in D.entries.values())
 
 
 def test_anderson_double_dual_is_identity():
@@ -261,6 +301,84 @@ def test_lvalue_exponent_climbs_the_precision_ladder():
     assert _lvalue_exponent(37, 32, 13) == 2
 
 
+def _ladder_exponent(p, i, s):
+    # oracle: the precision ladder at every pair, regular or not
+    for M in _PREC_LADDER[:-1]:
+        try:
+            return lp_value(p, i, s, M).certified_valuation()
+        except PrecisionExhausted:
+            pass
+    return lp_value(p, i, s, _PREC_LADDER[-1]).certified_valuation()
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PrecisionExhausted:
+        return "refused"
+
+
+_PRIMES_BELOW_160 = [p for p in range(5, 160)
+                     if all(p % q for q in range(2, p))]
+# every irregular pair (p, k) with p < 160, from the published tables
+_IRREGULAR_BELOW_160 = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24),
+                        (131, 22), (149, 130), (157, 62), (157, 110)]
+
+
+@st.composite
+def _lvalue_points(draw):
+    p = draw(st.sampled_from(_PRIMES_BELOW_160))
+    i = draw(st.integers(1, (p - 3) // 2)) * 2
+    s = draw(st.integers(-3 * p, 3 * p).filter(lambda s: s != 1))
+    return p, i, s
+
+
+def _with_irregular_examples(test):
+    for p, k in _IRREGULAR_BELOW_160:
+        test = example((p, k, 0))(test)
+    return example((37, 32, 13))(test)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lvalue_points())
+@_with_irregular_examples
+def test_lvalue_exponent_matches_the_ladder(point):
+    assert _outcome(_lvalue_exponent, *point) == _outcome(
+        _ladder_exponent, *point)
+
+
+def test_regular_pairs_never_reach_lp_value(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def refuse(p, i, s, M=3):
+        raise Reached((p, i, s))
+
+    monkeypatch.setattr(homotopy, "lp_value", refuse)
+    uncached = _lvalue_exponent.__wrapped__
+    for p in (5, 7, 11, 13, 37, 101):
+        for i in range(2, p - 2, 2):
+            if (p, i) not in _IRREGULAR_BELOW_160:
+                for s in (-p, -1, 0, 2, p + 1):
+                    assert uncached(p, i, s) == 0
+    with pytest.raises(Reached):
+        uncached(37, 32, 13)
+
+
+def test_duality_reads_lvalues_only_at_irregular_pairs(monkeypatch):
+    seen = set()
+
+    def record(p, i, s, M=3):
+        seen.add((p, i))
+        return lp_value(p, i, s, M)
+
+    monkeypatch.setattr(homotopy, "lp_value", record)
+    _lvalue_exponent.cache_clear()
+    assert verify_main_duality(37, (-60, 60), kv_assume=True).passed
+    assert verify_main_duality(101, (-200, 180), kv_assume=True).passed
+    assert seen == {(37, 32), (101, 68)}
+
+
 def test_assemble_fib_tau():
     M = assemble("FibTau", 5, (-4, 4))
     assert M.entry(-2) == Zp
@@ -324,6 +442,66 @@ def test_duality_full_guard_window():
 def test_public_entries_guard_the_window(entry, window):
     with pytest.raises(UsageError):
         entry(window)
+
+
+def _dense_duality(p, lo, hi):
+    """Oracle: `verify_main_duality` walking every degree of [lo, hi]
+    for every index, against the dense dual."""
+    cells, notes, flags = [], [], []
+    period = 2 * (p - 1)
+    for i in range(p - 1):
+        A = _build(SpectrumId("x", p, i), lo, hi)
+        if i == 1:
+            A = direct_sum(A, _build(SpectrumId("jprime", p), lo, hi))
+        k = (p - i) % (p - 1)
+        kid = SpectrumId("J", p) if k == 0 else SpectrumId("Y", p, k)
+        K = _build(kid, -hi - 2, -lo - 1)
+        B = connected_cover(shift(_dense_anderson_dual(K), -1), -3)
+        for n in range(lo, hi + 1):
+            a, b = A.entry(n), B.entry(n)
+            if a == b:
+                if not a.is_zero():
+                    cells.append({"i": i, "degree": n, "status": "PASS",
+                                  "module": _module_cell(a)})
+            elif i in (0, 1) and -3 <= n <= 0:
+                notes.append({"i": i, "degree": n, "status": "note",
+                              "fiber_route": _module_cell(a),
+                              "dual_route": _module_cell(b)})
+            else:
+                cells.append({"i": i, "degree": n, "status": "FAIL",
+                              "fiber_route": _module_cell(a),
+                              "dual_route": _module_cell(b)})
+        if i >= 2 and i % 2 == 0:
+            prose = {n for n in range(lo, hi + 1)
+                     if (n - 2 * i) % period == 0 and n >= 2}
+            flags += [{"i": i, "degree": n}
+                      for n in sorted(set(A.degrees()) ^ prose)]
+    return {
+        "prime": p, "window": [lo, hi],
+        "passed": all(c["status"] != "FAIL" for c in cells),
+        "cells": cells, "notes": notes, "prose_flags": flags,
+    }
+
+
+@st.composite
+def _duality_windows(draw):
+    p = draw(st.sampled_from((5, 7, 11, 37, 101)))
+    bound = max(6 * (p - 1), 40)
+    lo = draw(st.integers(-bound, bound))
+    return p, lo, draw(st.integers(lo, bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_duality_windows())
+@example((5, -8, 16))
+@example((37, -216, 216))
+@example((101, -600, 600))
+@example((7, 3, 3))
+def test_sparse_duality_matches_dense_walk(case):
+    p, lo, hi = case
+    kv = p in (37, 101)
+    report = verify_main_duality(p, (lo, hi), kv_assume=kv)
+    assert report.to_dict() == _dense_duality(p, lo, hi)
 
 
 def test_duality_low_degree_note():
