@@ -32,7 +32,7 @@ _EXPORTS = {
                    "eigen_valuation", "galois_apply", "nontorsion_certified",
                    "norm_down", "norm_to_qp", "unit_pow_zp"),
     "kummer": ("bernoulli_criterion_surrogate", "cw_unit", "cw_unit_pair",
-               "generator_certificate", "kummer_phi",
+               "generator_certificate", "kummer_phi", "kummer_phis",
                "lang_generator_search", "lang_unit"),
     "lfunctions": ("LValue", "bernoulli", "configure_cache",
                    "irregular_pairs", "lp_value", "regularity_certificate"),

@@ -9,7 +9,6 @@ errors included).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -40,6 +39,7 @@ def _emit(fmt: str, payload: dict, header, rows, lines):
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
     elif fmt == "csv":
+        import csv  # only a csv run pays for it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -125,8 +125,7 @@ def _cmd_kummer(args) -> tuple:
     cw = args.unit == "coates-wiles"
     values, lines = [], []
     failed = False
-    for i in range(1, p - 1):
-        phi = kummer.kummer_phi(i, u)
+    for i, phi in enumerate(kummer.kummer_phis(u), start=1):
         row = {"i": i, "phi": phi}
         tail = ""
         if cw:

@@ -556,27 +556,32 @@ def _segment_status(mods) -> str:
 def les_consistency(X: GradedModule, Y: GradedModule,
                     Z: GradedModule) -> LesReport:
     """Numeric consistency of the long exact sequence of a claimed
-    fiber sequence X -> Y -> Z, walked in descending degree."""
+    fiber sequence X -> Y -> Z, walked in descending degree.
+
+    The sequence's slots are X_n, Y_n, Z_n for n from hi down to lo, and
+    a segment is a run of nonzero slots, so only the stored degrees are
+    visited: a gap between two of their slot positions closes a segment.
+    """
     if not (X.lo == Y.lo == Z.lo and X.hi == Y.hi == Z.hi):
         raise UsageError("les_consistency needs a common window")
-    slots = []
-    for n in range(X.hi, X.lo - 1, -1):
-        slots.append(("X", n, X.entry(n)))
-        slots.append(("Y", n, Y.entry(n)))
-        slots.append(("Z", n, Z.entry(n)))
+    last = 3 * (X.hi - X.lo) + 2
+    slots = sorted(
+        (3 * (X.hi - n) + k, label, n, m)
+        for k, (label, M) in enumerate(zip("XYZ", (X, Y, Z)))
+        for n, m in M.entries.items()
+    )
     report = LesReport()
     run = []
-    run_touches_start = True
-    for idx, (label, n, m) in enumerate(slots):
-        if m.is_zero():
-            if run:
-                _close_segment(report, run, run_touches_start, False)
-                run = []
-            run_touches_start = False
-        else:
-            run.append((label, n, m))
+    for pos, label, n, m in slots:
+        if run and pos != prev + 1:
+            _close_segment(report, run, start == 0, False)
+            run = []
+        if not run:
+            start = pos
+        run.append((label, n, m))
+        prev = pos
     if run:
-        _close_segment(report, run, run_touches_start, True)
+        _close_segment(report, run, start == 0, prev == last)
     return report
 
 

@@ -23,11 +23,22 @@ from .padic import PadicInt
 from .series import TruncSeries
 
 
+def kummer_phis(u: CycElt) -> list:
+    """[phi_1(u), ..., phi_{p-2}(u)] from one logarithm of f_u."""
+    return _phis_up_to(u.ring.ctx.p - 2, u)
+
+
 def kummer_phi(i: int, u: CycElt) -> int:
     """D^i(log f_u) at X = 0, mod p, with D = (1+X) d/dX."""
     p = u.ring.ctx.p
     if not 1 <= i <= p - 2:
         raise UsageError(f"phi_{i} undefined, need 1 <= i <= {p - 2}")
+    return _phis_up_to(i, u)[-1]
+
+
+def _phis_up_to(top: int, u: CycElt) -> list:
+    """phi_1(u), ..., phi_top(u), read off successive derivatives of
+    one log f_u."""
     if u.ring.level != 0:
         raise UsageError("representatives live at level 0")
     if not u.is_one_unit():
@@ -37,9 +48,11 @@ def kummer_phi(i: int, u: CycElt) -> int:
     # which every D^i with i >= 1 kills
     g = f.scale(f.constant_term().invert())
     series = g.log()
-    for _ in range(i):
+    phis = []
+    for _ in range(top):
         series = series.invariant_derivative()
-    return series.constant_term().residue(1)
+        phis.append(series.constant_term().residue(1))
+    return phis
 
 
 def lang_unit(ring: CycRing, lam) -> CycElt:

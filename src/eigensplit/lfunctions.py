@@ -72,6 +72,24 @@ def _denominators(top: int) -> list:
     return dens
 
 
+def _read_row(line: str, n: int, den: int) -> Fraction | None:
+    """B_n from row n of the cache file, or None when the row is bad.  A
+    row is valid when it reads n, numerator, denominator as integers, the
+    fraction is in lowest terms, and the denominator is `den`, that of
+    `_denominators` (B_0, B_1 and odd B_n must equal their fixed values)."""
+    try:
+        index, num, d = map(int, line.split("\t"))
+    except ValueError:
+        return None
+    if index != n or d != den:
+        return None
+    b = Fraction(num, d)
+    fixed = _fixed_value(n)
+    if b.denominator != d or (fixed is not None and b != fixed):
+        return None
+    return b
+
+
 class BernoulliTable:
     """Contiguous table B_0..B_top of exact rationals, disk-backed.
 
@@ -79,44 +97,53 @@ class BernoulliTable:
     numbers of `_tangent_numbers`.  The table keeps that generator, and so
     the recurrence's last row, and resumes from it when it grows: growing
     to B_n costs O(n^2) small multiply-adds in all, however it is asked
-    for.  A table loaded from disk starts a new generator the first time
-    it grows past the file.
+    for.  A table loaded from disk parses the file's rows only as far as
+    it is asked to read (`values` reads them all), and starts a new
+    generator the first time it grows past the file.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self.values = [Fraction(1)]
+        self._known = [Fraction(1)]
+        self._rows = ()
+        self._dens = []
         self._tangents = _tangent_numbers()
         if path is not None and os.path.exists(path):
             self._load()
 
+    @property
+    def values(self) -> list:
+        self._parse(len(self._rows))
+        return self._known
+
     def _load(self):
-        """Keep the longest valid prefix of the file; the rows from the
-        first bad one on are recomputed when next asked for.  A row is
-        valid when it reads n, numerator, denominator as integers, n is
-        its line number, the fraction is in lowest terms, and the
-        denominator is that of `_denominators` (B_0, B_1 and odd B_n must
-        equal their fixed values)."""
         try:
             with open(self.path, encoding="ascii", errors="replace") as fh:
-                lines = fh.read().splitlines()
+                self._rows = fh.read().splitlines()
         except OSError as err:
             raise self._unusable(err) from err
-        dens = _denominators(len(lines) - 1)
-        loaded = []
-        for n, line in enumerate(lines):
-            try:
-                index, num, den = map(int, line.split("\t"))
-            except ValueError:
+        self._known = []
+        self._parse(0)
+
+    def _parse(self, top: int):
+        """Read the file's rows up to index `top` that are not read yet.
+        The table keeps the longest valid prefix of the file; the rows
+        from the first bad one on are dropped, and recomputed when next
+        asked for."""
+        known, rows = self._known, self._rows
+        last = min(top, len(rows) - 1)
+        if len(self._dens) <= last:
+            # twice what is asked for, so that reads in small steps sieve
+            # O(log n) times
+            self._dens = _denominators(min(2 * last, len(rows) - 1))
+        for n in range(len(known), last + 1):
+            b = _read_row(rows[n], n, self._dens[n])
+            if b is None:
+                self._rows = ()
                 break
-            if index != n or den != dens[n]:
-                break
-            b = Fraction(num, den)
-            fixed = _fixed_value(n)
-            if b.denominator != den or (fixed is not None and b != fixed):
-                break
-            loaded.append(b)
-        self.values = loaded or [Fraction(1)]
+            known.append(b)
+        if not known:
+            known.append(Fraction(1))
 
     def _store(self):
         if self.path is None:
@@ -128,7 +155,7 @@ class BernoulliTable:
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    for n, b in enumerate(self.values):
+                    for n, b in enumerate(self._known):
                         fh.write(f"{n}\t{b.numerator}\t{b.denominator}\n")
                 os.replace(tmp, self.path)
             except BaseException:
@@ -145,13 +172,15 @@ class BernoulliTable:
     def get(self, n: int) -> Fraction:
         if n < 0:
             raise UsageError("Bernoulli index must be >= 0")
-        if n >= len(self.values):
-            self._extend(n)
-            self._store()
-        return self.values[n]
+        if n >= len(self._known):
+            self._parse(n)
+            if n >= len(self._known):
+                self._extend(n)
+                self._store()
+        return self._known[n]
 
     def _extend(self, top: int):
-        vals = self.values
+        vals = self._known
         for n in range(len(vals), top + 1):
             b = _fixed_value(n)
             if b is None:
@@ -173,8 +202,11 @@ def configure_cache(directory: str | None):
     global _table
     path = None if directory is None else os.path.join(directory, "bernoulli.tsv")
     fresh = BernoulliTable(path)
-    if len(_table.values) > len(fresh.values):
-        fresh.values = list(_table.values)
+    known = _table.values
+    # the file is read only as far as the table in use reaches
+    fresh._parse(len(known) - 1)
+    if len(known) > len(fresh._known):
+        fresh._known = list(known)
         fresh._store()
     _table = fresh
 

@@ -41,6 +41,10 @@ CASES = (
      "--kv-assume"),
     ("duality", "--prime", "101", "--from", "-200", "--to", "180",
      "--kv-assume"),
+    # the whole phi table from one logarithm, at the benchmark's primes
+    ("kummer", "--prime", "13"),
+    ("kummer", "--prime", "23"),
+    ("kummer", "--prime", "11", "--unit", "lang", "--lambda", "3"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -208,6 +212,24 @@ GOLDEN = {
         (0, "5819ec4280cacd0b72bda6f05afd2a36dc645aeedd87f7a6cabec87f3ddc529f"),
     "duality --prime 101 --from -200 --to 180 --kv-assume --format text":
         (0, "511d857c7aed0a1664075d274303ab43287ffb98292886b918e5e8bf49844c0b"),
+    "kummer --prime 13 --format json":
+        (0, "c4a151903697c8a8d033374017811992e662e0134195a0a6f978bec8349c9e18"),
+    "kummer --prime 13 --format csv":
+        (0, "d13906280e89907fea3d2629bfdb4b6c0f8fea57675ee04a7bf3fc373f4d33c3"),
+    "kummer --prime 13 --format text":
+        (0, "c8477d4c3561c3ddcc7709c5604aef47bf54983d20d14b27f20ef66a6993f6df"),
+    "kummer --prime 23 --format json":
+        (0, "699632c3cc171e85401ebe063f0cfebb32cd8cd8aba643c50e786e0cd1dc44fe"),
+    "kummer --prime 23 --format csv":
+        (0, "afeaef19e44cc83a789b8e3538648dbc0e5017e3bba7ecadc0bf6b05fe555f49"),
+    "kummer --prime 23 --format text":
+        (0, "3d2aeffc6a7d0788299ac4b5f5cdd21689bdde7b710613b3fd0de0ec5310dc12"),
+    "kummer --prime 11 --unit lang --lambda 3 --format json":
+        (0, "4a450e1a7bfcc03a9a4091e343f77e50ee5f2d611b21b6ec7af35e2d8d000746"),
+    "kummer --prime 11 --unit lang --lambda 3 --format csv":
+        (0, "2fd3608cdf6539a2928b0efee0b6fbfd1e6dcc0c04b2ce2ba3a13a63b629a575"),
+    "kummer --prime 11 --unit lang --lambda 3 --format text":
+        (0, "ae5ef8f6e640ed7ea34175c79b91cbe85033a06f71c159fec2fbc3f2505f9e98"),
 }
 
 

@@ -560,3 +560,58 @@ def test_les_edge_runs_are_skipped():
     assert report.passed
     statuses = {seg["status"] for seg in report.segments}
     assert statuses <= {"edge-skipped"}
+
+
+def _slot_les(X, Y, Z):
+    """Oracle: `les_consistency` walking all 3 (hi - lo + 1) slots of the
+    window and closing a segment at every zero slot."""
+    report = homotopy.LesReport()
+    run = []
+    run_touches_start = True
+    for n in range(X.hi, X.lo - 1, -1):
+        for label, M in zip("XYZ", (X, Y, Z)):
+            m = M.entry(n)
+            if m.is_zero():
+                if run:
+                    homotopy._close_segment(report, run, run_touches_start,
+                                            False)
+                    run = []
+                run_touches_start = False
+            else:
+                run.append((label, n, m))
+    if run:
+        homotopy._close_segment(report, run, run_touches_start, True)
+    return report
+
+
+@st.composite
+def _graded_triples(draw):
+    lo = draw(st.integers(-10, 10))
+    hi = lo + draw(st.integers(0, 8))
+    cells = st.builds(FgZpModule, st.integers(0, 2),
+                      st.lists(st.integers(1, 3), max_size=2))
+    return [GradedModule(lo, hi, draw(st.dictionaries(
+        st.integers(lo, hi), cells, max_size=hi - lo + 1)))
+        for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graded_triples())
+@example([GradedModule(0, 0), GradedModule(0, 0), GradedModule(0, 0)])
+@example([GradedModule(0, 0, {0: free()}), GradedModule(0, 0, {0: free()}),
+          GradedModule(0, 0, {0: free()})])
+@example([GradedModule(0, 2, {2: free(), 1: free()}),
+          GradedModule(0, 2, {1: free()}), GradedModule(0, 2, {0: free()})])
+def test_les_walk_matches_slot_walk_on_random_triples(triple):
+    assert les_consistency(*triple).to_dict() == _slot_les(*triple).to_dict()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 59, 67, 101, 103, 131,
+                               149, 157])
+def test_les_walk_matches_slot_walk_over_the_guard_window(p):
+    bound = max(6 * (p - 1), 40)
+    for i in range(p - 1):
+        triple = [homotopy_of(SpectrumId(v, p, i, kv_assume=True),
+                              (-bound, bound)) for v in "xyz"]
+        assert (les_consistency(*triple).to_dict()
+                == _slot_les(*triple).to_dict()), (p, i)

@@ -1,9 +1,12 @@
 """Logarithmic-derivative homomorphisms on units and the two unit families."""
 
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensplit.cyclotomic import (
     NormCompatiblePair,
@@ -12,7 +15,7 @@ from eigensplit.cyclotomic import (
     galois_apply,
     norm_down,
 )
-from eigensplit.errors import UsageError
+from eigensplit.errors import NotOneUnit, UsageError
 from eigensplit.formal_groups import _theta_digits
 from eigensplit.kummer import (
     bernoulli_criterion_surrogate,
@@ -20,6 +23,7 @@ from eigensplit.kummer import (
     cw_unit_pair,
     generator_certificate,
     kummer_phi,
+    kummer_phis,
     lang_generator_search,
     lang_unit,
 )
@@ -40,6 +44,55 @@ def test_phi_range_guard():
         kummer_phi(0, u)
     with pytest.raises(UsageError):
         kummer_phi(4, u)
+
+
+@lru_cache(maxsize=None)
+def _unit_factors(p):
+    ring = cyc_ring(p, 0)
+    return (cw_unit(ring),) + tuple(lang_unit(ring, a) for a in range(2, p))
+
+
+@st.composite
+def _level0_one_units(draw):
+    # products of the Coates-Wiles unit and Lang units, repeats allowed
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    factors = _unit_factors(p)
+    picks = draw(st.lists(st.integers(0, len(factors) - 1), min_size=1,
+                          max_size=4))
+    u = factors[picks[0]]
+    for k in picks[1:]:
+        u = u * factors[k]
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(_level0_one_units())
+def test_phi_table_matches_single_indices(u):
+    p = u.ring.ctx.p
+    assert kummer_phis(u) == [kummer_phi(i, u) for i in range(1, p - 1)]
+
+
+def _raised(f, *args):
+    try:
+        f(*args)
+    except Exception as err:
+        return type(err)
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_phi_table_refuses_what_single_indices_refuse(p):
+    ring = cyc_ring(p, 0)
+    level1 = cyc_ring(p, 1).one()
+    for bad, error in ((level1, UsageError),
+                       (ring.from_scalar(2), NotOneUnit),
+                       (ring.uniformizer(), NotOneUnit)):
+        assert _raised(kummer_phis, bad) is error
+        assert {_raised(kummer_phi, i, bad) for i in range(1, p - 1)} == {
+            error}
+    # the range is checked first, whatever the unit
+    for i in (0, p - 1):
+        assert _raised(kummer_phi, i, ring.from_scalar(2)) is UsageError
 
 
 def test_phi_additive():

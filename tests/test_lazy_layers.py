@@ -53,6 +53,27 @@ def test_subcommand_runs_only_its_layers(python, tmp_path, argv, layers):
     assert set(ran) == _ENTRY | layers
 
 
+# prints the exit code and whether the csv module was loaded
+_RUN_AND_CHECK_CSV = textwrap.dedent("""
+    import contextlib, io, sys
+    from eigensplit import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(sys.argv[1:])
+    print(rc, "csv" in sys.modules)
+""")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["teich", "--prime", "5", "--format", "json"], "False"),
+    (["lvalues", "--prime", "7", "--char", "4", "--at", "3",
+      "--format", "json"], "False"),
+    (["teich", "--prime", "5", "--format", "csv"], "True"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_only_a_csv_run_loads_csv(python, argv, loaded):
+    r = python("-c", _RUN_AND_CHECK_CSV, *argv)
+    assert (r.stdout.decode().split(), r.stderr) == (["0", loaded], b"")
+
+
 def test_tracer_finds_every_layer_after_importing_the_cli(python):
     code = textwrap.dedent(f"""
         import contextlib, io, json, sys

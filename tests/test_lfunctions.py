@@ -286,3 +286,104 @@ def test_lp_at_writes_an_empty_cache_once(tmp_path, monkeypatch):
     lp_value(7, 4, 3, M=6)
     assert len(stores) == 1
     assert len(path.read_text().splitlines()) == 10
+
+
+@pytest.fixture(scope="module")
+def clean_rows(tmp_path_factory):
+    """The 700 rows B_0..B_699 of a cache file written by a clean table."""
+    path = tmp_path_factory.mktemp("clean") / "bernoulli.tsv"
+    BernoulliTable(str(path)).get(699)
+    return path.read_text().splitlines()
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """The index of every cache row checked, in order."""
+    read = []
+    read_row = lfunctions._read_row
+
+    def record(line, n, den):
+        read.append(n)
+        return read_row(line, n, den)
+
+    monkeypatch.setattr(lfunctions, "_read_row", record)
+    return read
+
+
+@pytest.fixture
+def stores(monkeypatch):
+    """The disk-backed tables that wrote their cache file, in order."""
+    tables = []
+    store = BernoulliTable._store
+
+    def record(table):
+        if table.path is not None:
+            tables.append(table)
+        store(table)
+
+    monkeypatch.setattr(BernoulliTable, "_store", record)
+    return tables
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(row + "\n" for row in rows))
+
+
+def test_cache_reads_only_the_rows_asked_for(tmp_path, clean_rows,
+                                             rows_read, stores):
+    path = tmp_path / "bernoulli.tsv"
+    corrupt = list(clean_rows)
+    corrupt[500] = "500\t1\t7"
+    _write_rows(path, corrupt)
+    table = BernoulliTable(str(path))
+    assert table.get(12) == Fraction(-691, 2730)
+    assert rows_read == list(range(13))
+    assert stores == []
+    # B_600 lies past the corrupt row: rows 13..500 are read, and
+    # B_500..B_600 recomputed and written
+    assert table.get(600) == bernoulli(600)
+    assert rows_read == list(range(501))
+    assert stores == [table]
+    assert path.read_text().splitlines() == clean_rows[:601]
+
+
+def test_values_reads_the_whole_valid_prefix(tmp_path, clean_rows,
+                                             rows_read):
+    path = tmp_path / "bernoulli.tsv"
+    _write_rows(path, clean_rows[:40])
+    table = BernoulliTable(str(path))
+    table.get(3)
+    assert table.values == [bernoulli(n) for n in range(40)]
+    assert rows_read == list(range(40))
+
+
+def test_configure_cache_reads_no_row_for_a_fresh_table(
+        tmp_path, monkeypatch, clean_rows, rows_read, stores):
+    monkeypatch.setattr(lfunctions, "_table", BernoulliTable())
+    _write_rows(tmp_path / "bernoulli.tsv", clean_rows)
+    configure_cache(str(tmp_path))
+    assert rows_read == [0]
+    assert bernoulli(12) == Fraction(-691, 2730)
+    assert rows_read == list(range(13))
+    assert stores == []
+
+
+def test_configure_cache_keeps_a_longer_table(tmp_path, monkeypatch,
+                                              clean_rows, rows_read, stores):
+    path = tmp_path / "bernoulli.tsv"
+    monkeypatch.setattr(lfunctions, "_table", BernoulliTable())
+    bernoulli(40)
+    # a shorter file takes the table in use, and is rewritten once
+    _write_rows(path, clean_rows[:20])
+    configure_cache(str(tmp_path))
+    assert rows_read == list(range(20))
+    assert len(stores) == 1
+    assert path.read_text().splitlines() == clean_rows[:41]
+    assert lfunctions._table.values == [bernoulli(n) for n in range(41)]
+    # a longer one is read only as far as the table in use reaches
+    _write_rows(path, clean_rows)
+    del rows_read[:]
+    configure_cache(str(tmp_path))
+    assert rows_read == list(range(41))
+    assert len(stores) == 1
+    assert path.read_text().splitlines() == clean_rows
