@@ -190,6 +190,14 @@ def cw_tower_x(ring):
     pi_n-valuation p^n, so a unit built from x_n must be right to depth
     p^n pi_prec for its norm to be right mod pi_0^pi_prec.  The floor
     p^2 + 1 is `default_trunc`.
+
+    The sum of theta_k pi^k is evaluated in blocks of d = degree terms,
+    by Horner in pi^d: a block sum_{j<d} theta_(bd+j) pi^j is already a
+    digit vector, and the monic modulus gives pi^d = -(sum of
+    modulus_tail[j] pi^j).  That is
+    ceil((top+1)/d) - 1 ring products instead of top, and the ring
+    arithmetic is exact in (Z/p^N)[pi], so the digits are those of the
+    term-by-term Horner.
     """
     p = ring.ctx.p
     T = max(default_trunc(p), p ** ring.level * ring.pi_prec + 1)
@@ -197,8 +205,10 @@ def cw_tower_x(ring):
     # resolution of the digit vector, not the equality tolerance
     top = min(T - 1, ring.degree * ring.ctx.N - 1)
     th = _theta_digits(p, top + 1, ring.ctx.N)
-    pi = ring.uniformizer()
-    acc = ring.from_scalar(th[top])
-    for k in range(top - 1, 0, -1):
-        acc = acc * pi + ring.from_scalar(th[k])
-    return acc * pi
+    d = ring.degree
+    pi_d = ring.from_coeffs([-t for t in ring.modulus_tail])
+    blocks = [ring.from_coeffs(th[b:b + d]) for b in range(0, top + 1, d)]
+    acc = blocks.pop()
+    for block in reversed(blocks):
+        acc = acc * pi_d + block
+    return acc

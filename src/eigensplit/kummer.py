@@ -29,7 +29,8 @@ def kummer_phis(u: CycElt) -> list:
 
 
 def kummer_phi(i: int, u: CycElt) -> int:
-    """D^i(log f_u) at X = 0, mod p, with D = (1+X) d/dX."""
+    """D^i(log f_u) at X = 0, mod p, with D = (1+X) d/dX; the logarithm
+    is taken mod X^(i+1) only (see _phis_up_to)."""
     p = u.ring.ctx.p
     if not 1 <= i <= p - 2:
         raise UsageError(f"phi_{i} undefined, need 1 <= i <= {p - 2}")
@@ -38,12 +39,21 @@ def kummer_phi(i: int, u: CycElt) -> int:
 
 def _phis_up_to(top: int, u: CycElt) -> list:
     """phi_1(u), ..., phi_top(u), read off successive derivatives of
-    one log f_u."""
+    one log f_u taken mod X^(top+1).
+
+    That truncation changes none of them.  D maps X^j to j X^(j-1) +
+    j X^j, so D^k(g)(0) reads only g mod X^(k+1); and g = f/f(0) has
+    g - 1 without constant term, so log g mod X^(top+1) reads only
+    g mod X^(top+1).  The coefficients kept come from the same
+    operations as in the full logarithm.  So phi_i costs a logarithm of
+    i+1 terms, about (i+1)^3/2 products instead of (p-1)^3/2, and the
+    table one of p-1 terms.
+    """
     if u.ring.level != 0:
         raise UsageError("representatives live at level 0")
     if not u.is_one_unit():
         raise NotOneUnit("not congruent to 1 mod pi")
-    f = TruncSeries(list(u.coeffs))
+    f = TruncSeries(list(u.coeffs[:top + 1]))
     # dividing out the constant term shifts log f by a constant,
     # which every D^i with i >= 1 kills
     g = f.scale(f.constant_term().invert())

@@ -45,6 +45,9 @@ CASES = (
     ("kummer", "--prime", "13"),
     ("kummer", "--prime", "23"),
     ("kummer", "--prime", "11", "--unit", "lang", "--lambda", "3"),
+    # level-1 tower points of degree 272 and 342, evaluated in blocks
+    ("units", "--prime", "17"),
+    ("units", "--prime", "19"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -230,6 +233,18 @@ GOLDEN = {
         (0, "2fd3608cdf6539a2928b0efee0b6fbfd1e6dcc0c04b2ce2ba3a13a63b629a575"),
     "kummer --prime 11 --unit lang --lambda 3 --format text":
         (0, "ae5ef8f6e640ed7ea34175c79b91cbe85033a06f71c159fec2fbc3f2505f9e98"),
+    "units --prime 17 --format json":
+        (0, "e436d6ab50b83f8a7b7e7d345131f382c2bfd364d6adc9e9f6b7f68946f9d4f4"),
+    "units --prime 17 --format csv":
+        (0, "a89e006001a56bc5d8ce112180b4da524cd8112b888f663984bb65f3e7f8a62a"),
+    "units --prime 17 --format text":
+        (0, "22760ae9378e79427955d759bb170269eb6ada77a6d7eb4c1e58925321981932"),
+    "units --prime 19 --format json":
+        (0, "d4c31d6cb21c82be22f8e8212eaf936488bac0d78e4d5bfd01be71f95cff2f9d"),
+    "units --prime 19 --format csv":
+        (0, "ed687945554a250293fb302a30c1cfd51b4fe1a1e7b0e4dfa066863886ca2215"),
+    "units --prime 19 --format text":
+        (0, "80298ef9da1acd163a8354caf1303228fd8035a8d0d14cab439b38ab3c8cb3b1"),
 }
 
 

@@ -191,3 +191,41 @@ def test_tower_step_relation():
         x0 = cw_tower_x(ring0)
         lhs = x1 ** p + x1 * p
         assert (lhs - embed_up(x0, ring1)).vanishes_mod_pi(p + 3)
+
+
+def _tower_top(ring):
+    # the last theta degree cw_tower_x evaluates, as its docstring derives
+    p = ring.ctx.p
+    T = max(default_trunc(p), p ** ring.level * ring.pi_prec + 1)
+    return min(T - 1, ring.degree * ring.ctx.N - 1)
+
+
+def _termwise_tower_x(ring):
+    # the sum of theta_k pi^k by Horner in pi, one ring product per term:
+    # the oracle for the evaluation in blocks of pi^degree
+    top = _tower_top(ring)
+    th = _theta_digits(ring.ctx.p, top + 1, ring.ctx.N)
+    pi = ring.uniformizer()
+    acc = ring.from_scalar(th[top])
+    for k in range(top - 1, 0, -1):
+        acc = acc * pi + ring.from_scalar(th[k])
+    return acc * pi
+
+
+# (p, level, prec, pi_prec).  Level 0 at prec 4 ends on a full block
+# (top + 1 = 4 * degree), level 1 at prec 4 on a partial one, and prec 1
+# at level 0 leaves a single block
+_BLOCK_CASES = tuple(
+    (p, level, 4, None) for p in (3, 5, 7, 11) for level in (0, 1)
+) + tuple(
+    (p, level, prec, pi_prec)
+    for p, prec, pi_prec in ((3, 10, 20), (5, 8, 30))
+    for level in (0, 1)
+) + tuple((p, 0, 1, p - 1) for p in (3, 5, 7, 11))
+
+
+@pytest.mark.parametrize("p, level, prec, pi_prec", _BLOCK_CASES)
+def test_tower_blocks_match_termwise_horner(p, level, prec, pi_prec):
+    ring = cyc_ring(p, level, prec, pi_prec)
+    got, want = cw_tower_x(ring), _termwise_tower_x(ring)
+    assert (got.digits, got.prec) == (want.digits, want.prec)

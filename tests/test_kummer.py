@@ -17,6 +17,7 @@ from eigensplit.cyclotomic import (
 )
 from eigensplit.errors import NotOneUnit, UsageError
 from eigensplit.formal_groups import _theta_digits
+from eigensplit.series import TruncSeries
 from eigensplit.kummer import (
     bernoulli_criterion_surrogate,
     cw_unit,
@@ -47,8 +48,8 @@ def test_phi_range_guard():
 
 
 @lru_cache(maxsize=None)
-def _unit_factors(p):
-    ring = cyc_ring(p, 0)
+def _unit_factors(p, N=4):
+    ring = cyc_ring(p, 0, N, min(p + 3, N * (p - 1)))
     return (cw_unit(ring),) + tuple(lang_unit(ring, a) for a in range(2, p))
 
 
@@ -56,7 +57,7 @@ def _unit_factors(p):
 def _level0_one_units(draw):
     # products of the Coates-Wiles unit and Lang units, repeats allowed
     p = draw(st.sampled_from((3, 5, 7, 11, 13)))
-    factors = _unit_factors(p)
+    factors = _unit_factors(p, draw(st.integers(1, 6)))
     picks = draw(st.lists(st.integers(0, len(factors) - 1), min_size=1,
                           max_size=4))
     u = factors[picks[0]]
@@ -65,11 +66,46 @@ def _level0_one_units(draw):
     return u
 
 
+def _full_log_phis(u):
+    # phi_1..phi_{p-2} off one logarithm of f_u to the full degree p-2,
+    # untruncated: the oracle for the walk that stops at X^(i+1)
+    f = TruncSeries(list(u.coeffs))
+    series = f.scale(f.constant_term().invert()).log()
+    phis = []
+    for _ in range(u.ring.ctx.p - 2):
+        series = series.invariant_derivative()
+        phis.append(series.constant_term().residue(1))
+    return phis
+
+
 @settings(max_examples=150, deadline=None)
 @given(_level0_one_units())
 def test_phi_table_matches_single_indices(u):
+    # both against the logarithm to the full degree
     p = u.ring.ctx.p
-    assert kummer_phis(u) == [kummer_phi(i, u) for i in range(1, p - 1)]
+    want = _full_log_phis(u)
+    assert kummer_phis(u) == want
+    assert [kummer_phi(i, u) for i in range(1, p - 1)] == want
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_phi_i_takes_the_log_of_i_plus_one_terms(monkeypatch, p):
+    seen = []
+    log = TruncSeries.log
+
+    def spy(self):
+        seen.append(self.trunc)
+        return log(self)
+
+    monkeypatch.setattr(TruncSeries, "log", spy)
+    u = _unit_factors(p)[-1] * _unit_factors(p)[0]
+    for i in range(1, p - 1):
+        seen.clear()
+        kummer_phi(i, u)
+        assert seen == [i + 1]
+    seen.clear()
+    kummer_phis(u)
+    assert seen == [p - 1]
 
 
 def _raised(f, *args):
