@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 from .errors import (
     IndistinguishableFromZero,
@@ -412,7 +412,7 @@ def norm_to_qp(x: CycElt) -> PadicInt:
 
 # -- Z_p-powers of one-units and the eigenprojection -----------------------
 
-def _stable_exponent_prec(ring: CycRing, v0: int) -> int:
+def _stable_exponent_prec(ring: CycRing, v0: float) -> int:
     # raising a one-unit with v(u-1) = v to the p-th power moves v to
     # min(degree + v, p v); find how many p-power steps reach pi_prec
     v, k = v0, 0
@@ -422,57 +422,92 @@ def _stable_exponent_prec(ring: CycRing, v0: int) -> int:
     return k
 
 
+def _one_unit_valuation(u: CycElt, message: str) -> float:
+    """v(u - 1), infinite when u - 1 is indistinguishable from zero.
+
+    NotOneUnit(message) when u is not congruent to 1 mod pi.  One
+    valuation serves both the 1-unit check and the exponent precision.
+    """
+    try:
+        v = (u - 1).pi_valuation()
+    except IndistinguishableFromZero:
+        return inf
+    if v < 1:
+        raise NotOneUnit(message)
+    return v
+
+
+def unit_pow_product(bases, exponents, v: float | None = None) -> CycElt:
+    """prod_k u_k^(c_k) for 1-units u_k and Z_p exponents c_k.
+
+    u^c depends only on c mod p^k, where k p-power steps carry v(u - 1)
+    past pi_prec (k = 0, so u stands for 1, when u - 1 is
+    indistinguishable from zero).  The reduced exponents share one
+    left-to-right squaring chain (Straus, 1964): L squarings, L the bit
+    length of the largest, plus one multiply per set bit, where a chain
+    per base pays L squarings each.  Products are exact in
+    (Z/p^prec)[pi], so their order changes no digit.
+
+    ``v``: v(u_k - 1) when the caller knows it is the same for every
+    base, as for Galois conjugates (eigen_unit); otherwise it is read off
+    each base.
+    """
+    ring = bases[0].ring
+    p = ring.ctx.p
+    reduced = []
+    for u, c in zip(bases, exponents):
+        w = _one_unit_valuation(u, "Z_p-powers need a 1-unit base") \
+            if v is None else v
+        k = _stable_exponent_prec(ring, w)
+        if isinstance(c, PadicInt):
+            if c.prec < k:
+                raise PrecisionExhausted(
+                    f"exponent known mod p^{c.prec}, need p^{k} for stability"
+                )
+            c = c.value
+        reduced.append(int(c) % p ** k)
+    acc = ring.one()
+    for bit in reversed(range(max(reduced).bit_length())):
+        acc = acc * acc
+        for u, e in zip(bases, reduced):
+            if e >> bit & 1:
+                acc = acc * u
+    return acc
+
+
 def unit_pow_zp(u: CycElt, c) -> CycElt:
     """u^c for a Z_p exponent c, on one-units only."""
-    ring = u.ring
-    if not u.is_one_unit():
-        raise NotOneUnit("Z_p-powers need a 1-unit base")
-    try:
-        v0 = (u - 1).pi_valuation()
-    except IndistinguishableFromZero:
-        return ring.one()
-    k = _stable_exponent_prec(ring, v0)
-    q = ring.ctx.p ** k
-    if isinstance(c, PadicInt):
-        if c.prec < k:
-            raise PrecisionExhausted(
-                f"exponent known mod p^{c.prec}, need p^{k} for stability"
-            )
-        e = c.value % q
-    else:
-        e = int(c) % q
-    return u ** e
+    return unit_pow_product([u], [c])
 
 
 def eigen_unit(i: int, u: CycElt) -> CycElt:
     """The omega^i idempotent applied to a one-unit:
-    product over a in F_p^* of sigma_{omega(a)}(u)^{omega(a)^{-i}/(p-1)}."""
-    ring = u.ring
-    if not u.is_one_unit():
-        raise NotOneUnit("eigenprojection acts on 1-units")
-    ctx = ring.ctx
+    product over a in F_p^* of sigma_{omega(a)}(u)^{omega(a)^{-i}/(p-1)}.
+
+    sigma_a(u) - 1 = sigma_a(u - 1), and sigma_a keeps pi-valuations (see
+    eigen_valuation), so all p-1 conjugates share v(u - 1): it is read
+    once, and the conjugates go through one squaring chain."""
+    v = _one_unit_valuation(u, "eigenprojection acts on 1-units")
+    ctx = u.ring.ctx
     p = ctx.p
     i = i % (p - 1)
     inv_order = ctx.of(p - 1).invert()
-    acc = ring.one()
+    conjugates, exponents = [], []
     for a in range(1, p):
-        w = ctx.teichmuller(a)
-        conj = galois_apply(w, u)
-        w_inv_i = ctx.teichmuller(pow(a, -1, p)) ** i
-        acc = acc * unit_pow_zp(conj, w_inv_i * inv_order)
-    return acc
+        conjugates.append(galois_apply(ctx.teichmuller(a), u))
+        exponents.append(ctx.teichmuller(pow(a, -1, p)) ** i * inv_order)
+    return unit_pow_product(conjugates, exponents, v)
 
 
 def eigen_valuation(u: CycElt) -> Fraction:
     """Average pi-valuation of the Teichmuller-twisted conjugates, the
-    valuation the omega-eigenprojection sees; 1/(p-1) sum_a v(sigma_a u)."""
-    ring = u.ring
-    ctx = ring.ctx
-    total = sum(
-        galois_apply(ctx.teichmuller(a), u).pi_valuation()
-        for a in range(1, ctx.p)
-    )
-    return Fraction(total, ctx.p - 1)
+    valuation the omega-eigenprojection sees; 1/(p-1) sum_a v(sigma_a u).
+
+    That average is v(u): sigma_a sends pi to a unit times pi and maps
+    p^prec O onto itself, so it is an isometry of O/p^prec.  Every
+    conjugate has the valuation of u, and is indistinguishable from zero
+    exactly when u is."""
+    return Fraction(u.pi_valuation())
 
 
 # -- the omega^1 non-torsion certificate -----------------------------------
@@ -524,14 +559,19 @@ def nontorsion_certified(u: CycElt) -> bool:
     differs from every zeta^k at the stored resolution.  Returns False
     when some comparison is indistinguishable from zero; that is honest
     inconclusiveness, not a torsion proof.
+
+    Only one k needs the comparison.  zeta^k = 1 + k pi + ..., so unless
+    u = 1 mod pi and k = digit_1(u) mod p, u - zeta^k has pi-valuation 0
+    or 1, which its digits show at any prec >= 1.
     """
     ring = u.ring
-    zeta = ring.zeta()
-    for k in range(ring.ctx.p):
-        try:
-            (u - zeta ** k).pi_valuation()
-        except (IndistinguishableFromZero, PrecisionExhausted):
-            return False
+    p = ring.ctx.p
+    if u.digits[0] % p != 1:
+        return True
+    try:
+        (u - ring.zeta() ** (u.digits[1] % p)).pi_valuation()
+    except IndistinguishableFromZero:
+        return False
     return True
 
 

@@ -15,7 +15,7 @@ from .cyclotomic import (
     as_mu_element,
     eigen_unit,
     nontorsion_certified,
-    unit_pow_zp,
+    unit_pow_product,
 )
 from .errors import NoneFound, NotOneUnit, UsageError
 from .formal_groups import cw_tower_x
@@ -134,7 +134,7 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
         raise UsageError(f"criterion applies to even i in 2..{p - 3}")
     zeta = ring.zeta()
     inv_order = ctx.of(p - 1).invert()
-    acc = ring.one()
+    units, exponents = [], []
     for a in range(1, p):
         # sigma_a(pi)/pi = 1 + (1+pi) + ... + (1+pi)^{a-1}, a unit with
         # residue a; twisting by omega(a)^{-1} makes it a 1-unit
@@ -143,9 +143,10 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
         for _ in range(a):
             r = r + power
             power = power * zeta
-        t = r * ctx.teichmuller(pow(a, -1, p))
-        e = ctx.teichmuller(pow(a, -1, p)) ** i * inv_order
-        acc = acc * unit_pow_zp(t, e)
+        w_inv = ctx.teichmuller(pow(a, -1, p))
+        units.append(r * w_inv)
+        exponents.append(w_inv ** i * inv_order)
+    acc = unit_pow_product(units, exponents)
     phi = kummer_phi(i, acc)
     b = bernoulli(i)
     coprime = b.numerator % p != 0

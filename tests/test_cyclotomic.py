@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensplit.cyclotomic import (
     CycElt,
     CycRing,
     NormCompatiblePair,
+    _stable_exponent_prec,
     as_mu_element,
     check_eps1_nontorsion,
     cyc_ring,
@@ -26,6 +27,8 @@ from eigensplit.cyclotomic import (
     unit_pow_zp,
 )
 from eigensplit.errors import (
+    EigensplitError,
+    IndistinguishableFromZero,
     LambdaIsOne,
     NotAUnitExponent,
     NotInSubfield,
@@ -33,7 +36,8 @@ from eigensplit.errors import (
     PrecisionExhausted,
     UsageError,
 )
-from eigensplit.padic import PadicCtx
+from eigensplit.kummer import cw_unit, lang_unit
+from eigensplit.padic import PadicCtx, PadicInt
 
 
 def _random_one_unit(rng, ring):
@@ -414,3 +418,168 @@ def test_norm_down_and_embed_up_match_pi0_powers(data):
     assert got.ring == ring0
     assert got.prec == want.prec == x1.prec
     assert got.digits == want.digits
+
+
+# -- the shared squaring chain and the one-conjugate reads against the
+# per-base paths they replaced -------------------------------------------------
+
+def _per_base_pow_zp(u, c):
+    """unit_pow_zp as it was: its own 1-unit check and valuation, then a
+    square-and-multiply chain for this base alone."""
+    ring = u.ring
+    if not u.is_one_unit():
+        raise NotOneUnit("Z_p-powers need a 1-unit base")
+    try:
+        v0 = (u - 1).pi_valuation()
+    except IndistinguishableFromZero:
+        return ring.one()
+    k = _stable_exponent_prec(ring, v0)
+    if isinstance(c, PadicInt):
+        if c.prec < k:
+            raise PrecisionExhausted("exponent too short")
+        c = c.value
+    return u ** (int(c) % ring.ctx.p ** k)
+
+
+def _per_base_eigen_unit(i, u):
+    """The eigenprojection as a product of p-1 separate Z_p-powers."""
+    ring = u.ring
+    if not u.is_one_unit():
+        raise NotOneUnit("eigenprojection acts on 1-units")
+    ctx = ring.ctx
+    p = ctx.p
+    i = i % (p - 1)
+    inv_order = ctx.of(p - 1).invert()
+    acc = ring.one()
+    for a in range(1, p):
+        conj = galois_apply(ctx.teichmuller(a), u)
+        w_inv_i = ctx.teichmuller(pow(a, -1, p)) ** i
+        acc = acc * _per_base_pow_zp(conj, w_inv_i * inv_order)
+    return acc
+
+
+def _all_k_nontorsion(u):
+    """The torsion scan against every zeta^k, k < p."""
+    zeta = u.ring.zeta()
+    for k in range(u.ring.ctx.p):
+        try:
+            (u - zeta ** k).pi_valuation()
+        except (IndistinguishableFromZero, PrecisionExhausted):
+            return False
+    return True
+
+
+def _average_eigen_valuation(u):
+    """The average pi-valuation over the Teichmuller conjugates."""
+    ctx = u.ring.ctx
+    total = sum(
+        galois_apply(ctx.teichmuller(a), u).pi_valuation()
+        for a in range(1, ctx.p)
+    )
+    return Fraction(total, ctx.p - 1)
+
+
+def _outcome(f, *args):
+    """(digits, prec) of an element, another value as is, or the type of
+    the exception raised."""
+    try:
+        out = f(*args)
+    except EigensplitError as exc:
+        return type(exc)
+    return (out.digits, out.prec) if isinstance(out, CycElt) else out
+
+
+_UNIT_KINDS = ("cw", "lang", "lang-minus-one", "one", "not-one")
+_EIGEN_RINGS = [(p, 0) for p in (3, 5, 7, 11, 13, 17, 19, 23)] + [(5, 1), (7, 1)]
+
+
+def _eigen_case_unit(ring, kind, rng):
+    p = ring.ctx.p
+    if kind == "cw":
+        return cw_unit(ring)
+    if kind == "one":
+        # 1 + pi^pi_prec x: equal to 1 at the working precision
+        x = ring.from_scalar(rng.randrange(1, p ** ring.ctx.N))
+        return ring.one() + ring.uniformizer() ** ring.pi_prec * x
+    ring0 = ring.base_ring() if ring.level else ring
+    lam = -1 if kind == "lang-minus-one" else rng.randrange(2, p)
+    u = lang_unit(ring0, ring0.ctx.of(lam))
+    if kind == "not-one":
+        u = u * ring0.ctx.teichmuller(2 + rng.randrange(p - 2))
+    return embed_up(u, ring) if ring.level else u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_EIGEN_RINGS), st.integers(1, 6),
+       st.sampled_from(_UNIT_KINDS), st.integers(0, 2 ** 32))
+@example((23, 0), 4, "lang-minus-one", 0)
+@example((23, 0), 6, "cw", 0)
+@example((7, 0), 3, "one", 0)
+@example((5, 1), 2, "cw", 0)
+@example((7, 1), 4, "lang", 0)
+@example((5, 1), 3, "lang-minus-one", 0)
+@example((3, 0), 1, "not-one", 0)
+def test_shared_chain_matches_per_base_paths(ring_key, N, kind, seed):
+    (p, level), rng = ring_key, random.Random(seed)
+    N = max(N, level + 1)
+    ring = cyc_ring(p, level, N, min(p + 3, N * (p - 1)))
+    u = _eigen_case_unit(ring, kind, rng)
+    assert _outcome(nontorsion_certified, u) == _outcome(_all_k_nontorsion, u)
+    assert _outcome(eigen_valuation, u) == _outcome(_average_eigen_valuation, u)
+    for i in range(p - 1):
+        got = _outcome(eigen_unit, i, u)
+        assert got == _outcome(_per_base_eigen_unit, i, u)
+        if isinstance(got, type):
+            continue
+        e = CycElt(ring, *got)
+        assert nontorsion_certified(e) == _all_k_nontorsion(e)
+        assert _outcome(eigen_valuation, e - 1) == \
+            _outcome(_average_eigen_valuation, e - 1)
+    # a Z_p exponent known to a random number of digits
+    c = ring.ctx.of(rng.randrange(p ** N), rng.randint(1, N))
+    assert _outcome(unit_pow_zp, u, c) == _outcome(_per_base_pow_zp, u, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_galois_keeps_pi_valuation(data):
+    p = data.draw(_PRIMES)
+    level = data.draw(st.sampled_from((0, 1)))
+    ring = cyc_ring(p, level)
+    (x,) = data.draw(_elements(ring, 1))
+    # push some digits down so that deep valuations and zero occur
+    x = x * ring.uniformizer() ** data.draw(
+        st.integers(0, ring.degree * ring.ctx.N))
+    q = p ** (level + 1)
+    a = data.draw(st.integers(1, q - 1).filter(lambda a: a % p))
+    assert _outcome(CycElt.pi_valuation, galois_apply(a, x)) == \
+        _outcome(CycElt.pi_valuation, x)
+
+
+def test_eigen_unit_squares_once_for_all_conjugates(monkeypatch):
+    # at most L squarings plus one multiply per set exponent bit, L the bit
+    # length of the largest reduced exponent; a chain per conjugate pays
+    # L squarings each
+    p = 23
+    ring = cyc_ring(p, 0)
+    ctx = ring.ctx
+    inv_order = ctx.of(p - 1).invert()
+    count = [0]
+    mul = CycElt.__mul__
+
+    def counting_mul(x, y):
+        count[0] += 1
+        return mul(x, y)
+
+    for u in (cw_unit(ring), lang_unit(ring, 3)):
+        k = _stable_exponent_prec(ring, (u - 1).pi_valuation())
+        for i in (1, 2, 11):
+            exps = [(ctx.teichmuller(pow(a, -1, p)) ** i * inv_order).value
+                    % p ** k for a in range(1, p)]
+            monkeypatch.setattr(CycElt, "__mul__", counting_mul)
+            count[0] = 0
+            eigen_unit(i, u)
+            monkeypatch.setattr(CycElt, "__mul__", mul)
+            bound = max(exps).bit_length() + sum(bin(e).count("1")
+                                                 for e in exps)
+            assert 0 < count[0] <= bound

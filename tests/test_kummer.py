@@ -14,6 +14,7 @@ from eigensplit.cyclotomic import (
     eigen_unit,
     galois_apply,
     norm_down,
+    unit_pow_zp,
 )
 from eigensplit.errors import NotOneUnit, UsageError
 from eigensplit.formal_groups import _theta_digits
@@ -263,6 +264,33 @@ def test_surrogate_agreement_on_regular_primes():
             assert out["generates"]
             assert out["bernoulli_coprime_to_p"]
             assert out["agree"]
+
+
+def _surrogate_by_separate_powers(ring, i):
+    """The surrogate with one unit_pow_zp call per twisted t_a."""
+    from eigensplit.lfunctions import bernoulli
+
+    ctx = ring.ctx
+    p = ctx.p
+    inv_order = ctx.of(p - 1).invert()
+    acc = ring.one()
+    for a in range(1, p):
+        r = sum((ring.zeta() ** k for k in range(a)), ring.zero())
+        w_inv = ctx.teichmuller(pow(a, -1, p))
+        acc = acc * unit_pow_zp(r * w_inv, w_inv ** i * inv_order)
+    phi = kummer_phi(i, acc)
+    coprime = bernoulli(i).numerator % p != 0
+    return {"i": i, "phi": phi, "generates": phi != 0,
+            "bernoulli_coprime_to_p": coprime,
+            "agree": (phi != 0) == coprime}
+
+
+def test_surrogate_matches_separate_powers():
+    for p in (5, 7, 11, 13):
+        ring = cyc_ring(p, 0)
+        for i in range(2, p - 2, 2):
+            assert bernoulli_criterion_surrogate(ring, i) == \
+                _surrogate_by_separate_powers(ring, i)
 
 
 def test_search_rejects_bad_index():
