@@ -23,7 +23,7 @@ import sys
 _EXPORTS = {
     "errors": ("EigensplitError", "PrecisionError", "UsageError",
                "VerificationError"),
-    "padic": ("PadicCtx", "PadicInt", "Valuation", "is_prime"),
+    "padic": ("PadicCtx", "PadicInt", "is_prime"),
     "series": ("TruncSeries",),
     "formal_groups": ("cw_tower_x", "lubin_tate_exp", "lubin_tate_log",
                       "theta"),

@@ -8,6 +8,8 @@ of u IS such an f, so the representative is a coefficient copy.
 
 from __future__ import annotations
 
+from math import comb
+
 from .cyclotomic import (
     CycElt,
     CycRing,
@@ -132,17 +134,12 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
         raise UsageError("surrogate is a level-0 computation")
     if not 2 <= i <= p - 3 or i % 2 != 0:
         raise UsageError(f"criterion applies to even i in 2..{p - 3}")
-    zeta = ring.zeta()
     inv_order = ctx.of(p - 1).invert()
     units, exponents = [], []
     for a in range(1, p):
-        # sigma_a(pi)/pi = 1 + (1+pi) + ... + (1+pi)^{a-1}, a unit with
-        # residue a; twisting by omega(a)^{-1} makes it a 1-unit
-        r = ring.zero()
-        power = ring.one()
-        for _ in range(a):
-            r = r + power
-            power = power * zeta
+        # sigma_a(pi)/pi = ((1+pi)^a - 1)/pi = sum_{k<a} C(a, k+1) pi^k, a
+        # unit with residue a; twisting by omega(a)^{-1} makes it a 1-unit
+        r = ring.from_coeffs([comb(a, k + 1) for k in range(a)])
         w_inv = ctx.teichmuller(pow(a, -1, p))
         units.append(r * w_inv)
         exponents.append(w_inv ** i * inv_order)

@@ -21,6 +21,7 @@ from math import factorial
 
 from .errors import (
     CongruenceClassMismatch,
+    IndistinguishableFromZero,
     PoleAtZeroCharacter,
     PrecisionExhausted,
     UsageError,
@@ -237,13 +238,16 @@ class LValue:
         if self.rational is not None:
             q, p = self.rational, self.value.ctx.p
             return vp(q.numerator, p) - vp(q.denominator, p)
-        v = self.value.valuation()
-        if not v.exact or v.v >= self.guaranteed_prec - 1:
+        try:
+            v = self.value.valuation()
+        except IndistinguishableFromZero:
+            v = self.guaranteed_prec  # a vanished residue certifies nothing
+        if v >= self.guaranteed_prec - 1:
             raise PrecisionExhausted(
                 f"valuation >= {min(self.value.prec, self.guaranteed_prec)} "
                 f"not certifiable at precision {self.guaranteed_prec}"
             )
-        return v.v
+        return v
 
     def __repr__(self):
         return (
@@ -343,6 +347,8 @@ def irregular_pairs(p: int, k_max: int | None = None) -> list:
     table: the whole range, or k <= k_max when that narrows it."""
     check_odd_prime(p)
     top = p - 3 if k_max is None else min(p - 3, k_max)
+    if top < 2:
+        return []
     bernoulli(top)
     return [k for k in range(2, top + 1, 2)
             if bernoulli(k).numerator % p == 0]

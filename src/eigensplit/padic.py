@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    IndistinguishableFromZero,
     NonIntegralCoefficient,
     NotAUnit,
     PrecisionExhausted,
@@ -73,27 +74,6 @@ def unpack_digits(n: int, w: int, count: int) -> list:
     return out
 
 
-class Valuation:
-    """Either an exact valuation v, or the lower bound ">= v" when the
-    residue vanishes at the working precision."""
-
-    __slots__ = ("v", "exact")
-
-    def __init__(self, v: int, exact: bool = True):
-        self.v = v
-        self.exact = exact
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.exact and self.v == other
-        if isinstance(other, Valuation):
-            return self.exact == other.exact and self.v == other.v
-        return NotImplemented
-
-    def __repr__(self):
-        return f"{self.v}" if self.exact else f">= {self.v}"
-
-
 class PadicCtx:
     """Fixed odd prime p and absolute precision N (work mod p^N)."""
 
@@ -135,40 +115,28 @@ class PadicCtx:
         return PadicInt(self, q.numerator * den_inv)
 
     def teichmuller(self, a) -> "PadicInt":
-        """The (p-1)th root of unity congruent to a mod p, by iterating
-        x -> x^p to its fixed point."""
+        """The (p-1)th root of unity congruent to a mod p: a^(p^(N-1)).
+
+        Write a = omega(a)<a> with <a> in 1 + pZ_p.  Then <a>^(p^(N-1)) = 1
+        mod p^N, and omega(a)^(p^(N-1)) = omega(a) because p^(N-1) = 1
+        mod p-1."""
         a0 = int(a.value if isinstance(a, PadicInt) else a) % self.p
         if a0 == 0:
             raise ZeroResidue("Teichmuller lift needs a nonzero residue mod p")
         cached = self._teich.get(a0)
         if cached is None:
-            x = a0
-            for _ in range(self.N + 2):
-                x_next = pow(x, self.p, self.modulus)
-                if x_next == x:
-                    break
-                x = x_next
-            else:
-                raise AssertionError("Teichmuller iteration failed to settle")
-            cached = self._teich[a0] = PadicInt(self, x)
+            cached = self._teich[a0] = PadicInt(
+                self, pow(a0, self.p ** (self.N - 1), self.modulus))
         return cached
 
     def beta(self) -> "PadicInt":
-        """The unique (p-1)th root of 1-p congruent to 1 mod p
-        (Newton iteration on x^{p-1} - (1-p))."""
+        """The unique (p-1)th root of 1-p congruent to 1 mod p:
+        (1-p)^c with c = (p-1)^(-1) mod p^(N-1).
+
+        The group 1 + pZ mod p^N has order p^(N-1), so (1-p)^(c(p-1)) = 1-p."""
         if self._beta is None:
-            p, m = self.p, self.modulus
-            target = (1 - p) % m
-            x = 1
-            for _ in range(self.N + 2):
-                fx = (pow(x, p - 1, m) - target) % m
-                if fx == 0:
-                    break
-                dfx = ((p - 1) * pow(x, p - 2, m)) % m
-                x = (x - fx * pow(dfx, -1, m)) % m
-            else:
-                raise AssertionError("beta iteration failed to settle")
-            self._beta = PadicInt(self, x)
+            c = pow(self.p - 1, -1, self.p ** (self.N - 1))
+            self._beta = PadicInt(self, pow(1 - self.p, c, self.modulus))
         return self._beta
 
 
@@ -266,10 +234,11 @@ class PadicInt:
 
     # -- structure -------------------------------------------------------
 
-    def valuation(self) -> Valuation:
+    def valuation(self) -> int:
         if self.value == 0:
-            return Valuation(self.prec, exact=False)
-        return Valuation(vp(self.value, self.ctx.p), exact=True)
+            raise IndistinguishableFromZero(
+                f"the residue vanishes mod p^{self.prec}")
+        return vp(self.value, self.ctx.p)
 
     def is_unit(self) -> bool:
         return self.value % self.ctx.p != 0

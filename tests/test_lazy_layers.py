@@ -1,6 +1,7 @@
 """Layers load on first use: a CLI subcommand runs only the layers it reads
 from, and every way of reaching the package still finds what it names."""
 
+import importlib.util
 import json
 import os
 import textwrap
@@ -98,6 +99,28 @@ def test_tracer_finds_every_layer_after_importing_the_cli(python):
     # the wrappers sit where the CLI looks its layers up
     assert {"cli.main", "lfunctions.lp_value",
             "homotopy.verify_main_duality"} <= set(json.loads(r.stdout))
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_still_exist():
+    # the benchmark is frozen: every name its tracer wraps and its query
+    # kinds import must survive a change to the package
+    def layer(mod):
+        return importlib.import_module(f"eigensplit.{mod}")
+
+    tracer = _load_perfbench("tracer")
+    for mod, attr, _ in tracer.FUNCTIONS:
+        assert hasattr(layer(mod), attr), (mod, attr)
+    for mod, cls, attr, _ in tracer.METHODS:
+        assert attr in vars(getattr(layer(mod), cls)), (mod, cls, attr)
+    _load_perfbench("kinds")
 
 
 def test_star_import_binds_all():

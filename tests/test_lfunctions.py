@@ -100,6 +100,9 @@ def test_irregular_pairs():
     assert irregular_pairs(691, k_max=688) == [12, 200]
     # k_max only narrows the scan
     assert irregular_pairs(691, k_max=100) == [12]
+    # below the first even index there is nothing to scan
+    for k_max in (1, 0, -10):
+        assert irregular_pairs(37, k_max=k_max) == []
 
 
 def _power_sum_pairs(p: int) -> list:
@@ -226,6 +229,12 @@ def test_certified_valuation_precision_contract():
     shallow = lp_at(37, 32, 5, M=2)
     with pytest.raises(PrecisionExhausted):
         shallow.certified_valuation()
+    # at M = 1 the value vanishes mod 37: refused the same way
+    vanished = lp_at(37, 32, 5, M=1)
+    assert vanished.value.lift() == 0
+    refusal = "^valuation >= 1 not certifiable at precision 1$"
+    with pytest.raises(PrecisionExhausted, match=refusal):
+        vanished.certified_valuation()
     deeper = lp_at(37, 32, 5, M=3)
     assert deeper.certified_valuation() == 1
 

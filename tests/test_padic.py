@@ -5,6 +5,7 @@ import random
 import pytest
 
 from eigensplit.errors import (
+    IndistinguishableFromZero,
     NonIntegralCoefficient,
     NotAUnit,
     PrecisionExhausted,
@@ -15,7 +16,6 @@ from eigensplit.errors import (
 from eigensplit.padic import (
     PadicCtx,
     PadicInt,
-    Valuation,
     check_odd_prime,
     is_prime,
     vp,
@@ -102,10 +102,12 @@ def test_valuation():
     ctx = PadicCtx(5, 6)
     assert ctx.of(3).valuation() == 0
     assert ctx.of(50).valuation() == 2
-    assert ctx.of(50).valuation() == Valuation(2)
-    v = ctx.of(0).valuation()
-    assert not v.exact and v.v == 6
-    assert v != 6  # a bound is not an exact value
+    assert type(ctx.of(50).valuation()) is int
+    # a residue that vanishes at the working precision has no valuation
+    with pytest.raises(IndistinguishableFromZero):
+        ctx.of(0).valuation()
+    with pytest.raises(IndistinguishableFromZero):
+        ctx.of(5 ** 3, prec=3).valuation()
 
 
 def test_unit_inversion():
@@ -167,3 +169,36 @@ def test_beta_root_of_one_minus_p():
         b = ctx.beta()
         assert b ** (p - 1) == 1 - p
         assert b.residue(1) == 1
+
+
+# the iterations the closed forms replaced, kept as oracles
+def _teichmuller_fixed_point(p, N, a):
+    x, m = a % p, p ** N
+    for _ in range(N + 2):
+        x_next = pow(x, p, m)
+        if x_next == x:
+            return x
+        x = x_next
+    raise AssertionError("Teichmuller iteration failed to settle")
+
+
+def _beta_newton(p, N):
+    m = p ** N
+    target, x = (1 - p) % m, 1
+    for _ in range(N + 2):
+        fx = (pow(x, p - 1, m) - target) % m
+        if fx == 0:
+            return x
+        x = (x - fx * pow((p - 1) * pow(x, p - 2, m), -1, m)) % m
+    raise AssertionError("beta iteration failed to settle")
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 200) if is_prime(p)])
+def test_closed_forms_match_iterations(p):
+    for N in range(1, 9):
+        ctx = PadicCtx(p, N)
+        for a in range(1, p):
+            w = ctx.teichmuller(a)
+            assert (w.value, w.prec) == (_teichmuller_fixed_point(p, N, a), N)
+        b = ctx.beta()
+        assert (b.value, b.prec) == (_beta_newton(p, N), N)
