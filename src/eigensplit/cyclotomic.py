@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 
 from .errors import (
     IndistinguishableFromZero,
@@ -68,7 +68,7 @@ class CycRing:
             )
         d = p ** level * (p - 1)
         if pi_prec is None:
-            pi_prec = p + 3
+            pi_prec = min(p + 3, ctx.N * d)
         if not 1 <= pi_prec <= ctx.N * d:
             raise UsageError(
                 f"pi_prec {pi_prec} outside 1..{ctx.N * d} supported by ctx"
@@ -279,18 +279,19 @@ class CycElt:
     # -- pi-adic structure ----------------------------------------------
 
     def vanishes_mod_pi(self, M: int) -> bool:
-        d = self.ring.degree
-        need = _ceil_div(M, d)
+        """Whether pi^M divides the element: j + degree*v_p(c_j) >= M at
+        every digit position j.  Refused when M exceeds degree*prec, the
+        depth the digits resolve."""
+        need = _ceil_div(M, self.ring.degree)
         if need > self.prec:
             raise PrecisionExhausted(
                 f"digits have {self.prec} p-adic digits, need {need} "
                 f"to test mod pi^{M}"
             )
-        p = self.ring.ctx.p
-        return all(
-            c % p ** _ceil_div(M - j, d) == 0
-            for j, c in enumerate(self.digits) if j < M
-        )
+        try:
+            return self.pi_valuation() >= M
+        except IndistinguishableFromZero:
+            return True
 
     def pi_valuation(self) -> int:
         """Exact pi-valuation read off the digit positions: the least
@@ -309,10 +310,10 @@ class CycElt:
         )
 
     def is_one_unit(self) -> bool:
-        try:
-            return (self - 1).pi_valuation() >= 1
-        except IndistinguishableFromZero:
-            return True
+        """Whether the element is 1 mod pi.  Every digit position past 0
+        has pi-valuation at least 1, so v(u - 1) >= 1 exactly when p
+        divides digit_0 - 1."""
+        return self.digits[0] % self.ring.ctx.p == 1
 
 
 # -- Galois action and norms -----------------------------------------------
@@ -412,7 +413,7 @@ def norm_to_qp(x: CycElt) -> PadicInt:
 
 # -- Z_p-powers of one-units and the eigenprojection -----------------------
 
-def _stable_exponent_prec(ring: CycRing, v0: float) -> int:
+def _stable_exponent_prec(ring: CycRing, v0: int) -> int:
     # raising a one-unit with v(u-1) = v to the p-th power moves v to
     # min(degree + v, p v); find how many p-power steps reach pi_prec
     v, k = v0, 0
@@ -422,22 +423,7 @@ def _stable_exponent_prec(ring: CycRing, v0: float) -> int:
     return k
 
 
-def _one_unit_valuation(u: CycElt, message: str) -> float:
-    """v(u - 1), infinite when u - 1 is indistinguishable from zero.
-
-    NotOneUnit(message) when u is not congruent to 1 mod pi.  One
-    valuation serves both the 1-unit check and the exponent precision.
-    """
-    try:
-        v = (u - 1).pi_valuation()
-    except IndistinguishableFromZero:
-        return inf
-    if v < 1:
-        raise NotOneUnit(message)
-    return v
-
-
-def unit_pow_product(bases, exponents, v: float | None = None) -> CycElt:
+def unit_pow_product(bases, exponents) -> CycElt:
     """prod_k u_k^(c_k) for 1-units u_k and Z_p exponents c_k.
 
     u^c depends only on c mod p^k, where k p-power steps carry v(u - 1)
@@ -447,18 +433,17 @@ def unit_pow_product(bases, exponents, v: float | None = None) -> CycElt:
     length of the largest, plus one multiply per set bit, where a chain
     per base pays L squarings each.  Products are exact in
     (Z/p^prec)[pi], so their order changes no digit.
-
-    ``v``: v(u_k - 1) when the caller knows it is the same for every
-    base, as for Galois conjugates (eigen_unit); otherwise it is read off
-    each base.
     """
     ring = bases[0].ring
     p = ring.ctx.p
     reduced = []
     for u, c in zip(bases, exponents):
-        w = _one_unit_valuation(u, "Z_p-powers need a 1-unit base") \
-            if v is None else v
-        k = _stable_exponent_prec(ring, w)
+        if not u.is_one_unit():
+            raise NotOneUnit("Z_p-powers need a 1-unit base")
+        try:
+            k = _stable_exponent_prec(ring, (u - 1).pi_valuation())
+        except IndistinguishableFromZero:
+            k = 0
         if isinstance(c, PadicInt):
             if c.prec < k:
                 raise PrecisionExhausted(
@@ -484,10 +469,9 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
     """The omega^i idempotent applied to a one-unit:
     product over a in F_p^* of sigma_{omega(a)}(u)^{omega(a)^{-i}/(p-1)}.
 
-    sigma_a(u) - 1 = sigma_a(u - 1), and sigma_a keeps pi-valuations (see
-    eigen_valuation), so all p-1 conjugates share v(u - 1): it is read
-    once, and the conjugates go through one squaring chain."""
-    v = _one_unit_valuation(u, "eigenprojection acts on 1-units")
+    The p-1 conjugates go through one squaring chain."""
+    if not u.is_one_unit():
+        raise NotOneUnit("eigenprojection acts on 1-units")
     ctx = u.ring.ctx
     p = ctx.p
     i = i % (p - 1)
@@ -496,7 +480,7 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
     for a in range(1, p):
         conjugates.append(galois_apply(ctx.teichmuller(a), u))
         exponents.append(ctx.teichmuller(pow(a, -1, p)) ** i * inv_order)
-    return unit_pow_product(conjugates, exponents, v)
+    return unit_pow_product(conjugates, exponents)
 
 
 def eigen_valuation(u: CycElt) -> Fraction:
@@ -553,25 +537,30 @@ def unit_is_p_torsion(u: CycElt) -> bool:
 
 
 def nontorsion_certified(u: CycElt) -> bool:
-    """Certify that a 1-unit is not a p-th root of unity.
+    """Certify that a 1-unit is not a root of unity.
 
-    The torsion 1-units are exactly mu_p, so u is certified once it
-    differs from every zeta^k at the stored resolution.  Returns False
-    when some comparison is indistinguishable from zero; that is honest
-    inconclusiveness, not a torsion proof.
+    At level n the torsion 1-units are exactly mu_(p^(n+1)), the zeta^k
+    with k < p^(n+1), so u is certified once it differs from each of them
+    at the stored resolution.  Returns False when some comparison is
+    indistinguishable from zero; that is honest inconclusiveness, not a
+    torsion proof.
 
-    Only one k needs the comparison.  zeta^k = 1 + k pi + ..., so unless
-    u = 1 mod pi and k = digit_1(u) mod p, u - zeta^k has pi-valuation 0
-    or 1, which its digits show at any prec >= 1.
+    Only the k = digit_1(u) mod p need the comparison: one k at level 0,
+    p of them at level 1.  zeta^k = 1 + k pi + ..., and the Eisenstein
+    tail that reduces the higher powers of pi is 0 mod p, so zeta^k has
+    digit_0 = 1 and digit_1 = k mod p.  For a 1-unit u and any other k,
+    u - zeta^k has pi-valuation 1, which its digits show at any prec >= 1.
     """
+    if not u.is_one_unit():
+        return True
     ring = u.ring
     p = ring.ctx.p
-    if u.digits[0] % p != 1:
-        return True
-    try:
-        (u - ring.zeta() ** (u.digits[1] % p)).pi_valuation()
-    except IndistinguishableFromZero:
-        return False
+    zeta = ring.zeta()
+    for k in range(u.digits[1] % p, p ** (ring.level + 1), p):
+        try:
+            (u - zeta ** k).pi_valuation()
+        except IndistinguishableFromZero:
+            return False
     return True
 
 

@@ -220,32 +220,32 @@ class LValue:
     """A p-adic L-value with its argument and certification data.
 
     `rational` is set when the value came from the exact interpolation
-    formula, in which case valuations are exact; otherwise only digits
-    mod p^guaranteed_prec are meaningful.
+    formula, in which case valuations are exact; otherwise `value` is
+    certified to its own precision, value.prec p-adic digits, and no
+    further.
     """
 
-    __slots__ = ("value", "s", "character_exponent", "guaranteed_prec", "rational")
+    __slots__ = ("value", "s", "character_exponent", "rational")
 
     def __init__(self, value: PadicInt, s: int, character_exponent: int,
-                 guaranteed_prec: int, rational: Fraction | None = None):
+                 rational: Fraction | None = None):
         self.value = value
         self.s = s
         self.character_exponent = character_exponent
-        self.guaranteed_prec = guaranteed_prec
         self.rational = rational
 
     def certified_valuation(self) -> int:
         if self.rational is not None:
             q, p = self.rational, self.value.ctx.p
             return vp(q.numerator, p) - vp(q.denominator, p)
+        prec = self.value.prec
         try:
             v = self.value.valuation()
         except IndistinguishableFromZero:
-            v = self.guaranteed_prec  # a vanished residue certifies nothing
-        if v >= self.guaranteed_prec - 1:
+            v = prec  # a vanished residue certifies nothing
+        if v >= prec - 1:
             raise PrecisionExhausted(
-                f"valuation >= {min(self.value.prec, self.guaranteed_prec)} "
-                f"not certifiable at precision {self.guaranteed_prec}"
+                f"valuation >= {prec} not certifiable at precision {prec}"
             )
         return v
 
@@ -280,7 +280,7 @@ def lp_neg(p: int, i: int, n: int, prec: int = 4) -> LValue:
         )
     q = -Fraction(1 - p ** (n - 1), n) * bernoulli(n)
     ctx = PadicCtx(p, prec)
-    return LValue(ctx.from_rational(q), 1 - n, i, prec, rational=q)
+    return LValue(ctx.from_rational(q), 1 - n, i, rational=q)
 
 
 def _one_unit_part(ctx: PadicCtx, a: int) -> PadicInt:
@@ -302,7 +302,8 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
     Evaluated by the classical finite sum over a = 1..p-1 of
     omega^i(a) <a>^{1-s} sum_j C(1-s, j) (p/a)^j B_j, divided by p(s-1);
     the j-th term has valuation >= j-1, so the tail past j = K+1 is
-    invisible mod p^K.
+    invisible mod p^K.  With K = M + 2 + v_p(s-1), the two divisions
+    leave M + 1 digits, of which the value keeps M.
     """
     i = _check_character(p, i)
     check_precision(M)
@@ -325,7 +326,7 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
         term = term * ctx.from_rational(inner)
         total = total + term
     value = total.div_int(p).div_int(s - 1)
-    return LValue(value.reduce_to(M), s, i, M)
+    return LValue(value.reduce_to(M), s, i)
 
 
 def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:

@@ -94,14 +94,16 @@ def test_lvalues_odd_character_is_usage_error(capsys):
 
 
 def test_precision_too_low_for_pi_window_is_usage_error(capsys):
-    # the default pi window p + 3 = 8 needs more than one p-adic digit
+    # the default pi window shrinks to the 4 digits one p-adic digit holds,
+    # but the level-1 norm-compatible pair needs 2 p-adic digits
     rc = cli.main(["units", "--prime", "5", "--precision", "1"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("eigensplit: error: pi_prec 8")
+    assert lines[0] == ("eigensplit: error: need at least 2 p-adic digits "
+                        "for the level-1 Galois action, ctx has 1")
     assert "Traceback" not in captured.err
 
 

@@ -48,6 +48,10 @@ CASES = (
     # level-1 tower points of degree 272 and 342, evaluated in blocks
     ("units", "--prime", "17"),
     ("units", "--prime", "19"),
+    # one p-adic digit, served at the default pi window min(p + 3, p - 1)
+    ("kummer", "--prime", "7", "--precision", "1"),
+    ("units", "--prime", "5", "--precision", "1", "--unit", "lang",
+     "--lambda", "2"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -245,6 +249,18 @@ GOLDEN = {
         (0, "ed687945554a250293fb302a30c1cfd51b4fe1a1e7b0e4dfa066863886ca2215"),
     "units --prime 19 --format text":
         (0, "80298ef9da1acd163a8354caf1303228fd8035a8d0d14cab439b38ab3c8cb3b1"),
+    "kummer --prime 7 --precision 1 --format json":
+        (0, "afcd8ef6e600a4453e829c7587e6ae3720ed60a773b11ffbae0d50718070ca54"),
+    "kummer --prime 7 --precision 1 --format csv":
+        (0, "46ba137546bbe8cfa84575d027a1503634cc9d676978d3abaa518e73397fabf1"),
+    "kummer --prime 7 --precision 1 --format text":
+        (0, "55f715fb4b4ff59fb7285563e71a63ae9a3d65fafbd1c19feb6786cd65da589e"),
+    "units --prime 5 --precision 1 --unit lang --lambda 2 --format json":
+        (0, "b7bad11e777d5cc2fe2eb7a45c43df5155b826e843582280da93967b064885f6"),
+    "units --prime 5 --precision 1 --unit lang --lambda 2 --format csv":
+        (0, "7cd51eef404bbbcda3dc874109173f311402651b7f4fb9971de38f4575ba2dcc"),
+    "units --prime 5 --precision 1 --unit lang --lambda 2 --format text":
+        (0, "9b7722cec21710bbb7d54543214f85e6e5dcc0a149e89a789e7b874d69f9a76c"),
 }
 
 

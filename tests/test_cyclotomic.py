@@ -24,6 +24,7 @@ from eigensplit.cyclotomic import (
     norm_down,
     norm_to_qp,
     unit_is_p_torsion,
+    unit_pow_product,
     unit_pow_zp,
 )
 from eigensplit.errors import (
@@ -218,13 +219,15 @@ def test_torsion_window_is_too_shallow():
 
 
 def test_nontorsion_certified():
+    # at level n the torsion 1-units are all of mu_(p^(n+1))
     for p in (3, 5, 7):
-        ring = cyc_ring(p, 0)
-        z = ring.zeta()
-        for k in range(p):
-            assert not nontorsion_certified(z ** k)
-        assert nontorsion_certified(ring.from_scalar(1 + p))
-        assert nontorsion_certified(z * ring.from_scalar(1 + p))
+        for level in (0, 1):
+            ring = cyc_ring(p, level)
+            z = ring.zeta()
+            for k in range(p ** (level + 1)):
+                assert not nontorsion_certified(z ** k)
+            assert nontorsion_certified(ring.from_scalar(1 + p))
+            assert nontorsion_certified(z * ring.from_scalar(1 + p))
 
 
 def test_eps1_shallow_criteria_are_honestly_false():
@@ -459,9 +462,10 @@ def _per_base_eigen_unit(i, u):
 
 
 def _all_k_nontorsion(u):
-    """The torsion scan against every zeta^k, k < p."""
-    zeta = u.ring.zeta()
-    for k in range(u.ring.ctx.p):
+    """The torsion scan against every zeta^k, k < p^(level+1)."""
+    ring = u.ring
+    zeta = ring.zeta()
+    for k in range(ring.ctx.p ** (ring.level + 1)):
         try:
             (u - zeta ** k).pi_valuation()
         except (IndistinguishableFromZero, PrecisionExhausted):
@@ -554,6 +558,62 @@ def test_galois_keeps_pi_valuation(data):
     a = data.draw(st.integers(1, q - 1).filter(lambda a: a % p))
     assert _outcome(CycElt.pi_valuation, galois_apply(a, x)) == \
         _outcome(CycElt.pi_valuation, x)
+
+
+def test_unit_pow_product_checks_every_base():
+    ring = cyc_ring(5, 0)
+    u = cw_unit(ring)
+    for bases in ([u, ring.from_scalar(2)], [u, u, ring.zeta() * 2]):
+        with pytest.raises(NotOneUnit, match="Z_p-powers need a 1-unit base"):
+            unit_pow_product(bases, [1] * len(bases))
+
+
+# -- the predicates that read pi_valuation against the digit loops they
+# replaced ---------------------------------------------------------------------
+
+def _digit_loop_vanishes_mod_pi(x, M):
+    """vanishes_mod_pi as it was: c_j = 0 mod p^ceil((M-j)/degree) at
+    every j < M."""
+    d = x.ring.degree
+    if -(-M // d) > x.prec:
+        raise PrecisionExhausted(f"too few digits to test mod pi^{M}")
+    p = x.ring.ctx.p
+    return all(c % p ** -(-(M - j) // d) == 0
+               for j, c in enumerate(x.digits) if j < M)
+
+
+def _exception_is_one_unit(x):
+    """is_one_unit as it was: the valuation of x - 1."""
+    try:
+        return (x - 1).pi_valuation() >= 1
+    except IndistinguishableFromZero:
+        return True
+
+
+_PREDICATE_RINGS = [(p, 0) for p in (3, 5, 7, 11, 13, 17, 19, 23)] + \
+    [(p, 1) for p in (3, 5, 7)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_predicates_match_digit_loops(data):
+    p, level = data.draw(st.sampled_from(_PREDICATE_RINGS))
+    ring = cyc_ring(p, level)
+    (x,) = data.draw(_elements(ring, 1))
+    kind = data.draw(st.sampled_from(("shifted", "zero", "one-plus")))
+    if kind == "zero":
+        x = ring.from_coeffs([ring.ctx.of(0, x.prec)])
+    else:
+        # deep valuations, and zero at a shift of degree*N; "one-plus"
+        # makes 1-units from positive shifts
+        shift = data.draw(st.integers(0, ring.degree * ring.ctx.N))
+        x = x * ring.uniformizer() ** shift
+        if kind == "one-plus":
+            x = x + 1
+    assert x.is_one_unit() == _exception_is_one_unit(x)
+    for M in range(1, ring.degree * (x.prec + 1) + 1):
+        assert _outcome(CycElt.vanishes_mod_pi, x, M) == \
+            _outcome(_digit_loop_vanishes_mod_pi, x, M)
 
 
 def test_eigen_unit_squares_once_for_all_conjugates(monkeypatch):
