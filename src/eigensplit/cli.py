@@ -24,7 +24,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .padic import PadicCtx, check_odd_prime
+from .padic import PadicCtx, check_odd_prime, check_precision
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +72,20 @@ def _graded(M: homotopy.GradedModule, dense: bool):
     return cells, rows, lines
 
 
+def _unit_ring(args):
+    """The level-0 ring of `units` and `kummer`, with --pi-precision
+    refused by its flag name when outside what --precision holds."""
+    p = check_odd_prime(args.prime)
+    check_precision(args.precision)
+    top = (p - 1) * args.precision
+    if args.pi_precision is not None and not 1 <= args.pi_precision <= top:
+        raise UsageError(
+            f"--pi-precision must be in 1..{top} at --precision "
+            f"{args.precision}, got {args.pi_precision}"
+        )
+    return cyclotomic.cyc_ring(p, 0, args.precision, args.pi_precision)
+
+
 def _pick_unit(args, ring):
     if args.unit == "lang":
         if args.lam is None:
@@ -100,8 +114,14 @@ def _cmd_teich(args) -> tuple:
 
 
 def _cmd_units(args) -> tuple:
-    p = check_odd_prime(args.prime)
-    ring = cyclotomic.cyc_ring(p, 0, args.precision, args.pi_precision)
+    ring = _unit_ring(args)
+    p = ring.ctx.p
+    if args.unit == "coates-wiles" and args.precision < 2:
+        # its level-1 norm check acts by 1 + kp mod p^2
+        raise UsageError(
+            "--unit coates-wiles needs --precision >= 2 for its level-1 "
+            f"norm check, got {args.precision}"
+        )
     u = _pick_unit(args, ring)
     digits = [c.lift() for c in u.coeffs]
     payload = {"prime": p, "unit": args.unit, "digits": digits}
@@ -119,8 +139,8 @@ def _cmd_units(args) -> tuple:
 
 
 def _cmd_kummer(args) -> tuple:
-    p = check_odd_prime(args.prime)
-    ring = cyclotomic.cyc_ring(p, 0, args.precision, args.pi_precision)
+    ring = _unit_ring(args)
+    p = ring.ctx.p
     u = _pick_unit(args, ring)
     cw = args.unit == "coates-wiles"
     values, lines = [], []

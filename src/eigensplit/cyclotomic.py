@@ -68,7 +68,9 @@ class CycRing:
             )
         d = p ** level * (p - 1)
         if pi_prec is None:
-            pi_prec = min(p + 3, ctx.N * d)
+            # the level-0 default at both levels: a level-1 ring hands its
+            # pi_prec to its base ring, which holds at most N (p-1)
+            pi_prec = min(p + 3, ctx.N * (p - 1))
         if not 1 <= pi_prec <= ctx.N * d:
             raise UsageError(
                 f"pi_prec {pi_prec} outside 1..{ctx.N * d} supported by ctx"
@@ -366,18 +368,49 @@ def galois_apply(a: int, x: CycElt) -> CycElt:
     return _from_zeta_coeffs(ring, out, x.prec)
 
 
+@lru_cache(maxsize=None)
+def _primitive_root(p: int) -> int:
+    """The least generator of (Z/p)^*."""
+    return next(g for g in range(2, p)
+                if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+
+
+def _orbit_product(x: CycElt, g: int, n: int) -> CycElt:
+    """prod_{k<n} sigma_(g^k)(x), by doubling along the orbit (the
+    addition-chain norm of Itoh and Tsujii, 1988).
+
+    With P_m the product over k < m, each bit of n after the leading one
+    doubles, P_2m = P_m sigma_(g^m)(P_m), and a set bit then steps,
+    P_(m+1) = x sigma_g(P_m): (bit_length(n) - 1) + (popcount(n) - 1)
+    conjugates and as many products, where the plain loop pays n - 1 of
+    each."""
+    q = x.ring.ctx.p ** (x.ring.level + 1)
+    acc, m = x, 1
+    for bit in bin(n)[3:]:
+        acc = acc * galois_apply(pow(g, m, q), acc)
+        m *= 2
+        if bit == "1":
+            acc = x * galois_apply(g, acc)
+            m += 1
+    return acc
+
+
 def norm_down(x: CycElt) -> CycElt:
-    """Norm from level 1 to level 0; the Galois group of the step is
-    represented by a = 1 + kp mod p^2.  The product of the conjugates is
-    read off the zeta_1-positions divisible by p, where zeta_0 = zeta_1^p
-    puts the level-0 ring."""
+    """Norm from level 1 to level 0: the product of the p conjugates
+    sigma_(1+kp), k < p, read off the zeta_1-positions divisible by p,
+    where zeta_0 = zeta_1^p puts the level-0 ring.
+
+    Since (1+p)^k = 1 + kp mod p^2, that product is the orbit product of
+    sigma_(1+p) over p steps, taken by doubling in O(log p) conjugates and
+    products (_orbit_product).  No digit is lost: products are exact,
+    commutative and associative in (Z/p^prec)[pi] mod the Eisenstein
+    modulus, and each sigma_a is a ring map there, so the digits and prec
+    are those of the conjugate-by-conjugate product."""
     ring = x.ring
     if ring.level != 1:
         raise UsageError("norm_down starts at level 1")
     p = ring.ctx.p
-    acc = x
-    for k in range(1, p):
-        acc = acc * galois_apply(1 + k * p, x)
+    acc = _orbit_product(x, 1 + p, p)
     base = ring.base_ring()
     out = _from_zeta_coeffs(base, _zeta_coeffs(acc)[::p], acc.prec)
     if not (acc - embed_up(out, ring)).vanishes_mod_pi(ring.pi_prec):
@@ -397,14 +430,19 @@ def embed_up(x: CycElt, ring1: CycRing) -> CycElt:
 
 
 def norm_to_qp(x: CycElt) -> PadicInt:
-    """Norm all the way to Z_p; at level 1 it factors through norm_down."""
+    """Norm all the way to Z_p; at level 1 it factors through norm_down.
+
+    At level 0 the Galois group is cyclic, generated by sigma_g for the
+    least primitive root g mod p, so the norm is the orbit product of
+    sigma_g over p-1 steps, taken by doubling in O(log p) conjugates and
+    products (_orbit_product).  No digit is lost: products are exact,
+    commutative and associative in (Z/p^prec)[pi] mod the Eisenstein
+    modulus, and each sigma_a is a ring map there, so the digits and prec
+    are those of the conjugate-by-conjugate product."""
     ring = x.ring
     if ring.level == 1:
         return norm_to_qp(norm_down(x))
-    p = ring.ctx.p
-    acc = x
-    for a in range(2, p):
-        acc = acc * galois_apply(a, x)
+    acc = _orbit_product(x, _primitive_root(ring.ctx.p), ring.ctx.p - 1)
     scalar = ring.ctx.of(acc.digits[0], acc.prec)
     if not (acc - scalar).vanishes_mod_pi(ring.pi_prec):
         raise NotInBaseField("norm has nonscalar digits")

@@ -95,21 +95,24 @@ def test_lvalues_odd_character_is_usage_error(capsys):
 
 def test_precision_too_low_for_pi_window_is_usage_error(capsys):
     # the default pi window shrinks to the 4 digits one p-adic digit holds,
-    # but the level-1 norm-compatible pair needs 2 p-adic digits
+    # but the level-1 norm-compatible pair needs 2 p-adic digits; the
+    # refusal names the flags the user set
     rc = cli.main(["units", "--prime", "5", "--precision", "1"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0] == ("eigensplit: error: need at least 2 p-adic digits "
-                        "for the level-1 Galois action, ctx has 1")
+    assert lines[0] == ("eigensplit: error: --unit coates-wiles needs "
+                        "--precision >= 2 for its level-1 norm check, got 1")
     assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("units", "--prime", "5", "--pi-precision", "0"), "pi_prec 0 outside"),
-    (("kummer", "--prime", "5", "--pi-precision", "0"), "pi_prec 0 outside"),
+    (("units", "--prime", "5", "--pi-precision", "0"),
+     "--pi-precision must be in 1..16"),
+    (("kummer", "--prime", "5", "--pi-precision", "0"),
+     "--pi-precision must be in 1..16"),
     (("lvalues", "--prime", "5", "--char", "2", "--at", "-1",
       "--precision", "0"), "precision must be >= 1, got 0"),
     (("lvalues", "--prime", "5", "--char", "2", "--at", "3",

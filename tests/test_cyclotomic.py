@@ -1,5 +1,6 @@
 """Cyclotomic rings: pi-adic digits, Galois action, norms, eigenprojection."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eigensplit import cyclotomic
 from eigensplit.cyclotomic import (
     CycElt,
     CycRing,
     NormCompatiblePair,
+    _from_zeta_coeffs,
     _stable_exponent_prec,
+    _zeta_coeffs,
     as_mu_element,
     check_eps1_nontorsion,
     cyc_ring,
@@ -32,12 +36,13 @@ from eigensplit.errors import (
     IndistinguishableFromZero,
     LambdaIsOne,
     NotAUnitExponent,
+    NotInBaseField,
     NotInSubfield,
     NotOneUnit,
     PrecisionExhausted,
     UsageError,
 )
-from eigensplit.kummer import cw_unit, lang_unit
+from eigensplit.kummer import cw_unit, cw_unit_pair, lang_unit
 from eigensplit.padic import PadicCtx, PadicInt
 
 
@@ -643,3 +648,131 @@ def test_eigen_unit_squares_once_for_all_conjugates(monkeypatch):
             bound = max(exps).bit_length() + sum(bin(e).count("1")
                                                  for e in exps)
             assert 0 < count[0] <= bound
+
+
+# -- the doubling norms against the conjugate-by-conjugate loops they
+# replaced ---------------------------------------------------------------------
+
+def _loop_norm_down(x):
+    """norm_down as it was: the p conjugates sigma_(1+kp) multiplied in
+    one at a time."""
+    ring = x.ring
+    if ring.level != 1:
+        raise UsageError("norm_down starts at level 1")
+    p = ring.ctx.p
+    acc = x
+    for k in range(1, p):
+        acc = acc * galois_apply(1 + k * p, x)
+    out = _from_zeta_coeffs(ring.base_ring(), _zeta_coeffs(acc)[::p],
+                            acc.prec)
+    if not (acc - embed_up(out, ring)).vanishes_mod_pi(ring.pi_prec):
+        raise NotInSubfield("norm does not lie in the level-0 subring")
+    return out
+
+
+def _loop_norm_to_qp(x):
+    """norm_to_qp as it was: the p - 1 conjugates sigma_a multiplied in
+    one at a time."""
+    ring = x.ring
+    if ring.level == 1:
+        return _loop_norm_to_qp(_loop_norm_down(x))
+    acc = x
+    for a in range(2, ring.ctx.p):
+        acc = acc * galois_apply(a, x)
+    scalar = ring.ctx.of(acc.digits[0], acc.prec)
+    if not (acc - scalar).vanishes_mod_pi(ring.pi_prec):
+        raise NotInBaseField("norm has nonscalar digits")
+    return scalar
+
+
+def _norm_outcome(f, x):
+    """(value, prec) of a PadicInt, _outcome of anything else."""
+    out = _outcome(f, x)
+    return (out.value, out.prec) if isinstance(out, PadicInt) else out
+
+
+_NORM_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def _norm_cases(draw):
+    """A level-0 ring (p <= 31, N <= 6) or a level-1 ring (p <= 7), with
+    any pi_prec the ring accepts, and an element: a Lang unit, the
+    Coates-Wiles unit, random digits (non-units included), or one of those
+    reduced to fewer p-adic digits."""
+    level = draw(st.sampled_from((0, 1)))
+    p = draw(st.sampled_from(_NORM_PRIMES[:3] if level else _NORM_PRIMES))
+    N = draw(st.integers(level + 1, 6))
+    ring = cyc_ring(p, level, N, draw(st.integers(1, N * (p - 1))))
+    kind = draw(st.sampled_from(("lang", "cw", "digits")))
+    if kind == "digits":
+        (x,) = draw(_elements(ring, 1))
+    elif kind == "cw":
+        x = cw_unit(ring)
+    else:
+        ring0 = ring.base_ring() if level else ring
+        u = lang_unit(ring0, draw(st.integers(2, p - 1)))
+        x = embed_up(u, ring) if level else u
+    if draw(st.booleans()):
+        prec = draw(st.integers(1, x.prec))
+        x = CycElt(ring, [c % p ** prec for c in x.digits], prec)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_norm_cases())
+@example(cw_unit(cyc_ring(23, 0)))
+@example(lang_unit(cyc_ring(31, 0, 6, 180), 3))
+@example(cw_unit(cyc_ring(3, 1, 2)))
+@example(cw_unit(cyc_ring(7, 1)))
+def test_doubling_norms_match_conjugate_loops(x):
+    assert _norm_outcome(norm_to_qp, x) == _norm_outcome(_loop_norm_to_qp, x)
+    if x.ring.level == 1:
+        assert _outcome(norm_down, x) == _outcome(_loop_norm_down, x)
+
+
+def test_norms_take_log_p_conjugates(monkeypatch):
+    # (bit_length(n) - 1) + (popcount(n) - 1) conjugates and products: n =
+    # 22 = 0b10110 gives 4 + 2 at p = 23, n = 7 = 0b111 gives 2 + 2 for
+    # norm_down at p = 7; the loop paid n - 1 of each
+    count = {"galois": 0, "mul": 0}
+    galois, mul = cyclotomic.galois_apply, CycElt.__mul__
+
+    def counting_galois(a, x):
+        count["galois"] += 1
+        return galois(a, x)
+
+    def counting_mul(x, y):
+        count["mul"] += 1
+        return mul(x, y)
+
+    for norm, ring, want in ((norm_to_qp, cyc_ring(23, 0), 6),
+                             (norm_down, cyc_ring(7, 1), 4)):
+        x = cw_unit(ring)
+        monkeypatch.setattr(cyclotomic, "galois_apply", counting_galois)
+        monkeypatch.setattr(CycElt, "__mul__", counting_mul)
+        count.update(galois=0, mul=0)
+        norm(x)
+        monkeypatch.undo()
+        assert count == {"galois": want, "mul": want}
+
+
+def test_norms_pinned():
+    # SHA-256 of the norms and pairs as the conjugate-by-conjugate loops
+    # gave them: norm_to_qp (value, prec) of every Lang unit and the
+    # Coates-Wiles unit at p <= 23, N in {2, 4}, and the cw_unit_pair
+    # digits and precs at p in {5, 7}
+    rows = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for N in (2, 4):
+            ring = cyc_ring(p, 0, N)
+            units = [lang_unit(ring, lam) for lam in range(2, p)]
+            units.append(cw_unit(ring))
+            rows.extend((p, N, n.value, n.prec)
+                        for n in map(norm_to_qp, units))
+    for p in (5, 7):
+        pair = cw_unit_pair(cyc_ring(p, 1))
+        rows.append((p, pair.u1.digits, pair.u1.prec,
+                     pair.u0.digits, pair.u0.prec))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "fe0172b6b9df6eae3a07c6b14573ed209520a22b4753dc7dae1c2732e2f6a8c5"

@@ -219,6 +219,17 @@ def test_cw_pair_is_norm_compatible():
         assert pair.u0 == cw_unit(cyc_ring(p, 0))
 
 
+@pytest.mark.parametrize("p, prec", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_level1_default_pi_prec_fits_the_base_ring(p, prec):
+    # the level-1 default is the level-0 one, min(p + 3, N (p-1)); at
+    # (3, 2) the old min(p + 3, N p (p-1)) gave 6, above the base ring's 4
+    ring1 = cyc_ring(p, 1, prec)
+    assert ring1.pi_prec == cyc_ring(p, 0, prec).pi_prec == \
+        min(p + 3, prec * (p - 1))
+    pair = cw_unit_pair(ring1)
+    assert pair.u0 == cw_unit(ring1.base_ring())
+
+
 def test_lang_generator_search_finds_witnesses():
     for p in (5, 7):
         ring = cyc_ring(p, 0)
