@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import (
     IndistinguishableFromZero,
@@ -35,7 +36,8 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .padic import PadicCtx, PadicInt, pack_digits, unpack_digits
+from .padic import (PadicCtx, PadicInt, pack_digits, power_product,
+                    unpack_digits)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -66,15 +68,16 @@ class CycRing:
                 f"need at least {level + 1} p-adic digits for the level-{level} "
                 f"Galois action, ctx has {ctx.N}"
             )
-        d = p ** level * (p - 1)
+        # the level-0 window at both levels: a level-1 ring hands its
+        # pi_prec to its base ring, which holds at most N (p-1)
+        top = ctx.N * (p - 1)
         if pi_prec is None:
-            # the level-0 default at both levels: a level-1 ring hands its
-            # pi_prec to its base ring, which holds at most N (p-1)
-            pi_prec = min(p + 3, ctx.N * (p - 1))
-        if not 1 <= pi_prec <= ctx.N * d:
+            pi_prec = min(p + 3, top)
+        if not 1 <= pi_prec <= top:
             raise UsageError(
-                f"pi_prec {pi_prec} outside 1..{ctx.N * d} supported by ctx"
+                f"pi_prec {pi_prec} outside 1..{top} supported by ctx"
             )
+        d = p ** level * (p - 1)
         self.ctx = ctx
         self.level = level
         self.degree = d
@@ -258,15 +261,8 @@ class CycElt:
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("negative powers are not defined here")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        acc = power_product(mul, [self], [n])
+        return self.ring.one() if acc is None else acc
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -467,9 +463,7 @@ def unit_pow_product(bases, exponents) -> CycElt:
     u^c depends only on c mod p^k, where k p-power steps carry v(u - 1)
     past pi_prec (k = 0, so u stands for 1, when u - 1 is
     indistinguishable from zero).  The reduced exponents share one
-    left-to-right squaring chain (Straus, 1964): L squarings, L the bit
-    length of the largest, plus one multiply per set bit, where a chain
-    per base pays L squarings each.  Products are exact in
+    squaring chain, `padic.power_product`; products are exact in
     (Z/p^prec)[pi], so their order changes no digit.
     """
     ring = bases[0].ring
@@ -489,13 +483,8 @@ def unit_pow_product(bases, exponents) -> CycElt:
                 )
             c = c.value
         reduced.append(int(c) % p ** k)
-    acc = ring.one()
-    for bit in reversed(range(max(reduced).bit_length())):
-        acc = acc * acc
-        for u, e in zip(bases, reduced):
-            if e >> bit & 1:
-                acc = acc * u
-    return acc
+    acc = power_product(mul, bases, reduced)
+    return ring.one() if acc is None else acc
 
 
 def unit_pow_zp(u: CycElt, c) -> CycElt:

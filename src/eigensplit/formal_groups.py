@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import NonIntegralCoefficient, UsageError
-from .padic import check_odd_prime, pack_digits, unpack_digits
+from .padic import check_odd_prime, pack_digits, power_product, unpack_digits
 from .series import TruncSeries, log_one_plus_x
 
 
@@ -116,16 +116,6 @@ def _theta_mod(p: int, T: int, K: int) -> list:
         prod = pack_digits(a, w) * pack_digits(b, w)
         return [x % q for x in unpack_digits(prod, w, T)]
 
-    def power(a, n):
-        out = None
-        while True:
-            if n & 1:
-                out = a if out is None else mul(out, a)
-            n >>= 1
-            if not n:
-                return out
-            a = mul(a, a)
-
     e = ([0] + [comb(p, j) % q for j in range(1, p + 1)] + [0] * T)[:T]
     c = [0] * T
     c[1] = 1
@@ -136,7 +126,7 @@ def _theta_mod(p: int, T: int, K: int) -> list:
         if (m - 2) % (p - 1) == 0:
             # [X^j] theta^p uses c_k only for k <= j - p + 1, so this
             # power from c_1..c_{m-1} is right through X^(m+p-2)
-            theta_p = power(c, p)
+            theta_p = power_product(mul, [c], [p])
         r = (theta_p[m] - ((lhs >> (m * w)) & mask)) % q
         if r % p:
             raise NonIntegralCoefficient(
@@ -185,27 +175,29 @@ def cw_tower_x(ring):
     """x_n = theta(zeta_n - 1) in the level-n cyclotomic ring; the tower
     satisfies x_0^p + p x_0 = 0 and x_{n+1}^p + p x_{n+1} = x_n.
 
-    theta is taken mod X^T with T = max(p^2 + 1, p^n pi_prec + 1).  Norms
-    carry level n down to level 0, which shares pi_prec, and pi_0 has
-    pi_n-valuation p^n, so a unit built from x_n must be right to depth
-    p^n pi_prec for its norm to be right mod pi_0^pi_prec.  The floor
-    p^2 + 1 is `default_trunc`.
+    theta is summed through pi^top.  At level 0, top = d N - 1 (d the
+    degree, N the p-adic digits): pi^(d N) is p^N times a unit, so every
+    later term vanishes mod p^N, and all d N stored pi-digits are right.
+    At level 1, top = min(max(p^2, p pi_prec), d N - 1).  Norms carry
+    level 1 down to level 0, which shares pi_prec, and pi_0 has
+    pi_1-valuation p, so a unit built from x_1 must be right to depth
+    p pi_prec for its norm to be right mod pi_0^pi_prec.  The floor p^2
+    is `default_trunc` - 1.  Past that depth the level-1 digits are not
+    certified, although the element claims N digits.
 
-    The sum of theta_k pi^k is evaluated in blocks of d = degree terms,
-    by Horner in pi^d: a block sum_{j<d} theta_(bd+j) pi^j is already a
-    digit vector, and the monic modulus gives pi^d = -(sum of
+    The sum of theta_k pi^k is evaluated in blocks of d terms, by Horner
+    in pi^d: a block sum_{j<d} theta_(bd+j) pi^j is already a digit
+    vector, and the monic modulus gives pi^d = -(sum of
     modulus_tail[j] pi^j).  That is
     ceil((top+1)/d) - 1 ring products instead of top, and the ring
     arithmetic is exact in (Z/p^N)[pi], so the digits are those of the
     term-by-term Horner.
     """
-    p = ring.ctx.p
-    T = max(default_trunc(p), p ** ring.level * ring.pi_prec + 1)
-    # evaluation error has pi-valuation > top; cap at the storage
-    # resolution of the digit vector, not the equality tolerance
-    top = min(T - 1, ring.degree * ring.ctx.N - 1)
-    th = _theta_digits(p, top + 1, ring.ctx.N)
-    d = ring.degree
+    p, d, N = ring.ctx.p, ring.degree, ring.ctx.N
+    top = d * N - 1
+    if ring.level:
+        top = min(max(p * p, p * ring.pi_prec), top)
+    th = _theta_digits(p, top + 1, N)
     pi_d = ring.from_coeffs([-t for t in ring.modulus_tail])
     blocks = [ring.from_coeffs(th[b:b + d]) for b in range(0, top + 1, d)]
     acc = blocks.pop()

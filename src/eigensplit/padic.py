@@ -74,6 +74,24 @@ def unpack_digits(n: int, w: int, count: int) -> list:
     return out
 
 
+def power_product(mul, bases, exponents):
+    """prod_k bases[k]^exponents[k] in a commutative ring with product
+    ``mul``, for exponents >= 0; None when every exponent is 0.
+
+    One left-to-right squaring chain serves all bases (Straus, 1964).  It
+    starts at the highest set bit, so it never multiplies by an identity:
+    L - 1 squarings, L the bit length of the largest exponent, and one
+    product per set bit after the first."""
+    acc = None
+    for bit in reversed(range(max(exponents).bit_length())):
+        if acc is not None:
+            acc = mul(acc, acc)
+        for b, e in zip(bases, exponents):
+            if e >> bit & 1:
+                acc = b if acc is None else mul(acc, b)
+    return acc
+
+
 class PadicCtx:
     """Fixed odd prime p and absolute precision N (work mod p^N)."""
 

@@ -52,6 +52,10 @@ CASES = (
     ("kummer", "--prime", "7", "--precision", "1"),
     ("units", "--prime", "5", "--precision", "1", "--unit", "lang",
      "--lambda", "2"),
+    # level 0 with (p-1) N > p^2 + 1: theta to the storage depth d N
+    ("units", "--prime", "3", "--precision", "6"),
+    ("units", "--prime", "3", "--precision", "10"),
+    ("units", "--prime", "5", "--precision", "7"),
 )
 
 FORMATS = ("json", "csv", "text")
@@ -261,6 +265,25 @@ GOLDEN = {
         (0, "7cd51eef404bbbcda3dc874109173f311402651b7f4fb9971de38f4575ba2dcc"),
     "units --prime 5 --precision 1 --unit lang --lambda 2 --format text":
         (0, "9b7722cec21710bbb7d54543214f85e6e5dcc0a149e89a789e7b874d69f9a76c"),
+    # digits [511, 2], [2698, 2] and [17086, 31884, 43083, 50723]
+    "units --prime 3 --precision 6 --format json":
+        (0, "e117fa8e3eda1c805cf76fdcce5724d7fc4722c048b9223ab805ccd9b08457af"),
+    "units --prime 3 --precision 6 --format csv":
+        (0, "8975dd43405e21a3cfd3f28445808aeacfa0e72c278424debde7b2a359c60c84"),
+    "units --prime 3 --precision 6 --format text":
+        (0, "2b2c504dfd81ab86e66a72433f54453f7ba2b486e964dac2d458f738b5c4d31e"),
+    "units --prime 3 --precision 10 --format json":
+        (0, "bb4f44253487a6dc0df8f4242d5884ed9ac31da14aff0e8f8c05af664ca44c97"),
+    "units --prime 3 --precision 10 --format csv":
+        (0, "5b4e6e295778b852cd8e1447639b43e90929dbfde3dc29ad732c8d309cca802a"),
+    "units --prime 3 --precision 10 --format text":
+        (0, "629cf9e6b9bce64887b76f3993a9494cdfe037169bb34b0291bc7e2aacc565ee"),
+    "units --prime 5 --precision 7 --format json":
+        (0, "230d5a6f4503f7c93ade5a797e784cd917b4f3ebf3cb7c6ec4d3e3ac6b0bb06e"),
+    "units --prime 5 --precision 7 --format csv":
+        (0, "eb94872c3ee457678c58187e7fcbb9e1519529a3c684682cfbfa000bf05c2a32"),
+    "units --prime 5 --precision 7 --format text":
+        (0, "03561d3c1bfd95810e1104a2be39fe8badce4e2051bcce6d96fd250b9e00766e"),
 }
 
 

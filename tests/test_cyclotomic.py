@@ -333,6 +333,41 @@ def test_packed_multiply_matches_schoolbook(data):
     assert (x + y).prec == (x - y).prec == prec
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_power_matches_repeated_products(data):
+    # x ** n through the shared squaring chain against n - 1 products,
+    # digits and prec; x ** 0 is one at full prec
+    p = data.draw(st.sampled_from((3, 5, 7)))
+    ring = cyc_ring(p, data.draw(st.sampled_from((0, 1))))
+    (x,) = data.draw(_elements(ring, 1))
+    n = data.draw(st.integers(0, 3 * p))
+    want = ring.one()
+    for _ in range(n):
+        want = want * x
+    got = x ** n
+    assert (got.digits, got.prec) == (want.digits, want.prec)
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_level1_pi_prec_is_bounded_by_the_base_ring(p, N):
+    # every level-1 window the ring accepts is one its base ring holds, so
+    # the norm runs; one more is refused when the ring is built
+    top = N * (p - 1)
+    u = lang_unit(cyc_ring(p, 0, N), 2)
+    for pi_prec in range(1, top + 1):
+        ring1 = cyc_ring(p, 1, N, pi_prec)
+        ring0 = ring1.base_ring()
+        assert ring0.pi_prec == pi_prec
+        assert norm_down(ring1.zeta()) == ring0.zeta()
+        x = ring0.from_coeffs(u.digits)
+        assert norm_down(embed_up(x, ring1)) == x ** p
+    with pytest.raises(UsageError,
+                       match=rf"pi_prec {top + 1} outside 1\.\.{top} "):
+        cyc_ring(p, 1, N, top + 1)
+
+
 # -- the zeta-basis Galois action, norm and embedding against the paths
 # they replaced ---------------------------------------------------------------
 

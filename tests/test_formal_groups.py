@@ -2,12 +2,13 @@
 isomorphism to the multiplicative group."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigensplit.cyclotomic import cyc_ring
+from eigensplit.cyclotomic import cyc_ring, unit_pow_zp
 from eigensplit.errors import UsageError
 from eigensplit.formal_groups import (
     _theta_digits,
@@ -181,6 +182,42 @@ def test_tower_bottom_relation():
         assert x0.pi_valuation() == 1
 
 
+def _closed_form_x0(p, N):
+    """x_0 without theta.  Phi_p(1 + pi) = 0 gives pi^(p-1) = -p e with
+    the 1-unit e = 1 + sum_{j=1..p-2} (C(p, j+1)/p) pi^j, and x_0 is the
+    (p-1)th root of -p that is pi mod pi^2, so x_0 = pi e^(-1/(p-1)).  The
+    ring's window is the whole storage depth, so the Z_p exponent is
+    reduced only as far as the stored digits allow."""
+    ring = cyc_ring(p, 0, N, N * (p - 1))
+    e = ring.from_coeffs([1] + [comb(p, j + 1) // p for j in range(1, p - 1)])
+    c = ring.ctx.from_rational(Fraction(-1, p - 1))
+    return ring.uniformizer() * unit_pow_zp(e, c)
+
+
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+@pytest.mark.parametrize("p", _SMALL_PRIMES)
+def test_tower_bottom_matches_closed_form(p, N):
+    # every stored digit, at the default window; the relation test above
+    # sees only mod pi^pi_prec
+    got, want = cw_tower_x(cyc_ring(p, 0, N)), _closed_form_x0(p, N)
+    assert (got.digits, got.prec) == (want.digits, want.prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SMALL_PRIMES), st.integers(1, 12),
+       st.integers(0, 10 ** 6))
+@example(3, 6, 3)
+@example(7, 9, 53)
+def test_tower_bottom_digits_ignore_the_window(p, N, r):
+    # any window from 1 to the storage depth, here 1 + r mod N (p-1)
+    pi_prec = 1 + r % (N * (p - 1))
+    got, want = cw_tower_x(cyc_ring(p, 0, N, pi_prec)), _closed_form_x0(p, N)
+    assert (got.digits, got.prec) == (want.digits, want.prec)
+
+
 def test_tower_step_relation():
     for p in (3, 5, 7):
         ring1 = cyc_ring(p, 1)
@@ -194,10 +231,13 @@ def test_tower_step_relation():
 
 
 def _tower_top(ring):
-    # the last theta degree cw_tower_x evaluates, as its docstring derives
-    p = ring.ctx.p
-    T = max(default_trunc(p), p ** ring.level * ring.pi_prec + 1)
-    return min(T - 1, ring.degree * ring.ctx.N - 1)
+    # the last theta degree cw_tower_x evaluates, as its docstring derives:
+    # the storage depth d N - 1 at level 0, at most max(p^2, p pi_prec) at
+    # level 1
+    p, top = ring.ctx.p, ring.degree * ring.ctx.N - 1
+    if ring.level:
+        top = min(max(p * p, p * ring.pi_prec), top)
+    return top
 
 
 def _termwise_tower_x(ring):
@@ -221,7 +261,11 @@ _BLOCK_CASES = tuple(
     (p, level, prec, pi_prec)
     for p, prec, pi_prec in ((3, 10, 20), (5, 8, 30))
     for level in (0, 1)
-) + tuple((p, 0, 1, p - 1) for p in (3, 5, 7, 11))
+) + tuple((p, 0, 1, p - 1) for p in (3, 5, 7, 11)) + tuple(
+    # level 0 with (p-1) N > p^2 + 1, where the storage depth passes both
+    # p^2 and the default pi window
+    (p, 0, N, None) for p, N in ((3, 6), (5, 7), (7, 9))
+)
 
 
 @pytest.mark.parametrize("p, level, prec, pi_prec", _BLOCK_CASES)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigensplit.errors import (
     IndistinguishableFromZero,
@@ -18,6 +20,7 @@ from eigensplit.padic import (
     PadicInt,
     check_odd_prime,
     is_prime,
+    power_product,
     vp,
 )
 
@@ -202,3 +205,36 @@ def test_closed_forms_match_iterations(p):
             assert (w.value, w.prec) == (_teichmuller_fixed_point(p, N, a), N)
         b = ctx.beta()
         assert (b.value, b.prec) == (_beta_newton(p, N), N)
+
+
+# -- the shared squaring chain -----------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 9),
+       st.lists(st.tuples(st.integers(0, 10 ** 9), st.integers(0, 2 ** 70)),
+                min_size=1, max_size=6))
+@example(7, [(3, 0)])
+@example(7, [(3, 0), (5, 0), (6, 0)])
+@example(10, [(3, 0), (7, 1), (0, 5)])
+@example(2 ** 61 - 1, [(2, 1)])
+def test_power_product_matches_pow(m, pairs):
+    bases = [b % m for b, _ in pairs]
+    exponents = [e for _, e in pairs]
+    count = [0]
+
+    def mul(a, b):
+        count[0] += 1
+        return a * b % m
+
+    got = power_product(mul, bases, exponents)
+    if not any(exponents):
+        assert got is None and count[0] == 0
+        return
+    want = 1
+    for b, e in zip(bases, exponents):
+        want = want * pow(b, e, m) % m
+    assert got == want
+    # started at the highest set bit: L - 1 squarings and one product per
+    # set bit after the first, none of them by an identity
+    L = max(exponents).bit_length()
+    assert count[0] == L - 1 + sum(bin(e).count("1") for e in exponents) - 1

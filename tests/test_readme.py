@@ -1,7 +1,10 @@
-"""The README's `$ eigensplit ...` examples print what the README shows."""
+"""The README's examples print what the README shows: the `$ eigensplit
+...` lines and the Python block under "Library use"."""
 
+import ast
 import os
 import shlex
+from fractions import Fraction
 
 import pytest
 
@@ -47,3 +50,37 @@ def test_readme_example(capsys, command, shown):
         assert out[0].startswith(head) and out[0].endswith(tail)
     else:
         assert out == shown
+
+
+def _library_block():
+    """The source of the ```python block under "## Library use"."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Library use"):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def test_readme_library_block():
+    # each expression's value, as repr, starts the comment on its line or
+    # the comment line right after it
+    source = _library_block()
+    lines = source.splitlines()
+    namespace = {}
+    shown = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            code = ast.Module(body=[node], type_ignores=[])
+            exec(compile(code, "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                     namespace)
+        line = lines[node.end_lineno - 1]
+        after = lines[node.end_lineno] if node.end_lineno < len(lines) else ""
+        comments = [line.partition("#")[2].strip()]
+        if after.startswith("#"):
+            comments.append(after[1:].strip())
+        assert any(c.startswith(repr(value)) for c in comments), \
+            (line, value)
+        shown.append(value)
+    assert shown == [[6, 6, 5, 1, 4], Fraction(1, 3), 417, True]
