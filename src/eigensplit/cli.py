@@ -75,7 +75,7 @@ def _graded(M: homotopy.GradedModule, dense: bool):
 def _unit_ring(args):
     """The level-0 ring of `units` and `kummer`, with --pi-precision
     refused by its flag name when outside what --precision holds."""
-    p = check_odd_prime(args.prime)
+    p = args.prime
     check_precision(args.precision)
     top = (p - 1) * args.precision
     if args.pi_precision is not None and not 1 <= args.pi_precision <= top:
@@ -94,11 +94,11 @@ def _pick_unit(args, ring):
     return kummer.cw_unit(ring)
 
 
-# Each handler returns its exit code, then the json payload, the csv
-# header and rows, and the text lines.
+# Each handler reads the odd prime that `main` checked and returns its exit
+# code, then the json payload, the csv header and rows, and the text lines.
 
 def _cmd_teich(args) -> tuple:
-    p = check_odd_prime(args.prime)
+    p = args.prime
     ctx = PadicCtx(p, args.precision)
     values = [
         {"a": a, "omega": ctx.teichmuller(a).lift()} for a in range(1, p)
@@ -164,7 +164,7 @@ def _cmd_kummer(args) -> tuple:
 
 
 def _cmd_lvalues(args) -> tuple:
-    p = check_odd_prime(args.prime)
+    p = args.prime
     if args.char is None or args.at is None:
         raise UsageError("lvalues needs --char and --at")
     val = lfunctions.lp_value(p, args.char, args.at, M=args.precision)
@@ -190,7 +190,7 @@ def _cmd_lvalues(args) -> tuple:
 
 
 def _cmd_irregular(args) -> tuple:
-    p = check_odd_prime(args.prime)
+    p = args.prime
     pairs = lfunctions.irregular_pairs(p)
     body = ", ".join(str(k) for k in pairs) if pairs else "none found"
     return (
@@ -203,7 +203,7 @@ def _cmd_irregular(args) -> tuple:
 
 
 def _cmd_homotopy(args) -> tuple:
-    p = check_odd_prime(args.prime)
+    p = args.prime
     lo, hi = _resolve_window(args)
     sid = homotopy.SpectrumId.parse(args.spectrum, p, kv_assume=args.kv_assume)
     cells, rows, lines = _graded(homotopy.homotopy_of(sid, (lo, hi)),
@@ -214,7 +214,7 @@ def _cmd_homotopy(args) -> tuple:
 
 
 def _cmd_duality(args) -> tuple:
-    p = check_odd_prime(args.prime)
+    p = args.prime
     lo, hi = _resolve_window(args)
     report = homotopy.verify_main_duality(p, (lo, hi),
                                           kv_assume=args.kv_assume)
@@ -244,7 +244,7 @@ def _cmd_duality(args) -> tuple:
 
 
 def _cmd_les(args) -> tuple:
-    p = check_odd_prime(args.prime)
+    p = args.prime
     lo, hi = _resolve_window(args)
     if args.char is None:
         raise UsageError("les needs --char")
@@ -325,6 +325,7 @@ def main(argv=None) -> int:
     try:
         if cache and args.command in _READS_BERNOULLI:
             lfunctions.configure_cache(cache)
+        check_odd_prime(args.prime)
         rc, *renderings = args.func(args)
     except (UsageError, PrecisionError) as err:
         print(f"eigensplit: error: {err}", file=sys.stderr)

@@ -1,13 +1,15 @@
 """Graded models of the homotopy of the spectra in the splitting.
 
 Every spectrum here is modeled by its homotopy groups only, as a graded
-finitely generated Z_p-module over a declared degree window.  The base
-patterns are the Adams summand (free of rank 1 in degrees divisible by
-2(p-1)) and fibers of degreewise scalar maps on its shifts, where the
-scalars are p-adic L-values; a fiber of multiplication by c on Z_p
-contributes Z/p^{v(c)} one degree down and kills the free summand.  By
-Kummer's congruence such an L-value is a unit unless (p, i) is an
-irregular pair, so it is computed only at irregular pairs.
+finitely generated Z_p-module over a declared degree window.  Each
+periodic model is one pattern, a module in every degree of one class mod
+2(p-1): the Adams summand L and its shifts (free of rank 1), or fibers of
+degreewise scalar maps on them, where the scalars are psi^l - 1 (for J)
+or p-adic L-values (for the eigenpieces); a fiber of multiplication by c
+on Z_p contributes Z/p^{v(c)} one degree down and kills the free summand.
+The connective spectra are covers of the periodic models.  By Kummer's
+congruence such an L-value is a unit unless (p, i) is an irregular pair,
+so it is computed only at irregular pairs.
 
 Degreewise, the Anderson dual has free part dual to the free part in the
 mirror degree and torsion pulled from one degree below the mirror, and
@@ -291,33 +293,29 @@ def check_window(p: int, lo: int, hi: int):
         )
 
 
-def _free_pattern(lo: int, hi: int, p: int, offset: int) -> GradedModule:
-    """Z_p in each degree = offset mod 2(p-1)."""
+def _pattern(lo: int, hi: int, p: int, offset: int,
+             module_of) -> GradedModule:
+    """module_of(n) in each degree n = offset mod 2(p-1) of [lo, hi].
+
+    The fiber of multiplication by c on the Z_p in degree n+1 is
+    Z/p^{v(c)} in degree n, so the fiber of a degreewise scalar is the
+    pattern one degree below its source."""
     out = GradedModule(lo, hi)
     period = 2 * (p - 1)
-    start = lo + (offset - lo) % period
-    for n in range(start, hi + 1, period):
-        out.set(n, free())
+    for n in range(lo + (offset - lo) % period, hi + 1, period):
+        m = module_of(n)
+        if not m.is_zero():
+            out.entries[n] = m
     return out
 
 
-def _scalar_fiber_pattern(lo: int, hi: int, p: int, source_offset: int,
-                          exponent_of) -> GradedModule:
-    """Fiber of a degreewise scalar on the Z_p-pattern at source_offset
-    mod 2(p-1): torsion Z/p^e one degree below each source copy, where
-    e = exponent_of(source degree)."""
-    out = GradedModule(lo, hi)
-    period = 2 * (p - 1)
-    first = (lo + 1) + (source_offset - (lo + 1)) % period
-    for src in range(first, hi + 2, period):
-        e = exponent_of(src)
-        if e and lo <= src - 1 <= hi:
-            out.set(src - 1, cyclic(e))
-    return out
+def _free_at(n: int) -> FgZpModule:
+    return free()
 
 
-def homotopy_of(sid: SpectrumId, window) -> GradedModule:
-    """The graded homotopy model of the named spectrum on the window."""
+def _gate(sid: SpectrumId, window) -> tuple:
+    """The window guard and then the Kummer-Vandiver gate of every public
+    entry; returns the window."""
     lo, hi = window
     check_window(sid.p, lo, hi)
     if sid.needs_kv() and not sid.kv_assume:
@@ -326,71 +324,64 @@ def homotopy_of(sid: SpectrumId, window) -> GradedModule:
             "irregular, so pass kv_assume to proceed under the "
             "Kummer-Vandiver hypothesis"
         )
-    return _build(sid, lo, hi)
+    return lo, hi
+
+
+def homotopy_of(sid: SpectrumId, window) -> GradedModule:
+    """The graded homotopy model of the named spectrum on the window."""
+    return _build(sid, *_gate(sid, window))
+
+
+# every connective tag is the cover of a periodic model: the model's tag,
+# then the degree at and below which the cover is zero, at index != 0 (or
+# no index) and at index 0
+_COVER = {
+    "ell": ("L", -1, -1),
+    "j": ("J", -1, -1),
+    "jprime": ("Jprime", -1, -1),
+    "y": ("Y", 1, 1),
+    "z": ("Z", 1, -2),
+    "x": ("X", 1, -3),
+}
 
 
 def _build(sid: SpectrumId, lo: int, hi: int) -> GradedModule:
     # unguarded: the public entries check the window and the
     # Kummer-Vandiver gate, and their internal routes may reach a degree
     # or two past the checked window
-    p = sid.p
-    tag, i = sid.tag, sid.index
-    period = 2 * (p - 1)
+    p, tag, i = sid.p, sid.tag, sid.index
+    if tag in ("KZ", "TCZ", "FibTau"):
+        return _assemble(p, tag, lo, hi)
+    cover = _COVER.get(tag)
+    if cover is not None:
+        tag = cover[0]
 
-    if tag == "ell":
-        return connected_cover(_free_pattern(lo, hi, p, 0), -1)
     if tag == "L":
-        return _free_pattern(lo, hi, p, 0)
-    if tag in ("J", "Jprime", "j", "jprime"):
-        out = GradedModule(lo, hi)
+        M = _pattern(lo, hi, p, 0, _free_at)
+    elif tag in ("J", "Jprime"):
+        # the fiber of psi^l - 1 on L, which acts by l^{m(p-1)} - 1 on the
+        # Z_p in degree 2m(p-1): zero at m = 0, so Z_p in degrees 0 and -1
+        M = _pattern(lo, hi, p, -1, lambda n: free() if n == -1 else
+                     cyclic(_j_exponent(p, (n + 1) // (2 * (p - 1)))))
         if lo <= 0 <= hi:
-            out.set(0, free())
-        if tag in ("J", "Jprime") and lo <= -1 <= hi:
-            out.set(-1, free())
-        n = lo + (-1 - lo) % period
-        for deg in range(n, hi + 1, period):
-            m = (deg + 1) // period
-            if m == 0 or (m < 0 and tag in ("j", "jprime")):
-                continue
-            out.set(deg, cyclic(_j_exponent(p, m)))
-        return out
+            M.set(0, free())
+    elif (tag, i) in (("Y", 0), ("X", 1)):
+        M = GradedModule(lo, hi)
+    elif tag == "Z" or (tag == "Y" and i % 2 == 1):
+        M = _pattern(lo, hi, p, 2 * i - 1, _free_at)
+    elif tag == "Y":
+        M = _pattern(lo, hi, p, 2 * i - 2,
+                     lambda n: cyclic(_lvalue_exponent(p, i, -(n // 2))))
+    elif i % 2 == 0:
+        # X by the dual route: mirror of the free odd-index pattern
+        M = _pattern(lo, hi, p, 2 * i - 2, _free_at)
+    else:
+        M = _pattern(lo, hi, p, 2 * i - 2,
+                     lambda n: cyclic(_lvalue_exponent(p, p - i, n // 2 + 1)))
 
-    if tag in ("Y", "y"):
-        if i == 0:
-            return GradedModule(lo, hi)
-        if i % 2 == 1:
-            M = _free_pattern(lo, hi, p, 2 * i - 1)
-        else:
-            M = _scalar_fiber_pattern(
-                lo, hi, p, 2 * i - 1,
-                lambda src: _lvalue_exponent(p, i, -((src - 1) // 2)),
-            )
-        return connected_cover(M, 1) if tag == "y" else M
-
-    if tag in ("Z", "z"):
-        M = _free_pattern(lo, hi, p, 2 * i - 1)
-        if tag == "Z":
-            return M
-        return connected_cover(M, -2 if i == 0 else 1)
-
-    if tag in ("X", "x"):
-        if i == 1:
-            return GradedModule(lo, hi)
-        if i == 0:
-            M = _free_pattern(lo, hi, p, -2)
-        elif i % 2 == 0:
-            # dual route: mirror of the free odd-index pattern
-            M = _free_pattern(lo, hi, p, 2 * i - 2)
-        else:
-            M = _scalar_fiber_pattern(
-                lo, hi, p, 2 * i - 1,
-                lambda src: _lvalue_exponent(p, p - i, (src + 1) // 2),
-            )
-        if tag == "X":
-            return M
-        return connected_cover(M, -3 if i == 0 else 1)
-
-    return _assemble(p, tag, lo, hi)
+    if cover is None:
+        return M
+    return connected_cover(M, cover[2] if i == 0 else cover[1])
 
 
 def _assemble(p: int, tag: str, lo: int, hi: int) -> GradedModule:
@@ -461,14 +452,7 @@ def verify_main_duality(p: int, window,
     prose reading, and the degrees where the readings differ are
     reported as informational flags.
     """
-    lo, hi = window
-    check_odd_prime(p)
-    check_window(p, lo, hi)
-    if not (regularity_certificate(p) or kv_assume):
-        raise KummerVandiverRequired(
-            f"p = {p} is irregular; pass kv_assume to verify "
-            "under the Kummer-Vandiver hypothesis"
-        )
+    lo, hi = _gate(SpectrumId("FibTau", p, kv_assume=kv_assume), window)
     report = DualityReport(p, lo, hi)
     period = 2 * (p - 1)
     for i in range(p - 1):

@@ -283,11 +283,6 @@ def lp_neg(p: int, i: int, n: int, prec: int = 4) -> LValue:
     return LValue(ctx.from_rational(q), 1 - n, i, rational=q)
 
 
-def _one_unit_part(ctx: PadicCtx, a: int) -> PadicInt:
-    # <a> = a / omega(a)
-    return ctx.of(a) * ctx.teichmuller(a).invert()
-
-
 def _binom(x: int, j: int) -> int:
     """C(x, j) for any integer x (falling factorial over j!)."""
     num = 1
@@ -303,7 +298,9 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
     omega^i(a) <a>^{1-s} sum_j C(1-s, j) (p/a)^j B_j, divided by p(s-1);
     the j-th term has valuation >= j-1, so the tail past j = K+1 is
     invisible mod p^K.  With K = M + 2 + v_p(s-1), the two divisions
-    leave M + 1 digits, of which the value keeps M.
+    leave M + 1 digits, of which the value keeps M.  Since <a> =
+    a / omega(a) and omega(a)^(p-1) = 1, the unit factor is
+    omega(a)^((i+s-1) mod (p-1)) a^(1-s) mod p^K.
     """
     i = _check_character(p, i)
     check_precision(M)
@@ -311,8 +308,8 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
         raise UsageError("s = 1 is outside the implemented range")
     K = M + 2 + vp(s - 1, p)
     ctx = PadicCtx(p, K)
-    e_red = (1 - s) % (p ** (K - 1) * (p - 1))
-    total = ctx.of(0)
+    e = (i + s - 1) % (p - 1)
+    total = 0
     bernoulli(K + 1)  # extends the table, and writes the cache, once
     for a in range(1, p):
         inner = Fraction(0)
@@ -320,12 +317,10 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
             b = bernoulli(j)
             if b:
                 inner += _binom(1 - s, j) * Fraction(p, a) ** j * b
-        bracket = _one_unit_part(ctx, a)
-        term = ctx.teichmuller(a) ** i
-        term = term * ctx.of(pow(bracket.lift(), e_red, ctx.modulus))
-        term = term * ctx.from_rational(inner)
-        total = total + term
-    value = total.div_int(p).div_int(s - 1)
+        unit = pow(ctx.teichmuller(a).value, e, ctx.modulus) * pow(
+            a, 1 - s, ctx.modulus)
+        total += unit * ctx.from_rational(inner).value
+    value = ctx.of(total).div_int(p).div_int(s - 1)
     return LValue(value.reduce_to(M), s, i)
 
 

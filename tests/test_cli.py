@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from eigensplit import cli, lfunctions
+from eigensplit import cli, cyclotomic, homotopy, lfunctions
+from eigensplit.errors import UsageError
 from eigensplit.homotopy import SpectrumId, homotopy_of
 from eigensplit.lfunctions import configure_cache
 from eigensplit.padic import PadicCtx
@@ -256,6 +257,42 @@ def test_bad_prime_is_usage_error(capsys):
     assert rc == 1
 
 
+_EVERY_COMMAND = [
+    ("teich",), ("units",), ("kummer",),
+    ("lvalues", "--char", "2", "--at", "3"), ("irregular",),
+    ("homotopy", "J", "--from", "0", "--to", "8"),
+    ("duality", "--from", "0", "--to", "8"),
+    ("les", "--char", "2", "--from", "0", "--to", "8"),
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda a: a[0])
+def test_main_checks_the_prime_once(capsys, monkeypatch, argv):
+    calls = []
+    check = cli.check_odd_prime
+    monkeypatch.setattr(cli, "check_odd_prime",
+                        lambda p: calls.append(p) or check(p))
+    assert cli.main([*argv, "--prime", "9"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "eigensplit: error: 9 is not an odd prime\n")
+    assert cli.main([*argv, "--prime", "5"]) == 0
+    capsys.readouterr()
+    assert calls == [9, 5]
+
+
+def test_cache_is_configured_before_the_prime_is_checked(capsys, monkeypatch,
+                                                         tmp_path):
+    def refuse(directory):
+        raise UsageError("cannot use Bernoulli cache")
+
+    monkeypatch.setattr(lfunctions, "configure_cache", refuse)
+    rc = cli.main(["irregular", "--prime", "9", "--cache-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "eigensplit: error: cannot use Bernoulli cache\n")
+
+
 def test_argparse_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["irregular"])  # missing --prime
@@ -370,6 +407,33 @@ def test_corrupt_cache_is_recomputed(tmp_path, capsys, monkeypatch, bad_row):
     finally:
         configure_cache(None)
     assert json.loads(clean[1])["rational"] == "1/3"
+
+
+def test_duality_failure_exits_two(capsys, monkeypatch):
+    # covering x(2) above degree 3 drops its Z_p in degree 2, which the
+    # dual route still has
+    monkeypatch.setitem(homotopy._COVER, "x", ("X", 3, -3))
+    argv = ("duality", "--prime", "5", "--from", "-8", "--to", "16")
+    rc, out = _run(capsys, *argv, "--format", "text")
+    assert rc == 2
+    lines = out.splitlines()
+    assert ("  i=2 n=2 FAIL fiber={'rank': 0, 'torsion': []} "
+            "dual={'rank': 1, 'torsion': []}") in lines
+    assert lines[-1] == "FAIL"
+    rc, out = _run(capsys, *argv)
+    assert rc == 2
+    assert json.loads(out)["passed"] is False
+
+
+def test_norm_failure_exits_two(capsys, monkeypatch):
+    # a norm that multiplies no conjugates leaves the level-1 unit itself,
+    # which is not in the level-0 subring
+    monkeypatch.setattr(cyclotomic, "_orbit_product", lambda x, g, n: x)
+    rc = cli.main(["units", "--prime", "5"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == ("eigensplit: verification failed: norm does not "
+                            "lie in the level-0 subring\n")
 
 
 def test_text_formats_smoke(capsys):

@@ -149,6 +149,21 @@ def test_norm_compatible_pair_guard():
         NormCompatiblePair(z1 - 1, z0 ** 2 - 1)
 
 
+def test_norms_refuse_a_product_outside_the_base(monkeypatch):
+    # a norm that multiplies no conjugates leaves x itself, which is not
+    # Galois-invariant: zeta_1 is not in the level-0 subring, and zeta_0
+    # is no scalar
+    monkeypatch.setattr(cyclotomic, "_orbit_product", lambda x, g, n: x)
+    for p in (3, 5, 7):
+        ring1 = cyc_ring(p, 1)
+        with pytest.raises(NotInSubfield, match="level-0 subring"):
+            norm_down(ring1.zeta())
+        with pytest.raises(NotInBaseField, match="nonscalar digits"):
+            norm_to_qp(ring1.base_ring().zeta())
+        # a scalar is its own orbit product, and passes
+        assert norm_to_qp(ring1.base_ring().one()) == 1
+
+
 def test_unit_pow_zp_exponent_laws():
     rng = random.Random(53)
     for p in (3, 5, 7):

@@ -17,11 +17,15 @@ from eigensplit.homotopy import (
     FgZpModule,
     GradedModule,
     SpectrumId,
+    _COVER,
+    _FAMILY_TAGS,
+    _PLAIN_TAGS,
     _PREC_LADDER,
     _build,
     _j_exponent,
     _lvalue_exponent,
     _module_cell,
+    _segment_status,
     anderson_dual,
     assemble,
     connected_cover,
@@ -201,6 +205,24 @@ def test_kv_gate_is_decided_above_200():
         verify_main_duality(233, window)
 
 
+def test_duality_reads_the_model_gate():
+    # verify_main_duality refuses through the gate of homotopy_of, on the
+    # FibTau model whose pieces it compares, with the same message
+    with pytest.raises(KummerVandiverRequired) as via_duality:
+        verify_main_duality(37, (-4, 4))
+    with pytest.raises(KummerVandiverRequired) as via_model:
+        homotopy_of(SpectrumId("FibTau", 37), (-4, 4))
+    assert str(via_duality.value) == str(via_model.value)
+    assert str(via_duality.value).startswith("SpectrumId(FibTau, p=37) ")
+    # the prime is checked first, then the window, then Kummer-Vandiver
+    with pytest.raises(UsageError, match="^35 is not an odd prime$"):
+        verify_main_duality(35, (3, 2))
+    with pytest.raises(UsageError, match="^empty window"):
+        verify_main_duality(37, (3, 2))
+    with pytest.raises(UsageError, match="guard"):
+        verify_main_duality(37, (-300, 0))
+
+
 def test_window_guard():
     with pytest.raises(UsageError):
         homotopy_of(SpectrumId("J", 5), (-100, 4))
@@ -291,6 +313,122 @@ def test_x_odd_carries_lvalue_torsion():
     x5 = homotopy_of(SpectrumId("x", 37, 5, kv_assume=True), (0, 100))
     assert x5.entry(8) == cyclic(1)
     assert x5.entry(80) == cyclic(1)
+
+
+# -- the per-tag models that one pattern builder and the cover table
+# replaced, as oracles -------------------------------------------------------
+
+def _oracle_free_pattern(lo, hi, p, offset):
+    """Z_p in each degree = offset mod 2(p-1)."""
+    out = GradedModule(lo, hi)
+    period = 2 * (p - 1)
+    for n in range(lo + (offset - lo) % period, hi + 1, period):
+        out.set(n, free())
+    return out
+
+
+def _oracle_scalar_fiber_pattern(lo, hi, p, source_offset, exponent_of):
+    """Torsion Z/p^e one degree below each source copy of the Z_p-pattern
+    at source_offset, where e = exponent_of(source degree)."""
+    out = GradedModule(lo, hi)
+    period = 2 * (p - 1)
+    first = (lo + 1) + (source_offset - (lo + 1)) % period
+    for src in range(first, hi + 2, period):
+        e = exponent_of(src)
+        if e and lo <= src - 1 <= hi:
+            out.set(src - 1, cyclic(e))
+    return out
+
+
+def _oracle_build(sid, lo, hi):
+    """Each tag spelled out on its own, J with its own degree loop."""
+    p, tag, i = sid.p, sid.tag, sid.index
+    period = 2 * (p - 1)
+    if tag in ("KZ", "TCZ", "FibTau"):
+        def piece(t, i=None, lo=lo, hi=hi):
+            return _oracle_build(SpectrumId(t, p, i), lo, hi)
+        if tag == "KZ":
+            pieces = [piece("j")] + [piece("y", i) for i in range(p - 1)]
+        elif tag == "TCZ":
+            pieces = [piece("j"), shift(piece("jprime", lo=lo - 1,
+                                              hi=hi - 1), 1)]
+            pieces += [piece("z", i) for i in range(p - 1)]
+        else:
+            pieces = [piece("jprime")] + [piece("x", i) for i in range(p - 1)]
+        return direct_sum(*pieces)
+    if tag == "ell":
+        return connected_cover(_oracle_free_pattern(lo, hi, p, 0), -1)
+    if tag == "L":
+        return _oracle_free_pattern(lo, hi, p, 0)
+    if tag in ("J", "Jprime", "j", "jprime"):
+        out = GradedModule(lo, hi)
+        if lo <= 0 <= hi:
+            out.set(0, free())
+        if tag in ("J", "Jprime") and lo <= -1 <= hi:
+            out.set(-1, free())
+        for deg in range(lo + (-1 - lo) % period, hi + 1, period):
+            m = (deg + 1) // period
+            if m == 0 or (m < 0 and tag in ("j", "jprime")):
+                continue
+            out.set(deg, cyclic(_j_exponent(p, m)))
+        return out
+    if tag in ("Y", "y"):
+        if i == 0:
+            return GradedModule(lo, hi)
+        if i % 2 == 1:
+            M = _oracle_free_pattern(lo, hi, p, 2 * i - 1)
+        else:
+            M = _oracle_scalar_fiber_pattern(
+                lo, hi, p, 2 * i - 1,
+                lambda src: homotopy._lvalue_exponent(
+                    p, i, -((src - 1) // 2)))
+        return connected_cover(M, 1) if tag == "y" else M
+    if tag in ("Z", "z"):
+        M = _oracle_free_pattern(lo, hi, p, 2 * i - 1)
+        return M if tag == "Z" else connected_cover(M, -2 if i == 0 else 1)
+    if i == 1:
+        return GradedModule(lo, hi)
+    if i == 0:
+        M = _oracle_free_pattern(lo, hi, p, -2)
+    elif i % 2 == 0:
+        M = _oracle_free_pattern(lo, hi, p, 2 * i - 2)
+    else:
+        M = _oracle_scalar_fiber_pattern(
+            lo, hi, p, 2 * i - 1,
+            lambda src: homotopy._lvalue_exponent(p, p - i, (src + 1) // 2))
+    return M if tag == "X" else connected_cover(M, -3 if i == 0 else 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 59, 101])
+@pytest.mark.parametrize("exponents", ["lvalues", "distinct"])
+def test_build_matches_the_per_tag_oracle(p, exponents, monkeypatch):
+    # every tag and index over the guard window, its two halves, a window
+    # around 0, one above it and one inset from both guards; the assemblies
+    # at the irregular primes 37, 59 and 101 are served under kv_assume.
+    # The true L-value exponents are 0 or 1 almost everywhere, so the
+    # sweep runs again with an exponent that differs at every (i, s), to
+    # check which L-value each degree of the fiber patterns reads.
+    if exponents == "distinct":
+        monkeypatch.setattr(homotopy, "_lvalue_exponent",
+                            lambda p, i, s: 1 + (3 * i + s) % 5)
+    b = max(6 * (p - 1), 40)
+    windows = [(-b, b), (-b, -1), (0, b), (-9, 9), (1, 17), (-b + 3, b - 5)]
+    for lo, hi in windows:
+        for tag in _PLAIN_TAGS + _FAMILY_TAGS:
+            for i in [None] if tag in _PLAIN_TAGS else range(p - 1):
+                sid = SpectrumId(tag, p, i, kv_assume=True)
+                assert _build(sid, lo, hi) == _oracle_build(sid, lo, hi), (
+                    tag, i, lo, hi)
+                assert homotopy_of(sid, (lo, hi)) == _build(sid, lo, hi)
+
+
+def test_every_connective_tag_has_a_cover():
+    connective = [t for t in _PLAIN_TAGS + _FAMILY_TAGS if t.islower()]
+    assert sorted(_COVER) == sorted(connective)
+    for tag, (model, *_) in _COVER.items():
+        # the periodic model is a tag of the same kind, plain or indexed
+        assert (model in _PLAIN_TAGS) == (tag in _PLAIN_TAGS), tag
+        assert model in _PLAIN_TAGS + _FAMILY_TAGS and not model.islower()
 
 
 def test_lvalue_exponent_climbs_the_precision_ladder():
@@ -522,6 +660,26 @@ def test_duality_irregular_prime_torsion_cells():
         verify_main_duality(37, (-72, 144))
 
 
+def test_duality_fails_on_a_shifted_cover(monkeypatch):
+    # covering x(i) above degree 9 instead of 1 loses the Z/37 that
+    # L_37(5, omega^32) puts in degree 8 of x(5), and the free Z_p in
+    # degrees 2 and 6 of x(2) and x(4); the dual route still has them
+    monkeypatch.setitem(homotopy._COVER, "x", ("X", 9, -3))
+    report = verify_main_duality(37, (-72, 144), kv_assume=True)
+    assert report.passed is False
+    fails = [c for c in report.cells if c["status"] == "FAIL"]
+    zero = {"rank": 0, "torsion": []}
+    assert fails == [
+        {"i": 2, "degree": 2, "fiber_route": zero,
+         "dual_route": {"rank": 1, "torsion": []}, "status": "FAIL"},
+        {"i": 4, "degree": 6, "fiber_route": zero,
+         "dual_route": {"rank": 1, "torsion": []}, "status": "FAIL"},
+        {"i": 5, "degree": 8, "fiber_route": zero,
+         "dual_route": {"rank": 0, "torsion": [1]}, "status": "FAIL"},
+    ]
+    assert report.to_dict()["passed"] is False
+
+
 def test_les_consistency_all_triples():
     for p in (5, 7):
         window = (-2 * (p - 1), 4 * (p - 1))
@@ -540,6 +698,24 @@ def test_les_detects_breakage():
     Z = GradedModule(0, 4)
     report = les_consistency(X, Y, Z)
     assert not report.passed
+
+
+@pytest.mark.parametrize("exponents, status", [
+    ((2, 1, 1), "FAIL"),  # Y_n cannot be smaller than the image of X_n
+    ((1, 3, 1), "FAIL"),  # nor larger than X_n and Z_n together
+    ((1, 2, 1), "ok"),
+])
+def test_les_three_term_torsion_bounds(exponents, status):
+    # one run X_2 -> Y_2 -> Z_2 of torsion groups, zeros on both sides
+    triple = [GradedModule(0, 4, {2: cyclic(e)}) for e in exponents]
+    assert _segment_status([M.entry(2) for M in triple]) == status
+    report = les_consistency(*triple)
+    assert report.passed is (status == "ok")
+    assert report.segments == [{
+        "slots": ["X_2", "Y_2", "Z_2"],
+        "modules": [{"rank": 0, "torsion": [e]} for e in exponents],
+        "status": status,
+    }]
 
 
 def test_les_identity_triple():

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigensplit import lfunctions
 from eigensplit.errors import (
@@ -21,6 +23,7 @@ from eigensplit.lfunctions import (
     lp_value,
     regularity_certificate,
 )
+from eigensplit.padic import PadicCtx, vp
 
 
 def _bernoulli_akiyama_tanigawa(top: int) -> list:
@@ -237,6 +240,50 @@ def test_certified_valuation_precision_contract():
         vanished.certified_valuation()
     deeper = lp_at(37, 32, 5, M=3)
     assert deeper.certified_valuation() == 1
+
+
+def _lp_at_term_chain(p, i, s, M):
+    """Oracle: `lp_at` as it was, each term a PadicInt product of
+    omega(a)^i, <a>^(1-s) with <a> = a omega(a)^(-1), and the inner sum."""
+    K = M + 2 + vp(s - 1, p)
+    ctx = PadicCtx(p, K)
+    e_red = (1 - s) % (p ** (K - 1) * (p - 1))
+    total = ctx.of(0)
+    for a in range(1, p):
+        inner = Fraction(0)
+        for j in range(K + 2):
+            b = bernoulli(j)
+            if b:
+                inner += lfunctions._binom(1 - s, j) * Fraction(p, a) ** j * b
+        bracket = ctx.of(a) * ctx.teichmuller(a).invert()
+        term = ctx.teichmuller(a) ** i
+        term = term * ctx.of(pow(bracket.lift(), e_red, ctx.modulus))
+        total = total + term * ctx.from_rational(inner)
+    return total.div_int(p).div_int(s - 1).reduce_to(M)
+
+
+_PRIMES_TO_157 = [p for p in range(5, 158) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def _lp_at_points(draw):
+    p = draw(st.sampled_from(_PRIMES_TO_157))
+    i = 2 * draw(st.integers(1, (p - 3) // 2))
+    s = draw(st.integers(-200, 200).filter(lambda s: s != 1))
+    return p, i, s, draw(st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lp_at_points())
+@example((37, 32, 5, 1))  # vanishes mod 37
+@example((5, 2, 26, 4))  # v_5(s - 1) = 2 costs two more digits
+@example((157, 110, -200, 9))
+def test_lp_at_matches_the_term_chain(point):
+    # the unit factor omega(a)^((i+s-1) mod (p-1)) a^(1-s) in ints equals
+    # omega^i(a) <a>^(1-s) term by term
+    got = lp_at(*point).value
+    want = _lp_at_term_chain(*point)
+    assert (got.value, got.prec) == (want.value, want.prec)
 
 
 def test_unit_lvalue_has_valuation_zero():
