@@ -525,14 +525,16 @@ def eigen_valuation(u: CycElt) -> Fraction:
 
 def as_mu_element(ctx: PadicCtx, lam) -> PadicInt:
     """Normalize lambda: an int is read as a residue and lifted to its
-    Teichmuller representative, a PadicInt is taken as given."""
-    from .errors import LambdaIsOne
+    Teichmuller representative, a PadicInt is taken as given.  lambda = 0
+    and lambda = 1 mod p are refused."""
+    from .errors import LambdaIsOne, ZeroResidue
 
-    if not isinstance(lam, PadicInt):
-        lam = ctx.teichmuller(lam)
-    if lam.value % ctx.p == 1:
+    residue = int(lam.value if isinstance(lam, PadicInt) else lam) % ctx.p
+    if residue == 0:
+        raise ZeroResidue(f"lambda = 0 mod {ctx.p} is excluded")
+    if residue == 1:
         raise LambdaIsOne("lambda = 1 is excluded")
-    return lam
+    return lam if isinstance(lam, PadicInt) else ctx.teichmuller(lam)
 
 
 def eps1_intermediate_congruence(ring: CycRing, lam) -> bool:

@@ -22,7 +22,6 @@ from .cyclotomic import (
 from .errors import NoneFound, NotOneUnit, UsageError
 from .formal_groups import cw_tower_x
 from .padic import PadicInt
-from .series import TruncSeries
 
 
 def kummer_phis(u: CycElt) -> list:
@@ -41,30 +40,61 @@ def kummer_phi(i: int, u: CycElt) -> int:
 
 def _phis_up_to(top: int, u: CycElt) -> list:
     """phi_1(u), ..., phi_top(u), read off successive derivatives of
-    one log f_u taken mod X^(top+1).
+    one log f_u taken mod X^(top+1), on PadicInt digits.
 
     That truncation changes none of them.  D maps X^j to j X^(j-1) +
     j X^j, so D^k(g)(0) reads only g mod X^(k+1); and g = f/f(0) has
     g - 1 without constant term, so log g mod X^(top+1) reads only
-    g mod X^(top+1).  The coefficients kept come from the same
-    operations as in the full logarithm.  So phi_i costs a logarithm of
-    i+1 terms, about (i+1)^3/2 products instead of (p-1)^3/2, and the
-    table one of p-1 terms.
+    g mod X^(top+1).  So phi_i costs a logarithm of i+1 terms, about
+    (i+1)^3/2 products instead of (p-1)^3/2, and the table one of p-1
+    terms.
+
+    No digit is lost on the way.  The logarithm divides only by
+    k <= top <= p-2, a unit, and D divides by nothing; so every
+    coefficient keeps the precision of u, and the residues mod p are
+    exact.
     """
     if u.ring.level != 0:
         raise UsageError("representatives live at level 0")
     if not u.is_one_unit():
         raise NotOneUnit("not congruent to 1 mod pi")
-    f = TruncSeries(list(u.coeffs[:top + 1]))
+    ctx = u.ring.ctx
+    f = [PadicInt(ctx, c, u.prec) for c in u.digits[:top + 1]]
     # dividing out the constant term shifts log f by a constant,
     # which every D^i with i >= 1 kills
-    g = f.scale(f.constant_term().invert())
-    series = g.log()
+    w = f[0].invert()
+    series = _log([w * c for c in f])
     phis = []
     for _ in range(top):
-        series = series.invariant_derivative()
-        phis.append(series.constant_term().residue(1))
+        # D = (1+X) d/dX: the derivative d, then d + X d
+        d = [k * series[k] for k in range(1, len(series))]
+        series = [d[0]] + [d[k] + d[k - 1] for k in range(1, len(d))]
+        phis.append(series[0].residue(1))
     return phis
+
+
+def _log(g: list) -> list:
+    """log g mod X^T, T = len(g), for PadicInt coefficients with g(0) = 1:
+    the power sum h - h^2/2 + ... - (-h)^(T-1)/(T-1) with h = g - 1, the
+    powers by schoolbook products that skip zero coefficients."""
+    zero = g[0] - 1
+    h = [zero] + g[1:]
+    T = len(h)
+    out = [zero] * T
+    power = h
+    for k in range(1, T):
+        for j in range(T):
+            term = power[j].div_int(k)
+            out[j] = out[j] + term if k % 2 else out[j] - term
+        if k < T - 1:
+            prod = [zero] * T
+            for i, a in enumerate(power):
+                if a:
+                    for j in range(T - i):
+                        if h[j]:
+                            prod[i + j] = prod[i + j] + a * h[j]
+            power = prod
+    return out
 
 
 def lang_unit(ring: CycRing, lam) -> CycElt:

@@ -1,9 +1,9 @@
-"""Truncated power series with exact-rational or p-adic coefficients.
+"""Truncated power series with exact-rational coefficients.
 
-A series is known mod X^trunc.  The coefficient ring is either all Fraction
-(exact) or all PadicInt sharing one context; plain ints coerce into the
-ambient ring.  Results always carry trunc = min over the inputs, and the
-invariant derivative drops trunc by one.
+A series is known mod X^trunc.  Every coefficient is a Fraction; ints
+coerce exactly, and any other coefficient or scalar, a PadicInt included,
+is refused with RingMismatch.  Results always carry trunc = min over the
+inputs, and the invariant derivative drops trunc by one.
 """
 
 from __future__ import annotations
@@ -16,65 +16,28 @@ from .errors import (
     RingMismatch,
     UsageError,
 )
-from .padic import PadicInt
 
 
-def _normalize(coeffs):
-    """Coerce a coefficient list into one ring (Fraction or shared-ctx PadicInt)."""
-    ctx = None
-    saw_fraction = False
-    for c in coeffs:
-        if isinstance(c, PadicInt):
-            if ctx is None:
-                ctx = c.ctx
-            elif c.ctx != ctx:
-                raise RingMismatch("PadicInt coefficients from different contexts")
-        elif isinstance(c, Fraction):
-            saw_fraction = True
-        elif not isinstance(c, int):
-            raise RingMismatch(f"unsupported coefficient type {type(c).__name__}")
-    if ctx is not None and saw_fraction:
-        raise RingMismatch("cannot mix Fraction and PadicInt coefficients")
-    if ctx is not None:
-        return [c if isinstance(c, PadicInt) else ctx.of(c) for c in coeffs], ctx
-    return [Fraction(c) for c in coeffs], None
+def _exact(c) -> Fraction:
+    """An int or Fraction as a Fraction; anything else is refused."""
+    if not isinstance(c, (int, Fraction)):
+        raise RingMismatch(f"unsupported coefficient type {type(c).__name__}")
+    return Fraction(c)
 
 
 class TruncSeries:
-    __slots__ = ("coeffs", "ctx")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         if len(coeffs) < 1:
             raise UsageError("a series needs at least its constant term")
-        self.coeffs, self.ctx = _normalize(list(coeffs))
+        self.coeffs = [_exact(c) for c in coeffs]
 
     # -- ring plumbing ---------------------------------------------------
 
     @property
     def trunc(self) -> int:
         return len(self.coeffs)
-
-    def _zero(self):
-        return self.ctx.of(0) if self.ctx is not None else Fraction(0)
-
-    def _same_ring(self, other: "TruncSeries"):
-        if (self.ctx is None) != (other.ctx is None) or (
-            self.ctx is not None and self.ctx != other.ctx
-        ):
-            raise RingMismatch("series over different coefficient rings")
-
-    def _coerce_scalar(self, c):
-        if self.ctx is not None:
-            if isinstance(c, PadicInt):
-                if c.ctx != self.ctx:
-                    raise RingMismatch("scalar from a different context")
-                return c
-            if isinstance(c, int):
-                return self.ctx.of(c)
-            raise RingMismatch("rational scalar on a p-adic series")
-        if isinstance(c, PadicInt):
-            raise RingMismatch("p-adic scalar on a rational series")
-        return Fraction(c)
 
     def constant_term(self):
         return self.coeffs[0]
@@ -87,7 +50,6 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        self._same_ring(other)
         T = min(self.trunc, other.trunc)
         return all(self.coeffs[k] == other.coeffs[k] for k in range(T))
 
@@ -99,12 +61,10 @@ class TruncSeries:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, PadicInt)):
-            c = self._coerce_scalar(other)
+        if not isinstance(other, TruncSeries):
             out = list(self.coeffs)
-            out[0] = out[0] + c
+            out[0] = out[0] + _exact(other)
             return TruncSeries(out)
-        self._same_ring(other)
         T = min(self.trunc, other.trunc)
         return TruncSeries(
             [self.coeffs[k] + other.coeffs[k] for k in range(T)]
@@ -116,19 +76,16 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncSeries):
-            return self + (-other)
-        return self + (-self._coerce_scalar(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicInt)):
+        if not isinstance(other, TruncSeries):
             return self.scale(other)
-        self._same_ring(other)
         T = min(self.trunc, other.trunc)
-        out = [self._zero() for _ in range(T)]
+        out = [Fraction(0)] * T
         for i in range(T):
             a = self.coeffs[i]
             if not a:
@@ -142,19 +99,18 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncSeries":
-        c = self._coerce_scalar(c)
+        c = _exact(c)
         return TruncSeries([c * a for a in self.coeffs])
 
     # -- composition and friends ----------------------------------------
 
     def compose(self, g: "TruncSeries") -> "TruncSeries":
         """self(g), requiring g(0) = 0; Horner from the top coefficient."""
-        self._same_ring(g)
         if g.coeffs[0]:
             raise NonzeroConstantTerm("inner series must have zero constant term")
         T = min(self.trunc, g.trunc)
         gT = g.truncate(T)
-        result = TruncSeries([self.coeffs[T - 1]] + [self._zero()] * (T - 1))
+        result = TruncSeries([self.coeffs[T - 1]] + [0] * (T - 1))
         for k in range(T - 2, -1, -1):
             result = result * gT + self.coeffs[k]
         return result
@@ -179,14 +135,10 @@ class TruncSeries:
         if self.coeffs[0] != 1:
             raise NonUnitConstantTerm("log needs constant term exactly 1")
         g = self - 1
-        out = TruncSeries([self._zero()] * self.trunc)
+        out = TruncSeries([0] * self.trunc)
         power = g
         for k in range(1, self.trunc):
-            if self.ctx is not None:
-                term = TruncSeries([c.div_int(k) for c in power.coeffs])
-            else:
-                term = power.scale(Fraction(1, k))
-            out = out + (term if k % 2 == 1 else -term)
+            out = out + power.scale(Fraction((-1) ** (k + 1), k))
             if k < self.trunc - 1:
                 power = power * g
         return out

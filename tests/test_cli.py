@@ -62,6 +62,19 @@ def test_units_lang_requires_lambda(capsys):
     assert json.loads(out)["lambda"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("units", "--prime", "3", "--unit", "lang", "--lambda", "3"),
+    ("kummer", "--prime", "5", "--unit", "lang", "--lambda", "5"),
+    ("kummer", "--prime", "7", "--unit", "lang", "--lambda", "0"),
+], ids=lambda a: " ".join(a))
+def test_lambda_zero_mod_p_is_refused_by_name(capsys, argv):
+    rc = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("eigensplit: error: lambda = 0 mod ")
+
+
 def test_kummer_table_matches_reference(capsys):
     rc, out = _run(capsys, "kummer", "--prime", "7")
     assert rc == 0

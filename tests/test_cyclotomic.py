@@ -41,6 +41,7 @@ from eigensplit.errors import (
     NotOneUnit,
     PrecisionExhausted,
     UsageError,
+    ZeroResidue,
 )
 from eigensplit.kummer import cw_unit, cw_unit_pair, lang_unit
 from eigensplit.padic import PadicCtx, PadicInt
@@ -224,6 +225,12 @@ def test_as_mu_element():
         as_mu_element(ctx, 1)
     with pytest.raises(LambdaIsOne):
         as_mu_element(ctx, ctx.of(1 + 7))
+    # lambda = 0 mod p is refused by name, as an int or as a PadicInt
+    for lam in (0, 7, -14, ctx.of(0), ctx.of(7 * 5)):
+        with pytest.raises(ZeroResidue, match="lambda"):
+            as_mu_element(ctx, lam)
+    with pytest.raises(ZeroResidue, match="lambda"):
+        lang_unit(cyc_ring(7, 0, 4), ctx.of(0))
 
 
 def test_torsion_window_is_too_shallow():

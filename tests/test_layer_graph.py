@@ -1,0 +1,52 @@
+"""The layer graph: each layer's module-level imports reach only layers
+listed before it in `eigensplit._EXPORTS`, and a few edges that the design
+rules out stay absent."""
+
+import ast
+import os
+
+import pytest
+
+import eigensplit
+
+from conftest import SRC
+
+PACKAGE = os.path.join(SRC, "eigensplit")
+LAYERS = list(eigensplit._EXPORTS)
+
+# series is exact-only and kummer walks its own logarithm
+_ABSENT = {"series": {"padic"}, "kummer": {"series"}}
+
+
+def _tree(layer):
+    with open(os.path.join(PACKAGE, layer + ".py"), encoding="utf-8") as f:
+        return ast.parse(f.read(), layer)
+
+
+def _layers_imported(nodes):
+    """The package layers named by the relative imports among ``nodes``."""
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+def test_every_layer_is_a_module():
+    assert "series" in LAYERS
+    for layer in LAYERS:
+        assert os.path.isfile(os.path.join(PACKAGE, layer + ".py"))
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layers_import_only_earlier_layers(layer):
+    earlier = set(LAYERS[:LAYERS.index(layer)])
+    later = set(_layers_imported(_tree(layer).body)) - earlier
+    assert not later, f"{layer} imports {sorted(later)} at module level"
+
+
+@pytest.mark.parametrize("layer, absent", sorted(_ABSENT.items()))
+def test_ruled_out_edges_stay_absent(layer, absent):
+    # anywhere in the module, function bodies included
+    assert not absent & set(_layers_imported(ast.walk(_tree(layer))))

@@ -94,33 +94,6 @@ def test_rational_log_of_binomial_powers():
 def test_log_needs_one_unit():
     with pytest.raises(NonUnitConstantTerm):
         (one_plus_x_pow(2, 5) + 2).log()
-    ctx = PadicCtx(5, 4)
-    with pytest.raises(NonUnitConstantTerm):
-        TruncSeries([ctx.of(2), ctx.of(1)]).log()
-    # a 1-unit other than 1 is refused too: divide it out first
-    with pytest.raises(NonUnitConstantTerm):
-        TruncSeries([ctx.of(1 + 5), ctx.of(1)]).log()
-
-
-def test_padic_log_is_additive():
-    rng = random.Random(19)
-    ctx = PadicCtx(7, 5)
-    for _ in range(10):
-        T = 6
-        u = TruncSeries(
-            [ctx.of(1)]
-            + [ctx.of(rng.randrange(ctx.modulus)) for _ in range(T - 1)]
-        )
-        v = TruncSeries(
-            [ctx.of(1)]
-            + [ctx.of(rng.randrange(ctx.modulus)) for _ in range(T - 1)]
-        )
-        lhs = (u * v).log()
-        rhs = u.log() + v.log()
-        # log spends digits on divisions; compare at the shared floor
-        for c, d in zip(lhs.coeffs, rhs.coeffs):
-            k = min(c.prec, d.prec)
-            assert c.residue(k) == d.residue(k)
 
 
 def test_invariant_derivative_of_log():
@@ -131,15 +104,18 @@ def test_invariant_derivative_of_log():
 
 
 def test_ring_mismatch():
+    # the series are exact: a PadicInt coefficient or scalar is refused
     ctx = PadicCtx(5, 4)
-    f = TruncSeries([ctx.of(1), ctx.of(2)])
-    g = TruncSeries([Fraction(1), Fraction(2)])
+    f = TruncSeries([Fraction(1), Fraction(2)])
     with pytest.raises(RingMismatch):
-        f + g
+        TruncSeries([ctx.of(1)])
     with pytest.raises(RingMismatch):
-        TruncSeries([ctx.of(1), Fraction(2)])
+        TruncSeries([Fraction(1), ctx.of(2)])
     with pytest.raises(RingMismatch):
-        f.scale(Fraction(1, 2))
-    ctx2 = PadicCtx(7, 4)
+        f.scale(ctx.of(2))
     with pytest.raises(RingMismatch):
-        f + TruncSeries([ctx2.of(1), ctx2.of(2)])
+        f + ctx.of(2)
+    with pytest.raises(RingMismatch):
+        f - ctx.of(2)
+    with pytest.raises(RingMismatch):
+        f * ctx.of(2)
