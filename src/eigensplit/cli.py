@@ -24,7 +24,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .padic import PadicCtx, check_odd_prime, check_precision
+from .padic import PadicCtx, check_odd_prime
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,26 +72,16 @@ def _graded(M: homotopy.GradedModule, dense: bool):
     return cells, rows, lines
 
 
-def _unit_ring(args):
-    """The level-0 ring of `units` and `kummer`, with --pi-precision
-    refused by its flag name when outside what --precision holds."""
-    p = args.prime
-    check_precision(args.precision)
-    top = (p - 1) * args.precision
-    if args.pi_precision is not None and not 1 <= args.pi_precision <= top:
-        raise UsageError(
-            f"--pi-precision must be in 1..{top} at --precision "
-            f"{args.precision}, got {args.pi_precision}"
-        )
-    return cyclotomic.cyc_ring(p, 0, args.precision, args.pi_precision)
-
-
-def _pick_unit(args, ring):
+def _is_cw(args) -> bool:
+    """Whether --unit is coates-wiles; --lambda is read by --unit lang
+    only, and needed there."""
     if args.unit == "lang":
         if args.lam is None:
             raise UsageError("--unit lang needs --lambda")
-        return kummer.lang_unit(ring, args.lam)
-    return kummer.cw_unit(ring)
+        return False
+    if args.lam is not None:
+        raise UsageError("--lambda is read only by --unit lang")
+    return True
 
 
 # Each handler reads the odd prime that `main` checked and returns its exit
@@ -114,24 +104,28 @@ def _cmd_teich(args) -> tuple:
 
 
 def _cmd_units(args) -> tuple:
-    ring = _unit_ring(args)
-    p = ring.ctx.p
-    if args.unit == "coates-wiles" and args.precision < 2:
-        # its level-1 norm check acts by 1 + kp mod p^2
-        raise UsageError(
-            "--unit coates-wiles needs --precision >= 2 for its level-1 "
-            f"norm check, got {args.precision}"
-        )
-    u = _pick_unit(args, ring)
+    p = args.prime
+    # the library refuses a precision below 1
+    ring = cyclotomic.cyc_ring(p, 0, args.precision)
+    cw = _is_cw(args)
+    if cw:
+        if args.precision < 2:
+            # its level-1 norm check acts by 1 + kp mod p^2
+            raise UsageError(
+                "--unit coates-wiles needs --precision >= 2 for its level-1 "
+                f"norm check, got {args.precision}"
+            )
+        # raises VerificationError if the norm fails
+        u = kummer.cw_unit_pair(cyclotomic.cyc_ring(p, 1, args.precision)).u0
+    else:
+        u = kummer.lang_unit(ring, args.lam)
     digits = [c.lift() for c in u.coeffs]
     payload = {"prime": p, "unit": args.unit, "digits": digits}
-    if args.unit == "lang":
-        payload["lambda"] = args.lam
-    else:
-        ring1 = cyclotomic.cyc_ring(p, 1, args.precision, ring.pi_prec)
-        kummer.cw_unit_pair(ring1)  # raises VerificationError if the norm fails
+    if cw:
         payload["norm_compatible"] = True
-    ev = cyclotomic.eigen_valuation(ring.zeta() - 1)
+    else:
+        payload["lambda"] = args.lam
+    ev = cyclotomic.eigen_valuation(u.ring.zeta() - 1)
     payload["uniformizer_eigen_valuation"] = str(ev)
     lines = [f"{args.unit} unit at level 0, prime {p}"]
     lines.extend(f"  pi^{k} digit: {d}" for k, d in enumerate(digits))
@@ -139,10 +133,11 @@ def _cmd_units(args) -> tuple:
 
 
 def _cmd_kummer(args) -> tuple:
-    ring = _unit_ring(args)
-    p = ring.ctx.p
-    u = _pick_unit(args, ring)
-    cw = args.unit == "coates-wiles"
+    p = args.prime
+    # phi_i is a residue mod p, which one p-adic digit holds
+    ring = cyclotomic.cyc_ring(p, 0, 1)
+    cw = _is_cw(args)
+    u = kummer.cw_unit(ring) if cw else kummer.lang_unit(ring, args.lam)
     values, lines = [], []
     failed = False
     for i, phi in enumerate(kummer.kummer_phis(u), start=1):
@@ -271,7 +266,6 @@ def _cmd_les(args) -> tuple:
 _OPTIONS = {
     "spectrum": dict(metavar="SPECTRUM"),
     "--precision": dict(type=int, default=4),
-    "--pi-precision": dict(type=int),
     "--unit": dict(choices=("coates-wiles", "lang"), default="coates-wiles"),
     "--lambda": dict(type=int, dest="lam"),
     "--char": dict(type=int),
@@ -285,10 +279,8 @@ _OPTIONS = {
 # every subcommand also takes --prime, --format and --cache-dir
 _COMMANDS = (
     ("teich", _cmd_teich, ("--precision",)),
-    ("units", _cmd_units,
-     ("--precision", "--pi-precision", "--unit", "--lambda")),
-    ("kummer", _cmd_kummer,
-     ("--precision", "--pi-precision", "--unit", "--lambda")),
+    ("units", _cmd_units, ("--precision", "--unit", "--lambda")),
+    ("kummer", _cmd_kummer, ("--unit", "--lambda")),
     ("lvalues", _cmd_lvalues, ("--precision", "--char", "--at")),
     ("irregular", _cmd_irregular, ()),
     ("homotopy", _cmd_homotopy,

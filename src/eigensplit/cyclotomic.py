@@ -29,12 +29,14 @@ from operator import mul
 
 from .errors import (
     IndistinguishableFromZero,
+    LambdaIsOne,
     NotAUnitExponent,
     NotInBaseField,
     NotInSubfield,
     NotOneUnit,
     PrecisionExhausted,
     UsageError,
+    ZeroResidue,
 )
 from .padic import (PadicCtx, PadicInt, pack_digits, power_product,
                     unpack_digits)
@@ -527,8 +529,6 @@ def as_mu_element(ctx: PadicCtx, lam) -> PadicInt:
     """Normalize lambda: an int is read as a residue and lifted to its
     Teichmuller representative, a PadicInt is taken as given.  lambda = 0
     and lambda = 1 mod p are refused."""
-    from .errors import LambdaIsOne, ZeroResidue
-
     residue = int(lam.value if isinstance(lam, PadicInt) else lam) % ctx.p
     if residue == 0:
         raise ZeroResidue(f"lambda = 0 mod {ctx.p} is excluded")

@@ -63,6 +63,19 @@ def test_units_lang_requires_lambda(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("units", "--prime", "5", "--lambda", "2"),
+    ("kummer", "--prime", "5", "--unit", "coates-wiles", "--lambda", "2"),
+], ids=lambda a: " ".join(a))
+def test_lambda_with_coates_wiles_is_usage_error(capsys, argv):
+    # --lambda is accepted only where it is read
+    rc = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == ("eigensplit: error: --lambda is read only by "
+                            "--unit lang\n")
+
+
+@pytest.mark.parametrize("argv", [
     ("units", "--prime", "3", "--unit", "lang", "--lambda", "3"),
     ("kummer", "--prime", "5", "--unit", "lang", "--lambda", "5"),
     ("kummer", "--prime", "7", "--unit", "lang", "--lambda", "0"),
@@ -123,10 +136,10 @@ def test_precision_too_low_for_pi_window_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("units", "--prime", "5", "--pi-precision", "0"),
-     "--pi-precision must be in 1..16"),
-    (("kummer", "--prime", "5", "--pi-precision", "0"),
-     "--pi-precision must be in 1..16"),
+    (("units", "--prime", "5", "--precision", "0"),
+     "precision must be >= 1, got 0"),
+    (("units", "--prime", "5", "--unit", "lang", "--lambda", "2",
+      "--precision", "0"), "precision must be >= 1, got 0"),
     (("lvalues", "--prime", "5", "--char", "2", "--at", "-1",
       "--precision", "0"), "precision must be >= 1, got 0"),
     (("lvalues", "--prime", "5", "--char", "2", "--at", "3",
@@ -243,6 +256,11 @@ def test_window_refused_with_exit_one(capsys, argv):
 ] + [
     (*cmd, "--prime", "5", "--from", "-8", "--to", "16", "--dense")
     for cmd in (("duality",), ("les", "--char", "2"))
+] + [
+    # no printed unit reads the pi-adic window, and phi_i is read mod p
+    ("units", "--prime", "5", "--pi-precision", "8"),
+    ("kummer", "--prime", "5", "--pi-precision", "8"),
+    ("kummer", "--prime", "5", "--precision", "6"),
 ])
 def test_ignored_flags_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as err:

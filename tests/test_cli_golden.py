@@ -26,8 +26,7 @@ CASES = (
     ("units", "--prime", "5", "--unit", "lang"),
     ("irregular", "--prime", "233"),
     ("irregular", "--prime", "691"),
-    ("units", "--prime", "3", "--precision", "10", "--pi-precision", "20"),
-    ("kummer", "--prime", "5", "--precision", "8", "--pi-precision", "30"),
+    ("kummer", "--prime", "5"),
     ("units", "--prime", "13"),
     ("units", "--prime", "11", "--unit", "lang", "--lambda", "2"),
     ("units", "--prime", "5", "--unit", "lang", "--lambda", "-1"),
@@ -49,7 +48,6 @@ CASES = (
     ("units", "--prime", "17"),
     ("units", "--prime", "19"),
     # one p-adic digit, served at the default pi window min(p + 3, p - 1)
-    ("kummer", "--prime", "7", "--precision", "1"),
     ("units", "--prime", "5", "--precision", "1", "--unit", "lang",
      "--lambda", "2"),
     # level 0 with (p-1) N > p^2 + 1: theta to the storage depth d N
@@ -57,6 +55,17 @@ CASES = (
     ("units", "--prime", "3", "--precision", "10"),
     ("units", "--prime", "5", "--precision", "7"),
 )
+
+# Forms pinned before `kummer` lost --precision and `units` and `kummer`
+# lost --pi-precision: each is now refused with exit 1 and no stdout, and
+# its flagless form prints the bytes the retired form was pinned to.
+RETIRED = {
+    ("units", "--prime", "3", "--precision", "10", "--pi-precision", "20"):
+        ("units", "--prime", "3", "--precision", "10"),
+    ("kummer", "--prime", "5", "--precision", "8", "--pi-precision", "30"):
+        ("kummer", "--prime", "5"),
+    ("kummer", "--prime", "7", "--precision", "1"): ("kummer", "--prime", "7"),
+}
 
 FORMATS = ("json", "csv", "text")
 
@@ -163,17 +172,11 @@ GOLDEN = {
         (0, "6aa210704c7654547e62a7f46863a27db13d7982137716583afc415898918e0f"),
     "irregular --prime 691 --format text":
         (0, "0defe283518388e7006ad000c8973f5ef927403ba5c86beca9245a891c34e51c"),
-    "units --prime 3 --precision 10 --pi-precision 20 --format json":
-        (0, "bb4f44253487a6dc0df8f4242d5884ed9ac31da14aff0e8f8c05af664ca44c97"),
-    "units --prime 3 --precision 10 --pi-precision 20 --format csv":
-        (0, "5b4e6e295778b852cd8e1447639b43e90929dbfde3dc29ad732c8d309cca802a"),
-    "units --prime 3 --precision 10 --pi-precision 20 --format text":
-        (0, "629cf9e6b9bce64887b76f3993a9494cdfe037169bb34b0291bc7e2aacc565ee"),
-    "kummer --prime 5 --precision 8 --pi-precision 30 --format json":
+    "kummer --prime 5 --format json":
         (0, "b18284676d50637e5fae2dfa91f309a1ddea51e452193212747182071d8246b4"),
-    "kummer --prime 5 --precision 8 --pi-precision 30 --format csv":
+    "kummer --prime 5 --format csv":
         (0, "5979bd3bc1ebb5af64636354567baa463cf2d606d096a62a6426c84b43237f4c"),
-    "kummer --prime 5 --precision 8 --pi-precision 30 --format text":
+    "kummer --prime 5 --format text":
         (0, "7a10295a4b78305833d9f9d83d1efea2cf4f0590dce8ecf42ca17b58b119512c"),
     "units --prime 13 --format json":
         (0, "e2b7ba4cb8b350dbaf7608f5b10c66af3a038a6210d07801f9187e6cf8584609"),
@@ -253,12 +256,6 @@ GOLDEN = {
         (0, "ed687945554a250293fb302a30c1cfd51b4fe1a1e7b0e4dfa066863886ca2215"),
     "units --prime 19 --format text":
         (0, "80298ef9da1acd163a8354caf1303228fd8035a8d0d14cab439b38ab3c8cb3b1"),
-    "kummer --prime 7 --precision 1 --format json":
-        (0, "afcd8ef6e600a4453e829c7587e6ae3720ed60a773b11ffbae0d50718070ca54"),
-    "kummer --prime 7 --precision 1 --format csv":
-        (0, "46ba137546bbe8cfa84575d027a1503634cc9d676978d3abaa518e73397fabf1"),
-    "kummer --prime 7 --precision 1 --format text":
-        (0, "55f715fb4b4ff59fb7285563e71a63ae9a3d65fafbd1c19feb6786cd65da589e"),
     "units --prime 5 --precision 1 --unit lang --lambda 2 --format json":
         (0, "b7bad11e777d5cc2fe2eb7a45c43df5155b826e843582280da93967b064885f6"),
     "units --prime 5 --precision 1 --unit lang --lambda 2 --format csv":
@@ -294,17 +291,28 @@ def _digest(capsys, argv):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c))
+@pytest.mark.parametrize("case", CASES + tuple(RETIRED),
+                         ids=lambda c: " ".join(c))
 def test_cli_output_is_pinned(capsys, case, fmt):
     argv = case + ("--format", fmt)
+    if case in RETIRED:
+        with pytest.raises(SystemExit) as err:
+            cli.main(list(argv))
+        assert (err.value.code, capsys.readouterr().out) == (1, "")
+        argv = RETIRED[case] + ("--format", fmt)
     assert _digest(capsys, argv) == GOLDEN[" ".join(argv)]
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c))
+@pytest.mark.parametrize("case", CASES + tuple(RETIRED),
+                         ids=lambda c: " ".join(c))
 def test_module_run_is_pinned(python, case):
     # as users and the benchmark run it: one fresh `python -m` process,
     # which loads only the layers the subcommand itself reaches
     argv = case + ("--format", "json")
+    if case in RETIRED:
+        r = python("-m", "eigensplit.cli", *argv)
+        assert (r.returncode, r.stdout) == (1, b"")
+        argv = RETIRED[case] + ("--format", "json")
     r = python("-m", "eigensplit.cli", *argv)
     digest = hashlib.sha256(r.stdout).hexdigest()
     assert (r.returncode, digest) == GOLDEN[" ".join(argv)]

@@ -199,6 +199,41 @@ def test_cw_values_small_primes():
             assert kummer_phi(i, u) == (-factorial(i - 1)) % p
 
 
+def _stirling2(n, k):
+    """S(n, k), the partitions of n things into k nonempty blocks."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def _lang_phi_closed_form(i, a, p):
+    """phi_i(u_0(lambda)) = -Li_{1-i}(1/lambda) mod p, lambda = a mod p.
+
+    f/f(0) = 1 - X/(lambda-1); with 1+X = e^t and D = d/dt, D log f is
+    -sum_{n>=1} lambda^(-n) e^(nt), so D^i log f at t = 0 is
+    -sum_n n^(i-1) lambda^(-n) = -Li_{1-i}(1/lambda), and
+    Li_{1-i}(z) = sum_{k<i} k! S(i, k+1) (z/(1-z))^(k+1)
+    with z/(1-z) = 1/(lambda-1)."""
+    w = pow(a - 1, -1, p)
+    return -sum(factorial(k) * _stirling2(i, k + 1) * w ** (k + 1)
+                for k in range(i)) % p
+
+
+@pytest.mark.parametrize("N", [1, 4])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_phis_match_closed_forms(p, N):
+    # the Lang units against the polylogarithm, the Coates-Wiles unit
+    # against -(i-1)!; neither oracle walks a logarithm, and both hold at
+    # one p-adic digit as at four
+    ring = cyc_ring(p, 0, N)
+    for a in range(2, p):
+        assert kummer_phis(lang_unit(ring, a)) == [
+            _lang_phi_closed_form(i, a, p) for i in range(1, p - 1)]
+    assert kummer_phis(cw_unit(ring)) == [
+        -factorial(i - 1) % p for i in range(1, p - 1)]
+
+
 @pytest.mark.parametrize("p, prec, pi_prec", [(3, 10, 20), (5, 8, 30)])
 def test_cw_unit_theta_depth_follows_pi_prec(p, prec, pi_prec):
     # pi_prec > p^2, refused while theta stopped at p^2 + 1 terms; the

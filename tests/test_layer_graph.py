@@ -1,5 +1,6 @@
 """The layer graph: each layer's module-level imports reach only layers
-listed before it in `eigensplit._EXPORTS`, and a few edges that the design
+listed before it in `eigensplit._EXPORTS`, the imports inside function
+bodies are the two known upward edges, and a few edges that the design
 rules out stay absent."""
 
 import ast
@@ -16,6 +17,13 @@ LAYERS = list(eigensplit._EXPORTS)
 
 # series is exact-only and kummer walks its own logarithm
 _ABSENT = {"series": {"padic"}, "kummer": {"series"}}
+
+# (layer, function, layer it imports): the only imports inside function
+# bodies, each of a later layer that the function alone reads
+_UPWARD = {
+    ("cyclotomic", "check_eps1_nontorsion", "kummer"),
+    ("kummer", "bernoulli_criterion_surrogate", "lfunctions"),
+}
 
 
 def _tree(layer):
@@ -50,3 +58,15 @@ def test_layers_import_only_earlier_layers(layer):
 def test_ruled_out_edges_stay_absent(layer, absent):
     # anywhere in the module, function bodies included
     assert not absent & set(_layers_imported(ast.walk(_tree(layer))))
+
+
+def test_function_level_imports_are_the_known_upward_edges():
+    # an earlier layer is imported at module level, where the graph test
+    # above sees it; so a function body imports only what comes later
+    found = set()
+    for layer in LAYERS:
+        for node in ast.walk(_tree(layer)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update((layer, node.name, imported) for imported
+                             in _layers_imported(ast.walk(node)))
+    assert found == _UPWARD

@@ -101,6 +101,14 @@ def test_tracer_finds_every_layer_after_importing_the_cli(python):
             "homotopy.verify_main_duality"} <= set(json.loads(r.stdout))
 
 
+def test_tracer_installs_in_a_fresh_process(python):
+    # with nothing imported first: install loads every layer itself, and a
+    # renamed wrapped name fails here instead of in a traced benchmark run
+    r = python("-c", f"import sys; sys.path.insert(0, {PERFBENCH!r}); "
+                     "import tracer; tracer.install(tracer.Tracer())")
+    assert (r.returncode, r.stderr) == (0, b"")
+
+
 def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
