@@ -50,13 +50,6 @@ def _emit(fmt: str, payload: dict, header, rows, lines):
             sys.stdout.write(line + "\n")
 
 
-def _resolve_window(args) -> tuple:
-    # the library entry checks the window itself
-    if args.lo is None or args.hi is None:
-        raise UsageError("this subcommand needs --from and --to")
-    return args.lo, args.hi
-
-
 def _graded(M: homotopy.GradedModule, dense: bool):
     """The json cells, csv rows and text lines of a graded module."""
     cells, rows, lines = [], [], []
@@ -160,8 +153,6 @@ def _cmd_kummer(args) -> tuple:
 
 def _cmd_lvalues(args) -> tuple:
     p = args.prime
-    if args.char is None or args.at is None:
-        raise UsageError("lvalues needs --char and --at")
     val = lfunctions.lp_value(p, args.char, args.at, M=args.precision)
     try:
         v = val.certified_valuation()
@@ -199,23 +190,21 @@ def _cmd_irregular(args) -> tuple:
 
 def _cmd_homotopy(args) -> tuple:
     p = args.prime
-    lo, hi = _resolve_window(args)
     sid = homotopy.SpectrumId.parse(args.spectrum, p, kv_assume=args.kv_assume)
-    cells, rows, lines = _graded(homotopy.homotopy_of(sid, (lo, hi)),
-                                 args.dense)
-    payload = {"prime": p, "spectrum": args.spectrum, "window": [lo, hi],
-               "groups": cells}
+    cells, rows, lines = _graded(
+        homotopy.homotopy_of(sid, (args.lo, args.hi)), args.dense)
+    payload = {"prime": p, "spectrum": args.spectrum,
+               "window": [args.lo, args.hi], "groups": cells}
     return 0, payload, ["degree", "kind", "exponent"], rows, lines
 
 
 def _cmd_duality(args) -> tuple:
     p = args.prime
-    lo, hi = _resolve_window(args)
-    report = homotopy.verify_main_duality(p, (lo, hi),
+    report = homotopy.verify_main_duality(p, (args.lo, args.hi),
                                           kv_assume=args.kv_assume)
     rows = [[cell["i"], cell["degree"], cell["status"]]
             for cell in report.cells + report.notes]
-    lines = [f"duality check p={p} window [{lo}, {hi}]"]
+    lines = [f"duality check p={p} window [{args.lo}, {args.hi}]"]
     for cell in report.cells:
         if cell["status"] == "PASS":
             m = cell["module"]
@@ -240,16 +229,13 @@ def _cmd_duality(args) -> tuple:
 
 def _cmd_les(args) -> tuple:
     p = args.prime
-    lo, hi = _resolve_window(args)
-    if args.char is None:
-        raise UsageError("les needs --char")
     i = args.char % (p - 1)
-    window = (lo, hi)
+    window = (args.lo, args.hi)
     report = homotopy.les_consistency(*(
         homotopy.homotopy_of(homotopy.SpectrumId(v, p, i, args.kv_assume),
                              window)
         for v in "xyz"))
-    payload = {"prime": p, "char": i, "window": [lo, hi]}
+    payload = {"prime": p, "char": i, "window": list(window)}
     payload.update(report.to_dict())
     rows = [
         [k, seg["status"], " ".join(seg["slots"])]
@@ -268,10 +254,10 @@ _OPTIONS = {
     "--precision": dict(type=int, default=4),
     "--unit": dict(choices=("coates-wiles", "lang"), default="coates-wiles"),
     "--lambda": dict(type=int, dest="lam"),
-    "--char": dict(type=int),
-    "--at": dict(type=int),
-    "--from": dict(type=int, dest="lo"),
-    "--to": dict(type=int, dest="hi"),
+    "--char": dict(type=int, required=True),
+    "--at": dict(type=int, required=True),
+    "--from": dict(type=int, dest="lo", required=True),
+    "--to": dict(type=int, dest="hi", required=True),
     "--dense": dict(action="store_true"),
     "--kv-assume": dict(action="store_true"),
 }

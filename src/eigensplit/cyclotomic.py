@@ -38,8 +38,8 @@ from .errors import (
     UsageError,
     ZeroResidue,
 )
-from .padic import (PadicCtx, PadicInt, pack_digits, power_product,
-                    unpack_digits)
+from .padic import PadicCtx, PadicInt, power_product
+from .series import pack_digits, unpack_digits
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -566,24 +566,26 @@ def unit_is_p_torsion(u: CycElt) -> bool:
 
 
 def nontorsion_certified(u: CycElt) -> bool:
-    """Certify that a 1-unit is not a root of unity.
+    """Certify that u is not a root of unity, omega(a) zeta^k at level n
+    (k < p^(n+1)).  A non-unit is none; else u / omega(r), r = digit_0
+    mod p, is a 1-unit, torsion exactly when u is, and certified once it
+    differs from each zeta^k at the stored resolution.  Returns False when
+    some comparison is indistinguishable from zero; that is honest
+    inconclusiveness, not a torsion proof.
 
-    At level n the torsion 1-units are exactly mu_(p^(n+1)), the zeta^k
-    with k < p^(n+1), so u is certified once it differs from each of them
-    at the stored resolution.  Returns False when some comparison is
-    indistinguishable from zero; that is honest inconclusiveness, not a
-    torsion proof.
-
-    Only the k = digit_1(u) mod p need the comparison: one k at level 0,
-    p of them at level 1.  zeta^k = 1 + k pi + ..., and the Eisenstein
-    tail that reduces the higher powers of pi is 0 mod p, so zeta^k has
-    digit_0 = 1 and digit_1 = k mod p.  For a 1-unit u and any other k,
-    u - zeta^k has pi-valuation 1, which its digits show at any prec >= 1.
+    Only the k = digit_1 mod p of that 1-unit need the comparison: one k
+    at level 0, p of them at level 1.  zeta^k = 1 + k pi + ..., and the
+    Eisenstein tail that reduces the higher powers of pi is 0 mod p, so
+    zeta^k has digit_0 = 1 and digit_1 = k mod p.  For a 1-unit u and any
+    other k, u - zeta^k has pi-valuation 1, which its digits show at any
+    prec >= 1.
     """
-    if not u.is_one_unit():
-        return True
     ring = u.ring
     p = ring.ctx.p
+    r = u.digits[0] % p
+    if r == 0:
+        return True
+    u = u * ring.ctx.teichmuller(pow(r, -1, p))
     zeta = ring.zeta()
     for k in range(u.digits[1] % p, p ** (ring.level + 1), p):
         try:

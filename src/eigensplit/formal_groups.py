@@ -17,8 +17,8 @@ from functools import lru_cache
 from math import comb
 
 from .errors import NonIntegralCoefficient, UsageError
-from .padic import check_odd_prime, pack_digits, power_product, unpack_digits
-from .series import TruncSeries, log_one_plus_x
+from .padic import check_odd_prime, power_product
+from .series import TruncSeries, log_one_plus_x, pack_digits, unpack_digits
 
 
 def _check_args(p: int, T: int):
@@ -150,9 +150,7 @@ def _exact_theta(p: int, T: int) -> tuple:
     # exp_G(Y) = Y h(Y^(p-1)), so theta = L h(L^(p-1)) with L = log(1+X):
     # Horner over the coefficients of h only
     L = log_one_plus_x(T)
-    Lp = L
-    for _ in range(p - 2):
-        Lp = Lp * L
+    Lp = power_product(TruncSeries.__mul__, [L], [p - 1])
     acc = TruncSeries([Fraction(0)] * T)
     for hn in reversed(_exp_support(p, T)):
         acc = acc * Lp + hn

@@ -56,24 +56,6 @@ def vp(n: int, p: int) -> int:
     return v
 
 
-# -- packed digit vectors: digit k in bits [k w, (k+1) w), all < 2^w -------
-
-def pack_digits(digits, w: int) -> int:
-    n = 0
-    for c in reversed(digits):
-        n = (n << w) | c
-    return n
-
-
-def unpack_digits(n: int, w: int, count: int) -> list:
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(count):
-        out.append(n & mask)
-        n >>= w
-    return out
-
-
 def power_product(mul, bases, exponents):
     """prod_k bases[k]^exponents[k] in a commutative ring with product
     ``mul``, for exponents >= 0; None when every exponent is 0.

@@ -1,14 +1,18 @@
-"""Truncated power series with exact-rational coefficients.
+"""Truncated polynomials: one packed integer kernel and exact series.
 
-A series is known mod X^trunc.  Every coefficient is a Fraction; ints
-coerce exactly, and any other coefficient or scalar, a PadicInt included,
-is refused with RingMismatch.  Results always carry trunc = min over the
-inputs, and the invariant derivative drops trunc by one.
+The kernel packs digit k of a vector at bit k w of one int, so a product
+of polynomials is one integer multiply (Kronecker substitution); rings,
+theta mod p^N and the exact series all multiply on it.  A series is known
+mod X^trunc.  Every coefficient is a Fraction; ints coerce exactly, and any
+other coefficient or scalar, a PadicInt included, is refused with
+RingMismatch.  Results always carry trunc = min over the inputs, and the
+invariant derivative drops trunc by one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     NonUnitConstantTerm,
@@ -16,6 +20,30 @@ from .errors import (
     RingMismatch,
     UsageError,
 )
+
+
+def pack_digits(digits, w: int) -> int:
+    """sum_k digits[k] 2^(k w)."""
+    n = 0
+    for c in reversed(digits):
+        n = (n << w) + c
+    return n
+
+
+def unpack_digits(n: int, w: int, count: int) -> list:
+    """The low ``count`` w-bit slots of n, each in [0, 2^w)."""
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(count):
+        out.append(n & mask)
+        n >>= w
+    return out
+
+
+def _numerators(coeffs) -> tuple:
+    # integer numerators over the lcm of the denominators, and that lcm
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _exact(c) -> Fraction:
@@ -84,17 +112,20 @@ class TruncSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return self.scale(other)
+        # one packed product of the numerators: a slot sums fewer than
+        # 2^bitlen(T) terms, each below 2^(bitlen(max|a|) + bitlen(max|b|))
+        # in size, so it lies strictly between -2^(w-1) and 2^(w-1), and
+        # adding 2^(w-1) to each of the low T slots reads it as a digit
         T = min(self.trunc, other.trunc)
-        out = [Fraction(0)] * T
-        for i in range(T):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(T - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(out)
+        a, da = _numerators(self.coeffs[:T])
+        b, db = _numerators(other.coeffs[:T])
+        w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+             + T.bit_length() + 1)
+        half = 1 << (w - 1)
+        bias = half * ((1 << (w * T)) - 1) // ((1 << w) - 1)
+        prod = pack_digits(a, w) * pack_digits(b, w) + bias
+        return TruncSeries(
+            [Fraction(s - half, da * db) for s in unpack_digits(prod, w, T)])
 
     __rmul__ = __mul__
 
@@ -131,17 +162,15 @@ class TruncSeries:
         return TruncSeries(out)
 
     def log(self) -> "TruncSeries":
-        """log f as (f-1) - (f-1)^2/2 + ..., for constant term exactly 1."""
+        """log f = g - g^2/2 + g^3/3 - ... with g = f - 1, by Horner in g,
+        for constant term exactly 1."""
         if self.coeffs[0] != 1:
             raise NonUnitConstantTerm("log needs constant term exactly 1")
         g = self - 1
-        out = TruncSeries([0] * self.trunc)
-        power = g
-        for k in range(1, self.trunc):
-            out = out + power.scale(Fraction((-1) ** (k + 1), k))
-            if k < self.trunc - 1:
-                power = power * g
-        return out
+        acc = TruncSeries([0] * self.trunc)
+        for k in range(self.trunc - 1, 0, -1):
+            acc = g * (Fraction(1, k) - acc)
+        return acc
 
 
 def log_one_plus_x(T: int) -> TruncSeries:

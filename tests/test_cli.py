@@ -179,9 +179,17 @@ def test_homotopy_dense_csv(capsys):
     assert "0,free," in lines
 
 
+def _refused_by_argparse(capsys, *argv):
+    """argparse's stderr for a run that it ends with exit 1."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 1
+    return capsys.readouterr().err
+
+
 def test_homotopy_needs_window(capsys):
-    rc, _ = _run(capsys, "homotopy", "J", "--prime", "5")
-    assert rc == 1
+    err = _refused_by_argparse(capsys, "homotopy", "J", "--prime", "5")
+    assert "the following arguments are required: --from, --to" in err
 
 
 def test_homotopy_window_guard_is_strict(capsys):
@@ -277,8 +285,16 @@ def test_les_subcommand(capsys):
 
 
 def test_les_needs_char(capsys):
-    rc, _ = _run(capsys, "les", "--prime", "5", "--from", "-2", "--to", "8")
-    assert rc == 1
+    err = _refused_by_argparse(capsys, "les", "--prime", "5",
+                               "--from", "-2", "--to", "8")
+    assert "the following arguments are required: --char" in err
+
+
+def test_lvalues_needs_char_and_at(capsys):
+    err = _refused_by_argparse(capsys, "lvalues", "--prime", "5", "--at", "3")
+    assert "the following arguments are required: --char" in err
+    err = _refused_by_argparse(capsys, "lvalues", "--prime", "5")
+    assert "the following arguments are required: --char, --at" in err
 
 
 def test_bad_prime_is_usage_error(capsys):

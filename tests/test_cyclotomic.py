@@ -245,16 +245,29 @@ def test_torsion_window_is_too_shallow():
         assert unit_is_p_torsion(ring.from_scalar(1 + p))
 
 
+def _roots_of_unity(ring):
+    """Every omega(a) zeta^k, a in F_p^*, k < p^(level+1)."""
+    ctx = ring.ctx
+    zk = ring.one()
+    for _ in range(ctx.p ** (ring.level + 1)):
+        for a in range(1, ctx.p):
+            yield zk * ctx.teichmuller(a)
+        zk = zk * ring.zeta()
+
+
 def test_nontorsion_certified():
-    # at level n the torsion 1-units are all of mu_(p^(n+1))
+    # at level n the roots of unity are mu_(p-1) times mu_(p^(n+1)); none
+    # is certified, while pi and the units 1+p, 2(1+p) and zeta(1+p) are
     for p in (3, 5, 7):
         for level in (0, 1):
             ring = cyc_ring(p, level)
+            for root in _roots_of_unity(ring):
+                assert not nontorsion_certified(root)
             z = ring.zeta()
-            for k in range(p ** (level + 1)):
-                assert not nontorsion_certified(z ** k)
-            assert nontorsion_certified(ring.from_scalar(1 + p))
-            assert nontorsion_certified(z * ring.from_scalar(1 + p))
+            for u in (ring.uniformizer(), ring.from_scalar(1 + p),
+                      ring.from_scalar(2 * (1 + p)),
+                      z * ring.from_scalar(1 + p)):
+                assert nontorsion_certified(u)
 
 
 def test_eps1_shallow_criteria_are_honestly_false():
@@ -523,13 +536,11 @@ def _per_base_eigen_unit(i, u):
     return acc
 
 
-def _all_k_nontorsion(u):
-    """The torsion scan against every zeta^k, k < p^(level+1)."""
-    ring = u.ring
-    zeta = ring.zeta()
-    for k in range(ring.ctx.p ** (ring.level + 1)):
+def _all_roots_nontorsion(u):
+    """The torsion scan against every root of unity omega(a) zeta^k."""
+    for root in _roots_of_unity(u.ring):
         try:
-            (u - zeta ** k).pi_valuation()
+            (u - root).pi_valuation()
         except (IndistinguishableFromZero, PrecisionExhausted):
             return False
     return True
@@ -590,7 +601,8 @@ def test_shared_chain_matches_per_base_paths(ring_key, N, kind, seed):
     N = max(N, level + 1)
     ring = cyc_ring(p, level, N, min(p + 3, N * (p - 1)))
     u = _eigen_case_unit(ring, kind, rng)
-    assert _outcome(nontorsion_certified, u) == _outcome(_all_k_nontorsion, u)
+    assert (_outcome(nontorsion_certified, u)
+            == _outcome(_all_roots_nontorsion, u))
     assert _outcome(eigen_valuation, u) == _outcome(_average_eigen_valuation, u)
     for i in range(p - 1):
         got = _outcome(eigen_unit, i, u)
@@ -598,7 +610,7 @@ def test_shared_chain_matches_per_base_paths(ring_key, N, kind, seed):
         if isinstance(got, type):
             continue
         e = CycElt(ring, *got)
-        assert nontorsion_certified(e) == _all_k_nontorsion(e)
+        assert nontorsion_certified(e) == _all_roots_nontorsion(e)
         assert _outcome(eigen_valuation, e - 1) == \
             _outcome(_average_eigen_valuation, e - 1)
     # a Z_p exponent known to a random number of digits

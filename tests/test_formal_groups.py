@@ -81,8 +81,8 @@ def test_theta_is_p_integral():
 
 
 # truncations of the exact oracle: past 2p^3 = 54 at p = 3, 2p^2 = 50 at
-# p = 5 and 2p^2 = 98 at p = 7
-_ORACLE_T = {3: 60, 5: 60, 7: 100}
+# p = 5, 2p^2 = 98 at p = 7 and 2p = 22 at p = 11
+_ORACLE_T = {3: 60, 5: 60, 7: 100, 11: 130}
 
 
 def _last_loss_degree(p, T):
@@ -100,6 +100,7 @@ def _last_loss_degree(p, T):
 @example(p=5, N=4, T=51)
 @example(p=7, N=1, T=15)
 @example(p=7, N=4, T=100)
+@example(p=11, N=4, T=130)
 def test_theta_mod_pk_matches_exact_theta(p, N, T):
     T = min(T, _ORACLE_T[p])
     q = p ** N

@@ -18,6 +18,11 @@ LAYERS = list(eigensplit._EXPORTS)
 # series is exact-only and kummer walks its own logarithm
 _ABSENT = {"series": {"padic"}, "kummer": {"series"}}
 
+# the packed kernel for truncated polynomials, and the layers that
+# multiply on it besides the exact series
+_KERNEL = {"pack_digits", "unpack_digits"}
+_KERNEL_USERS = ("cyclotomic", "formal_groups")
+
 # (layer, function, layer it imports): the only imports inside function
 # bodies, each of a later layer that the function alone reads
 _UPWARD = {
@@ -58,6 +63,20 @@ def test_layers_import_only_earlier_layers(layer):
 def test_ruled_out_edges_stay_absent(layer, absent):
     # anywhere in the module, function bodies included
     assert not absent & set(_layers_imported(ast.walk(_tree(layer))))
+
+
+def test_one_packed_kernel_lives_in_series():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            tree = _tree(name[:-3])
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)} & _KERNEL
+            assert defined == (_KERNEL if name == "series.py" else set())
+    for layer in _KERNEL_USERS:
+        imported = {alias.name for node in _tree(layer).body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "series" for alias in node.names}
+        assert _KERNEL <= imported, layer
 
 
 def test_function_level_imports_are_the_known_upward_edges():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigensplit.errors import (
     NonUnitConstantTerm,
@@ -30,16 +32,48 @@ def _random_series(rng, T):
                         for _ in range(T)])
 
 
-def test_mul_against_naive_convolution():
-    rng = random.Random(5)
-    for _ in range(25):
-        T = rng.randrange(2, 9)
-        f = _random_series(rng, T)
-        g = _random_series(rng, T)
-        got = (f * g).coeffs
-        for k in range(T):
-            want = sum(f.coeffs[i] * g.coeffs[k - i] for i in range(k + 1))
-            assert got[k] == want
+def _schoolbook(f, g):
+    """The Fraction double loop, the product before the packed kernel."""
+    T = min(f.trunc, g.trunc)
+    out = [Fraction(0)] * T
+    for i in range(T):
+        a = f.coeffs[i]
+        if not a:
+            continue
+        for j in range(T - i):
+            b = g.coeffs[j]
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+# denominators built from a few small primes share them across the
+# coefficients; large primes and random integers mostly do not
+_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12, 35, 3 ** 40, 2 ** 61 - 1]),
+    st.integers(1, 2 ** 64),
+)
+_COEFFS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-2 ** 300, 2 ** 300), _DENOMINATORS),
+)
+_SERIES = st.one_of(
+    st.integers(1, 40).map(lambda T: TruncSeries([0] * T)),
+    st.lists(_COEFFS, min_size=1, max_size=40).map(TruncSeries),
+)
+# 2^k - 1 in each of T = 2^m - 1 slots: the top slot of its square sums
+# T (2^k - 1)^2, the widest sum that the slot width must hold
+_WIDEST = TruncSeries([2 ** 300 - 1] * 31)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_SERIES, g=_SERIES)
+@example(f=_WIDEST, g=_WIDEST)
+@example(f=_WIDEST, g=-_WIDEST)
+def test_mul_against_naive_convolution(f, g):
+    prod = f * g
+    assert prod.trunc == min(f.trunc, g.trunc)
+    assert prod.coeffs == _schoolbook(f, g)
 
 
 def test_trunc_bookkeeping():
