@@ -1,23 +1,26 @@
-"""Cyclotomic rings Z_p[zeta] at levels 0 and 1, in pi-adic digits.
+"""Cyclotomic rings Z_p[zeta] at levels 0 and 1, on the zeta-power basis.
 
-Level n holds zeta of order p^{n+1}; pi = zeta - 1 is a uniformizer with
-Eisenstein minimal polynomial Phi_{p^{n+1}}(1+X), and an element is stored as
-its digit vector sum c_j pi^j, j < degree: a list of int residues mod p^prec
-with one absolute precision ``prec`` for the whole element, propagated by the
-min rule.  Since p = (unit) pi^degree and the digit positions
-j + degree*v_p(c_j) are pairwise distinct, pi-valuations are read straight
-off the digits.  Equality always means equality mod pi^{pi_prec}.
+Level n holds zeta of order P = p^{n+1} and degree d = p^n (p-1); pi =
+zeta - 1 is a uniformizer with Eisenstein minimal polynomial Phi_P(1+X).
+An element is stored as its coefficients of 1, zeta, ..., zeta^(P-1): a
+list of int residues mod p^prec, with one absolute precision ``prec`` for
+the whole element, propagated by the min rule.  The vector is redundant,
+mod zeta^P - 1: the multiples of Phi_P(zeta) are the vectors constant on
+each class k mod P/p, so taking the class of each k >= d off its class
+normalizes it to degree < d.
 
-The Galois action, the norm one level down and the embedding one level up
-all go through the zeta-power basis 1, zeta, ..., zeta^(degree-1), at both
-levels: sigma_a permutes it, and since zeta_0 = zeta_1^p the level-0 ring
-sits at the level-1 positions divisible by p.
+sigma_a permutes the stored coefficients, and the level-0 ring sits at
+the level-1 positions divisible by p.  A product is one big-integer
+multiply (Kronecker substitution, coefficient k at bit slot k) whose slots
+from P up fold onto slot 0 in one shift-add, since zeta^P = 1.  A folded
+slot sums P terms below p^(2N), so 2 bitlen(p^N) + bitlen(P) bits hold it.
 
-A product is one big-integer multiply (Kronecker substitution): each digit
-vector is packed into an integer, digit k in bit slot k, with slots wide
-enough that no coefficient of the product can carry into the next.  The
-product's slots of degree >= degree are folded back with the packed residues
-of X^degree, X^(degree+1), ... modulo the Eisenstein modulus.
+The pi-adic digits, sum_j c_j pi^j (j < d), are computed from the
+normalized coefficients through packed Pascal rows when first read and
+kept with the element; an element built from digits keeps them and is
+converted once.  Since p = (unit) pi^d and the digit positions
+j + d*v_p(c_j) are pairwise distinct, pi-valuations are read straight off
+the digits.  Equality always means equality mod pi^{pi_prec}.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ def _combine(columns, coeffs) -> int:
 
 class CycRing:
     __slots__ = (
-        "ctx", "level", "degree", "pi_prec", "modulus_tail",
-        "_slot", "_fold", "_to_zeta", "_from_zeta", "_base",
+        "ctx", "level", "degree", "order", "pi_prec", "modulus_tail",
+        "_slot", "_to_zeta", "_from_zeta", "_base",
     )
 
     def __init__(self, ctx: PadicCtx, level: int, pi_prec: int | None = None):
@@ -83,11 +86,12 @@ class CycRing:
         self.ctx = ctx
         self.level = level
         self.degree = d
+        self.order = p ** (level + 1)
         self.pi_prec = pi_prec
         # lower coefficients of the monic Eisenstein modulus of pi,
         # sum_{k<p} (1 + pi)^(k p^level)
         full = [0] * (d + 1)
-        for k in range(0, p * p ** level, p ** level):
+        for k in range(0, self.order, p ** level):
             for j in range(min(k, d) + 1):
                 full[j] += comb(k, j)
         assert full[d] == 1
@@ -95,9 +99,8 @@ class CycRing:
         assert tail[0] == p
         m = ctx.modulus
         self.modulus_tail = [t % m for t in tail]
-        # a slot of a product, folded, sums fewer than 2d terms below p^(2N)
-        self._slot = w = 2 * m.bit_length() + d.bit_length() + 1
-        self._fold = self._fold_columns()
+        # a slot of a folded product sums P terms below p^(2N)
+        self._slot = w = 2 * m.bit_length() + self.order.bit_length()
         # row n of Pascal's triangle mod m: zeta^n = sum_i C(n,i) pi^i and
         # pi^n = sum_i (-1)^(n-i) C(n,i) zeta^i
         self._to_zeta, self._from_zeta = [], []
@@ -108,17 +111,6 @@ class CycRing:
             self._to_zeta.append(pack_digits(signed, w))
             row = [1] + [(a + b) % m for a, b in zip(row, row[1:])] + [1]
         self._base = None
-
-    def _fold_columns(self) -> list:
-        # X^(d+k) mod the modulus for k < d - 1, the degrees a product reaches
-        m, tail = self.ctx.modulus, self.modulus_tail
-        r = [-t % m for t in tail]
-        cols = []
-        for _ in range(self.degree - 1):
-            cols.append(pack_digits(r, self._slot))
-            top = r[-1]
-            r = [(c - top * t) % m for c, t in zip([0] + r[:-1], tail)]
-        return cols
 
     def __eq__(self, other):
         return (
@@ -152,11 +144,11 @@ class CycRing:
         return self.from_coeffs([0, 1])
 
     def zeta(self) -> "CycElt":
-        return self.from_coeffs([1, 1])
+        return _on_zeta(self, [0, 1] + [0] * (self.order - 2), self.ctx.N)
 
     def from_coeffs(self, coeffs) -> "CycElt":
-        """Digits from ints or PadicInts; a PadicInt known to fewer
-        p-adic digits lowers the element's prec to its own."""
+        """Pi-adic digits from ints or PadicInts; a PadicInt known to
+        fewer p-adic digits lowers the element's prec to its own."""
         coeffs = list(coeffs)
         if len(coeffs) > self.degree:
             raise UsageError("too many digits")
@@ -187,15 +179,54 @@ def cyc_ring(p: int, level: int, prec: int = 4, pi_prec: int | None = None) -> C
     return CycRing(PadicCtx(p, prec), level, pi_prec)
 
 
+# -- the two changes of basis ------------------------------------------------
+
+def _pi_to_zeta(ring: CycRing, digits: list, prec: int) -> list:
+    """The order-P coefficient vector of sum digits[j] pi^j, mod p^prec."""
+    if not any(digits[1:]):  # a scalar, the same on both bases
+        return digits[:1] + [0] * (ring.order - 1)
+    q = ring.ctx.p ** prec
+    packed = _combine(ring._to_zeta, digits)
+    return [c % q for c in unpack_digits(packed, ring._slot, ring.order)]
+
+
+def _zeta_to_pi(ring: CycRing, coeffs: list, prec: int) -> list:
+    """The pi-adic digits of sum coeffs[k] zeta^k, mod p^prec: the top
+    class k >= d comes off each class, then the Pascal rows apply."""
+    q = ring.ctx.p ** prec
+    d = ring.degree
+    top = coeffs[d:] * (ring.ctx.p - 1)
+    normal = [(c - t) % q for c, t in zip(coeffs, top)]
+    packed = _combine(ring._from_zeta, normal)
+    return [c % q for c in unpack_digits(packed, ring._slot, d)]
+
+
+def _on_zeta(ring: CycRing, coeffs: list, prec: int) -> "CycElt":
+    """The element with order-P coefficient vector ``coeffs``, already
+    reduced mod p^prec; its digits are computed when first read."""
+    x = object.__new__(CycElt)
+    x.ring, x.zeta_coeffs, x.prec, x._digits = ring, coeffs, prec, None
+    return x
+
+
 class CycElt:
-    __slots__ = ("ring", "digits", "prec")
+    __slots__ = ("ring", "zeta_coeffs", "prec", "_digits")
 
     def __init__(self, ring: CycRing, digits: list, prec: int):
-        """``digits``: ``ring.degree`` ints, already reduced mod p^prec."""
+        """``digits``: the ``ring.degree`` pi-adic digits, already reduced
+        mod p^prec, converted once to the zeta-power basis."""
         assert len(digits) == ring.degree
         self.ring = ring
-        self.digits = digits
+        self.zeta_coeffs = _pi_to_zeta(ring, digits, prec)
         self.prec = prec
+        self._digits = digits
+
+    @property
+    def digits(self) -> list:
+        """The pi-adic digits mod p^prec, computed when first read."""
+        if self._digits is None:
+            self._digits = _zeta_to_pi(self.ring, self.zeta_coeffs, self.prec)
+        return self._digits
 
     @property
     def coeffs(self) -> tuple:
@@ -218,9 +249,9 @@ class CycElt:
             return NotImplemented
         prec = min(self.prec, o.prec)
         q = self.ring.ctx.p ** prec
-        return CycElt(
-            self.ring, [(a + b) % q for a, b in zip(self.digits, o.digits)], prec
-        )
+        return _on_zeta(self.ring, [
+            (a + b) % q for a, b in zip(self.zeta_coeffs, o.zeta_coeffs)
+        ], prec)
 
     __radd__ = __add__
 
@@ -230,9 +261,9 @@ class CycElt:
             return NotImplemented
         prec = min(self.prec, o.prec)
         q = self.ring.ctx.p ** prec
-        return CycElt(
-            self.ring, [(a - b) % q for a, b in zip(self.digits, o.digits)], prec
-        )
+        return _on_zeta(self.ring, [
+            (a - b) % q for a, b in zip(self.zeta_coeffs, o.zeta_coeffs)
+        ], prec)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -242,21 +273,24 @@ class CycElt:
 
     def __neg__(self):
         q = self.ring.ctx.p ** self.prec
-        return CycElt(self.ring, [-a % q for a in self.digits], self.prec)
+        return _on_zeta(
+            self.ring, [-a % q for a in self.zeta_coeffs], self.prec
+        )
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         ring = self.ring
-        d, w = ring.degree, ring._slot
+        P, w = ring.order, ring._slot
         prec = min(self.prec, o.prec)
         q = ring.ctx.p ** prec
-        prod = pack_digits(self.digits, w) * pack_digits(o.digits, w)
-        low = d * w
-        high = [h % q for h in unpack_digits(prod >> low, w, d - 1)]
-        acc = (prod & ((1 << low) - 1)) + _combine(ring._fold, high)
-        return CycElt(ring, [c % q for c in unpack_digits(acc, w, d)], prec)
+        a = pack_digits(self.zeta_coeffs, w)
+        prod = a * (a if o is self else pack_digits(o.zeta_coeffs, w))
+        # zeta^P = 1: slot P + k lands on slot k
+        low = P * w
+        prod = (prod & ((1 << low) - 1)) + (prod >> low)
+        return _on_zeta(ring, [c % q for c in unpack_digits(prod, w, P)], prec)
 
     __rmul__ = __mul__
 
@@ -299,71 +333,46 @@ class CycElt:
         a vanished digit could start, so one prec never hides a smaller
         valuation."""
         p = self.ring.ctx.p
+        digits = self.digits
         pv = 1
         for v in range(self.prec):
             pv *= p
-            for j, c in enumerate(self.digits):
+            for j, c in enumerate(digits):
                 if c % pv:
                     return j + self.ring.degree * v
         raise IndistinguishableFromZero(
             "every digit vanishes at the working precision"
         )
 
+    def _residue(self) -> int:
+        """The element mod pi, in F_p: zeta = 1 mod pi, so it is the sum
+        of the coefficients mod p, whatever the representative, since a
+        multiple of Phi_P(zeta) has coefficients summing to p times an int."""
+        return sum(self.zeta_coeffs) % self.ring.ctx.p
+
     def is_one_unit(self) -> bool:
-        """Whether the element is 1 mod pi.  Every digit position past 0
-        has pi-valuation at least 1, so v(u - 1) >= 1 exactly when p
-        divides digit_0 - 1."""
-        return self.digits[0] % self.ring.ctx.p == 1
+        """Whether the element is 1 mod pi."""
+        return self._residue() == 1
 
 
 # -- Galois action and norms -----------------------------------------------
 
-def _zeta_coeffs(x: CycElt) -> list:
-    """x on the basis 1, zeta, ..., zeta^(degree-1), mod p^prec."""
-    ring = x.ring
-    q = ring.ctx.p ** x.prec
-    packed = _combine(ring._to_zeta, x.digits)
-    return [c % q for c in unpack_digits(packed, ring._slot, ring.degree)]
-
-
-def _from_zeta_coeffs(ring: CycRing, coeffs: list, prec: int) -> CycElt:
-    """sum coeffs[k] zeta^k as an element of ``ring`` at ``prec``."""
-    q = ring.ctx.p ** prec
-    packed = _combine(ring._from_zeta, [c % q for c in coeffs])
-    digits = unpack_digits(packed, ring._slot, ring.degree)
-    return CycElt(ring, [c % q for c in digits], prec)
-
-
 def galois_apply(a: int, x: CycElt) -> CycElt:
-    """sigma_a, the automorphism zeta -> zeta^a, i.e. pi -> (1+pi)^a - 1.
-
-    At level n (degree d = p^n (p-1)) it sends zeta^k to zeta^(ak mod
-    p^(n+1)) on the zeta-power basis; an image zeta^(d+r), r < p^n, is
-    -(sum over j < p-1 of zeta^(j p^n + r)) because Phi_{p^(n+1)}(zeta) = 0.
-    """
+    """sigma_a, the automorphism zeta -> zeta^a, i.e. pi -> (1+pi)^a - 1:
+    at level n it sends zeta^k to zeta^(ak mod p^(n+1)), a permutation of
+    the stored coefficients, and the image keeps x's prec."""
     ring = x.ring
     p = ring.ctx.p
-    q = p ** (ring.level + 1)
-    a = int(a.value if isinstance(a, PadicInt) else a) % q
+    P = ring.order
+    a = int(a.value if isinstance(a, PadicInt) else a) % P
     if a % p == 0:
-        raise NotAUnitExponent(f"{a} is not a unit mod {q}")
+        raise NotAUnitExponent(f"{a} is not a unit mod {P}")
     if a == 1:
         return x
-    d = ring.degree
-    step = q // p
-    out = [0] * d
-    spill = [0] * step
-    for k, c in enumerate(_zeta_coeffs(x)):
-        e = a * k % q
-        if e < d:
-            out[e] = c
-        else:
-            spill[e - d] = c
-    for r, c in enumerate(spill):
-        if c:
-            for j in range(r, d, step):
-                out[j] -= c
-    return _from_zeta_coeffs(ring, out, x.prec)
+    # the coefficient of zeta^j is that of zeta^(j/a)
+    z = x.zeta_coeffs
+    b = pow(a, -1, P)
+    return _on_zeta(ring, [z[k % P] for k in range(0, b * P, b)], x.prec)
 
 
 @lru_cache(maxsize=None)
@@ -396,35 +405,38 @@ def _orbit_product(x: CycElt, g: int, n: int) -> CycElt:
 def norm_down(x: CycElt) -> CycElt:
     """Norm from level 1 to level 0: the product of the p conjugates
     sigma_(1+kp), k < p, read off the zeta_1-positions divisible by p,
-    where zeta_0 = zeta_1^p puts the level-0 ring.
+    where zeta_0 = zeta_1^p puts the level-0 ring.  That slice is the
+    level-0 element exactly when the product lies in the subring: a
+    multiple of Phi_(p^2)(zeta_1) puts the same coefficient on every
+    position divisible by p, and so adds a multiple of Phi_p(zeta_0).
 
     Since (1+p)^k = 1 + kp mod p^2, that product is the orbit product of
     sigma_(1+p) over p steps, taken by doubling in O(log p) conjugates and
     products (_orbit_product).  No digit is lost: products are exact,
-    commutative and associative in (Z/p^prec)[pi] mod the Eisenstein
-    modulus, and each sigma_a is a ring map there, so the digits and prec
-    are those of the conjugate-by-conjugate product."""
+    commutative and associative in (Z/p^prec)[zeta], and each sigma_a is
+    a ring map there, so the digits and prec are those of the
+    conjugate-by-conjugate product."""
     ring = x.ring
     if ring.level != 1:
         raise UsageError("norm_down starts at level 1")
     p = ring.ctx.p
     acc = _orbit_product(x, 1 + p, p)
-    base = ring.base_ring()
-    out = _from_zeta_coeffs(base, _zeta_coeffs(acc)[::p], acc.prec)
+    out = _on_zeta(ring.base_ring(), acc.zeta_coeffs[::p], acc.prec)
     if not (acc - embed_up(out, ring)).vanishes_mod_pi(ring.pi_prec):
         raise NotInSubfield("norm does not lie in the level-0 subring")
     return out
 
 
 def embed_up(x: CycElt, ring1: CycRing) -> CycElt:
-    """Include level 0 into level 1 via zeta_0 -> zeta_1^p."""
+    """Include level 0 into level 1 via zeta_0 -> zeta_1^p: the
+    coefficient of zeta_0^k moves to position p k."""
     if x.ring.level != 0 or ring1.level != 1:
         raise UsageError("embed_up goes from level 0 to level 1")
     if ring1.base_ring() != x.ring:
         raise UsageError("rings are not aligned")
-    coeffs = [0] * ring1.degree
-    coeffs[::ring1.ctx.p] = _zeta_coeffs(x)
-    return _from_zeta_coeffs(ring1, coeffs, x.prec)
+    coeffs = [0] * ring1.order
+    coeffs[::ring1.ctx.p] = x.zeta_coeffs
+    return _on_zeta(ring1, coeffs, x.prec)
 
 
 def norm_to_qp(x: CycElt) -> PadicInt:
@@ -434,9 +446,9 @@ def norm_to_qp(x: CycElt) -> PadicInt:
     least primitive root g mod p, so the norm is the orbit product of
     sigma_g over p-1 steps, taken by doubling in O(log p) conjugates and
     products (_orbit_product).  No digit is lost: products are exact,
-    commutative and associative in (Z/p^prec)[pi] mod the Eisenstein
-    modulus, and each sigma_a is a ring map there, so the digits and prec
-    are those of the conjugate-by-conjugate product."""
+    commutative and associative in (Z/p^prec)[zeta], and each sigma_a is
+    a ring map there, so the digits and prec are those of the
+    conjugate-by-conjugate product."""
     ring = x.ring
     if ring.level == 1:
         return norm_to_qp(norm_down(x))
@@ -459,14 +471,22 @@ def _stable_exponent_prec(ring: CycRing, v0: int) -> int:
     return k
 
 
+def _exponent_digits(u: CycElt) -> int:
+    """The p-adic digits of a Z_p exponent c that fix u^c: the k p-power
+    steps that carry v(u - 1) past pi_prec, or 0 (u stands for 1) when
+    u - 1 is indistinguishable from zero."""
+    try:
+        return _stable_exponent_prec(u.ring, (u - 1).pi_valuation())
+    except IndistinguishableFromZero:
+        return 0
+
+
 def unit_pow_product(bases, exponents) -> CycElt:
     """prod_k u_k^(c_k) for 1-units u_k and Z_p exponents c_k.
 
-    u^c depends only on c mod p^k, where k p-power steps carry v(u - 1)
-    past pi_prec (k = 0, so u stands for 1, when u - 1 is
-    indistinguishable from zero).  The reduced exponents share one
-    squaring chain, `padic.power_product`; products are exact in
-    (Z/p^prec)[pi], so their order changes no digit.
+    u^c depends only on c mod p^k, k = _exponent_digits(u).  The reduced
+    exponents share one squaring chain, `padic.power_product`; products
+    are exact in (Z/p^prec)[zeta], so their order changes no digit.
     """
     ring = bases[0].ring
     p = ring.ctx.p
@@ -474,10 +494,7 @@ def unit_pow_product(bases, exponents) -> CycElt:
     for u, c in zip(bases, exponents):
         if not u.is_one_unit():
             raise NotOneUnit("Z_p-powers need a 1-unit base")
-        try:
-            k = _stable_exponent_prec(ring, (u - 1).pi_valuation())
-        except IndistinguishableFromZero:
-            k = 0
+        k = _exponent_digits(u)
         if isinstance(c, PadicInt):
             if c.prec < k:
                 raise PrecisionExhausted(
@@ -498,18 +515,25 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
     """The omega^i idempotent applied to a one-unit:
     product over a in F_p^* of sigma_{omega(a)}(u)^{omega(a)^{-i}/(p-1)}.
 
-    The p-1 conjugates go through one squaring chain."""
+    The p-1 conjugates go through one squaring chain, their exponents
+    reduced by u's _exponent_digits: sigma_a(u) - 1 = sigma_a(u - 1) and
+    sigma_a is an isometry (see eigen_valuation).  Those digits are at
+    most N, all the exponents hold, since each p-power step adds at least
+    p - 1 to v(u - 1) >= 1 and pi_prec <= N (p - 1)."""
     if not u.is_one_unit():
         raise NotOneUnit("eigenprojection acts on 1-units")
     ctx = u.ring.ctx
     p = ctx.p
     i = i % (p - 1)
     inv_order = ctx.of(p - 1).invert()
+    q = p ** _exponent_digits(u)
     conjugates, exponents = [], []
     for a in range(1, p):
         conjugates.append(galois_apply(ctx.teichmuller(a), u))
-        exponents.append(ctx.teichmuller(pow(a, -1, p)) ** i * inv_order)
-    return unit_pow_product(conjugates, exponents)
+        c = ctx.teichmuller(pow(a, -1, p)) ** i * inv_order
+        exponents.append(c.value % q)
+    acc = power_product(mul, conjugates, exponents)
+    return u.ring.one() if acc is None else acc
 
 
 def eigen_valuation(u: CycElt) -> Fraction:
@@ -567,8 +591,8 @@ def unit_is_p_torsion(u: CycElt) -> bool:
 
 def nontorsion_certified(u: CycElt) -> bool:
     """Certify that u is not a root of unity, omega(a) zeta^k at level n
-    (k < p^(n+1)).  A non-unit is none; else u / omega(r), r = digit_0
-    mod p, is a 1-unit, torsion exactly when u is, and certified once it
+    (k < p^(n+1)).  A non-unit is none; else u / omega(r), r = u mod pi,
+    is a 1-unit, torsion exactly when u is, and certified once it
     differs from each zeta^k at the stored resolution.  Returns False when
     some comparison is indistinguishable from zero; that is honest
     inconclusiveness, not a torsion proof.
@@ -581,15 +605,15 @@ def nontorsion_certified(u: CycElt) -> bool:
     prec >= 1.
     """
     ring = u.ring
-    p = ring.ctx.p
-    r = u.digits[0] % p
+    p, P = ring.ctx.p, ring.order
+    r = u._residue()
     if r == 0:
         return True
     u = u * ring.ctx.teichmuller(pow(r, -1, p))
-    zeta = ring.zeta()
-    for k in range(u.digits[1] % p, p ** (ring.level + 1), p):
+    for k in range(u.digits[1] % p, P, p):
+        zeta_k = _on_zeta(ring, [0] * k + [1] + [0] * (P - 1 - k), ring.ctx.N)
         try:
-            (u - zeta ** k).pi_valuation()
+            (u - zeta_k).pi_valuation()
         except IndistinguishableFromZero:
             return False
     return True

@@ -3,6 +3,8 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,9 +15,7 @@ from eigensplit.cyclotomic import (
     CycElt,
     CycRing,
     NormCompatiblePair,
-    _from_zeta_coeffs,
     _stable_exponent_prec,
-    _zeta_coeffs,
     as_mu_element,
     check_eps1_nontorsion,
     cyc_ring,
@@ -44,7 +44,8 @@ from eigensplit.errors import (
     ZeroResidue,
 )
 from eigensplit.kummer import cw_unit, cw_unit_pair, lang_unit
-from eigensplit.padic import PadicCtx, PadicInt
+from eigensplit.padic import PadicCtx, PadicInt, power_product
+from eigensplit.series import pack_digits, unpack_digits
 
 
 def _random_one_unit(rng, ring):
@@ -732,8 +733,9 @@ def _loop_norm_down(x):
     acc = x
     for k in range(1, p):
         acc = acc * galois_apply(1 + k * p, x)
-    out = _from_zeta_coeffs(ring.base_ring(), _zeta_coeffs(acc)[::p],
-                            acc.prec)
+    out = _oracle_from_zeta(ring.base_ring(),
+                            _oracle_to_zeta(_PiElt.of(acc))[::p],
+                            acc.prec).elt()
     if not (acc - embed_up(out, ring)).vanishes_mod_pi(ring.pi_prec):
         raise NotInSubfield("norm does not lie in the level-0 subring")
     return out
@@ -845,3 +847,330 @@ def test_norms_pinned():
                      pair.u0.digits, pair.u0.prec))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "fe0172b6b9df6eae3a07c6b14573ed209520a22b4753dc7dae1c2732e2f6a8c5"
+
+
+# -- the zeta-power storage against the pi-basis ring it replaced -------------
+#
+# _PiElt keeps an element as its pi-adic digits, as the ring did before its
+# elements moved to the zeta-power basis: a product is a Kronecker product
+# whose slots of degree >= d fold back through the packed residues of
+# X^d, X^(d+1), ... mod the Eisenstein modulus, and sigma_a converts the
+# digits to the zeta-power basis and back.
+
+
+@lru_cache(maxsize=None)
+def _pi_tables(p, level, N):
+    """Slot width, fold columns and Pascal rows of the pi-basis ring."""
+    ring = cyc_ring(p, level, N)
+    m, d, tail = ring.ctx.modulus, ring.degree, ring.modulus_tail
+    w = 2 * m.bit_length() + d.bit_length() + 1
+    r = [-t % m for t in tail]
+    fold = []
+    for _ in range(d - 1):
+        fold.append(pack_digits(r, w))
+        top = r[-1]
+        r = [(c - top * t) % m for c, t in zip([0] + r[:-1], tail)]
+    to_zeta, from_zeta = [], []
+    row = [1]
+    for n in range(d):
+        from_zeta.append(pack_digits(row, w))
+        to_zeta.append(pack_digits(
+            [(-1) ** (n - i) * c % m for i, c in enumerate(row)], w))
+        row = [1] + [(a + b) % m for a, b in zip(row, row[1:])] + [1]
+    return w, fold, to_zeta, from_zeta
+
+
+def _packed_sum(columns, coeffs):
+    return sum(c * col for c, col in zip(coeffs, columns))
+
+
+class _PiElt:
+    """An element as pi-adic digits mod p^prec, with the pi-basis ops."""
+
+    def __init__(self, ring, digits, prec):
+        self.ring, self.digits, self.prec = ring, digits, prec
+
+    @classmethod
+    def of(cls, x):
+        return cls(x.ring, list(x.digits), x.prec)
+
+    def elt(self):
+        return CycElt(self.ring, self.digits, self.prec)
+
+    def outcome(self):
+        return (self.digits, self.prec)
+
+    def _tables(self):
+        return _pi_tables(self.ring.ctx.p, self.ring.level, self.ring.ctx.N)
+
+    def _coerce(self, other):
+        if isinstance(other, _PiElt):
+            return other
+        ctx = self.ring.ctx
+        prec = other.prec if isinstance(other, PadicInt) else ctx.N
+        value = other.value if isinstance(other, PadicInt) else other
+        digits = [value % ctx.p ** prec] + [0] * (self.ring.degree - 1)
+        return _PiElt(self.ring, digits, prec)
+
+    def _zip(self, other, op):
+        o = self._coerce(other)
+        prec = min(self.prec, o.prec)
+        q = self.ring.ctx.p ** prec
+        return _PiElt(self.ring, [op(a, b) % q for a, b in
+                                  zip(self.digits, o.digits)], prec)
+
+    def __add__(self, other):
+        return self._zip(other, lambda a, b: a + b)
+
+    def __sub__(self, other):
+        return self._zip(other, lambda a, b: a - b)
+
+    def __neg__(self):
+        q = self.ring.ctx.p ** self.prec
+        return _PiElt(self.ring, [-a % q for a in self.digits], self.prec)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        d = self.ring.degree
+        w, fold, _, _ = self._tables()
+        prec = min(self.prec, o.prec)
+        q = self.ring.ctx.p ** prec
+        prod = pack_digits(self.digits, w) * pack_digits(o.digits, w)
+        high = [h % q for h in unpack_digits(prod >> d * w, w, d - 1)]
+        acc = (prod & ((1 << d * w) - 1)) + _packed_sum(fold, high)
+        return _PiElt(self.ring, [c % q for c in unpack_digits(acc, w, d)],
+                      prec)
+
+    def __pow__(self, n):
+        acc = power_product(mul, [self], [n])
+        return self._coerce(1) if acc is None else acc
+
+    def valuation(self):
+        p, d = self.ring.ctx.p, self.ring.degree
+        for v in range(self.prec):
+            for j, c in enumerate(self.digits):
+                if c % p ** (v + 1):
+                    return j + d * v
+        raise IndistinguishableFromZero("zero at the working precision")
+
+    def vanishes(self, M):
+        if -(-M // self.ring.degree) > self.prec:
+            raise PrecisionExhausted(f"too few digits to test mod pi^{M}")
+        try:
+            return self.valuation() >= M
+        except IndistinguishableFromZero:
+            return True
+
+    def is_one_unit(self):
+        return self.digits[0] % self.ring.ctx.p == 1
+
+
+def _oracle_to_zeta(x):
+    """x on the basis 1, zeta, ..., zeta^(d-1), mod p^prec."""
+    w, _, to_zeta, _ = x._tables()
+    q = x.ring.ctx.p ** x.prec
+    packed = _packed_sum(to_zeta, x.digits)
+    return [c % q for c in unpack_digits(packed, w, x.ring.degree)]
+
+
+def _oracle_from_zeta(ring, coeffs, prec):
+    """sum coeffs[k] zeta^k, k < d, as a _PiElt of ``ring``."""
+    w, _, _, from_zeta = _pi_tables(ring.ctx.p, ring.level, ring.ctx.N)
+    q = ring.ctx.p ** prec
+    packed = _packed_sum(from_zeta, [c % q for c in coeffs])
+    return _PiElt(ring, [c % q for c in unpack_digits(packed, w, ring.degree)],
+                  prec)
+
+
+def _pi_galois(a, x):
+    """sigma_a through the zeta-power basis: zeta^k -> zeta^(ak), and an
+    image zeta^(d+r) spills as -(sum over j < p-1 of zeta^(j p^n + r))."""
+    ring = x.ring
+    p = ring.ctx.p
+    q = p ** (ring.level + 1)
+    a = int(a.value if isinstance(a, PadicInt) else a) % q
+    if a % p == 0:
+        raise NotAUnitExponent(f"{a} is not a unit mod {q}")
+    d, step = ring.degree, q // p
+    out, spill = [0] * d, [0] * step
+    for k, c in enumerate(_oracle_to_zeta(x)):
+        e = a * k % q
+        if e < d:
+            out[e] = c
+        else:
+            spill[e - d] = c
+    for r, c in enumerate(spill):
+        for j in range(r, d, step):
+            out[j] -= c
+    return _oracle_from_zeta(ring, out, x.prec)
+
+
+def _pi_embed_up(x, ring1):
+    coeffs = [0] * ring1.degree
+    coeffs[::ring1.ctx.p] = _oracle_to_zeta(x)
+    return _oracle_from_zeta(ring1, coeffs, x.prec)
+
+
+def _pi_norm_down(x):
+    ring = x.ring
+    if ring.level != 1:
+        raise UsageError("norm_down starts at level 1")
+    p = ring.ctx.p
+    acc = x
+    for k in range(1, p):
+        acc = acc * _pi_galois(1 + k * p, x)
+    out = _oracle_from_zeta(ring.base_ring(), _oracle_to_zeta(acc)[::p],
+                            acc.prec)
+    if not (acc - _pi_embed_up(out, ring)).vanishes(ring.pi_prec):
+        raise NotInSubfield("norm does not lie in the level-0 subring")
+    return out
+
+
+def _pi_norm_to_qp(x):
+    ring = x.ring
+    if ring.level == 1:
+        return _pi_norm_to_qp(_pi_norm_down(x))
+    acc = x
+    for a in range(2, ring.ctx.p):
+        acc = acc * _pi_galois(a, x)
+    scalar = ring.ctx.of(acc.digits[0], acc.prec)
+    if not (acc - scalar).vanishes(ring.pi_prec):
+        raise NotInBaseField("norm has nonscalar digits")
+    return scalar
+
+
+def _pi_eigen_unit(i, u):
+    """The eigenprojection on one shared squaring chain, each exponent
+    reduced as far as its conjugate's valuation allows."""
+    ring = u.ring
+    if not u.is_one_unit():
+        raise NotOneUnit("eigenprojection acts on 1-units")
+    ctx = ring.ctx
+    p = ctx.p
+    i = i % (p - 1)
+    inv_order = ctx.of(p - 1).invert()
+    bases, reduced = [], []
+    for a in range(1, p):
+        conj = _pi_galois(ctx.teichmuller(a), u)
+        c = ctx.teichmuller(pow(a, -1, p)) ** i * inv_order
+        try:
+            k = _stable_exponent_prec(ring, (conj - 1).valuation())
+        except IndistinguishableFromZero:
+            k = 0
+        if c.prec < k:
+            raise PrecisionExhausted("exponent too short")
+        bases.append(conj)
+        reduced.append(c.value % p ** k)
+    acc = power_product(mul, bases, reduced)
+    return u._coerce(1) if acc is None else acc
+
+
+def _both(f, g, *args):
+    """The outcomes of f on CycElts and of g on the same _PiElts: (digits,
+    prec), a PadicInt's (value, prec), or the type of the exception."""
+    def run(fn, wrap):
+        try:
+            out = fn(*[wrap(a) for a in args])
+        except EigensplitError as exc:
+            return type(exc)
+        if isinstance(out, PadicInt):
+            return (out.value, out.prec)
+        return (list(out.digits), out.prec)
+    return (run(f, lambda a: a),
+            run(g, lambda a: _PiElt.of(a) if isinstance(a, CycElt) else a))
+
+
+_ORACLE_PRIMES = (3, 5, 7, 11, 13, 23)
+
+
+@st.composite
+def _oracle_ring(draw):
+    level = draw(st.sampled_from((0, 1)))
+    p = draw(st.sampled_from(_ORACLE_PRIMES))
+    N = draw(st.integers(level + 1, 6))
+    return cyc_ring(p, level, N, draw(st.integers(1, N * (p - 1))))
+
+
+@st.composite
+def _oracle_elements(draw, ring, count):
+    """Elements of ``ring`` of unequal prec; some are 1-units, some have
+    their digits pushed down so that deep valuations and zero occur."""
+    p = ring.ctx.p
+    out = []
+    for x in draw(_elements(ring, count)):
+        kind = draw(st.sampled_from(("digits", "one-unit", "deep")))
+        if kind == "one-unit":
+            x = x * p + 1
+        elif kind == "deep":
+            x = x * ring.uniformizer() ** draw(
+                st.integers(0, ring.degree * x.prec))
+        out.append(x)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_zeta_storage_matches_pi_basis_ring(data):
+    ring = data.draw(_oracle_ring())
+    p, P = ring.ctx.p, ring.order
+    x, y = data.draw(_oracle_elements(ring, 2))
+    c = ring.ctx.of(data.draw(st.integers(0, p ** 6)),
+                    data.draw(st.integers(1, ring.ctx.N)))
+    n = data.draw(st.integers(0, 2 * p + 1))
+    a = data.draw(st.integers(0, P - 1))
+    i = data.draw(st.integers(0, p - 2))
+    for f, g, args in (
+        (lambda u, v: u + v, None, (x, y)),
+        (lambda u, v: u - v, None, (x, y)),
+        (lambda u, v: u * v, None, (x, y)),
+        (lambda u, v: u * v, None, (x, x)),
+        (lambda u, v: u * v + v - 1, None, (x, c)),
+        (lambda u: -u, None, (x,)),
+        (lambda u: u ** n, None, (x,)),
+        (galois_apply, _pi_galois, (a, x)),
+        (galois_apply, _pi_galois, (ring.ctx.teichmuller(1 + a % (p - 1)), y)),
+        (norm_to_qp, _pi_norm_to_qp, (x,)),
+        (eigen_unit, _pi_eigen_unit, (i, x)),
+        (eigen_unit, _pi_eigen_unit, (i, y)),
+    ):
+        got, want = _both(f, g or f, *args)
+        assert got == want, f
+    if ring.level:
+        (x0,) = data.draw(_oracle_elements(ring.base_ring(), 1))
+        got, want = _both(embed_up, _pi_embed_up, x0, ring)
+        assert got == want
+        got, want = _both(norm_down, _pi_norm_down, x)
+        assert got == want
+        got, want = _both(norm_down, _pi_norm_down, embed_up(x0, ring))
+        assert got == want
+
+
+def test_ring_maps_stay_on_the_zeta_basis(monkeypatch):
+    # sigma_a permutes the stored coefficients, embed_up spreads them and a
+    # product folds them: none converts to pi-adic digits or back, digits
+    # are converted once per element, and no ring builds a fold table of
+    # X^(d+k) mod the Eisenstein modulus
+    assert not [name for name in CycRing.__slots__ if "fold" in name]
+    calls = []
+    for name in ("_pi_to_zeta", "_zeta_to_pi"):
+        real = getattr(cyclotomic, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cyclotomic, name, spy)
+    rng = random.Random(61)
+    for p, level in ((5, 0), (23, 0), (7, 1)):
+        ring = cyc_ring(p, level)
+        x, y = _random_one_unit(rng, ring), _random_one_unit(rng, ring)
+        x0 = _random_one_unit(rng, ring.base_ring()) if level else x
+        calls.clear()
+        a = p + 1 if level else p - 1
+        out = [galois_apply(2, x), galois_apply(a, y), x * y, x * x]
+        if level:
+            out.append(embed_up(x0, ring))
+        assert calls == []
+        for z in out:
+            z.digits, z.digits, z.pi_valuation(), z.coeffs
+        assert calls == ["_zeta_to_pi"] * len(out)
