@@ -15,19 +15,18 @@ multiply (Kronecker substitution, coefficient k at bit slot k) whose slots
 from P up fold onto slot 0 in one shift-add, since zeta^P = 1.  A folded
 slot sums P terms below p^(2N), so 2 bitlen(p^N) + bitlen(P) bits hold it.
 
-The pi-adic digits, sum_j c_j pi^j (j < d), are computed from the
-normalized coefficients through packed Pascal rows when first read and
-kept with the element; an element built from digits keeps them and is
-converted once.  Since p = (unit) pi^d and the digit positions
-j + d*v_p(c_j) are pairwise distinct, pi-valuations are read straight off
-the digits.  Equality always means equality mod pi^{pi_prec}.
+The pi-adic digits, sum_j c_j pi^j (j < d), are the Taylor shift by +1
+of the normalized coefficients (zeta = 1 + pi), computed when first read
+and kept with the element; one built from digits keeps them and is
+converted once, by the shift by -1.  As p = (unit) pi^d and the digit
+positions j + d*v_p(c_j) are pairwise distinct, pi-valuations are read
+straight off the digits.  Equality always means equality mod pi^{pi_prec}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from operator import mul
 
 from .errors import (
@@ -38,30 +37,21 @@ from .errors import (
     NotInSubfield,
     NotOneUnit,
     PrecisionExhausted,
+    RingMismatch,
     UsageError,
     ZeroResidue,
 )
 from .padic import PadicCtx, PadicInt, power_product
-from .series import pack_digits, unpack_digits
+from .series import pack_digits, taylor_shift, unpack_digits
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _combine(columns, coeffs) -> int:
-    """sum_k coeffs[k] * columns[k] on packed vectors."""
-    acc = 0
-    for c, col in zip(coeffs, columns):
-        if c:
-            acc += c * col
-    return acc
-
-
 class CycRing:
     __slots__ = (
-        "ctx", "level", "degree", "order", "pi_prec", "modulus_tail",
-        "_slot", "_to_zeta", "_from_zeta", "_base",
+        "ctx", "level", "degree", "order", "pi_prec", "_slot", "_base",
     )
 
     def __init__(self, ctx: PadicCtx, level: int, pi_prec: int | None = None):
@@ -82,34 +72,13 @@ class CycRing:
             raise UsageError(
                 f"pi_prec {pi_prec} outside 1..{top} supported by ctx"
             )
-        d = p ** level * (p - 1)
         self.ctx = ctx
         self.level = level
-        self.degree = d
+        self.degree = p ** level * (p - 1)
         self.order = p ** (level + 1)
         self.pi_prec = pi_prec
-        # lower coefficients of the monic Eisenstein modulus of pi,
-        # sum_{k<p} (1 + pi)^(k p^level)
-        full = [0] * (d + 1)
-        for k in range(0, self.order, p ** level):
-            for j in range(min(k, d) + 1):
-                full[j] += comb(k, j)
-        assert full[d] == 1
-        tail = full[:d]
-        assert tail[0] == p
-        m = ctx.modulus
-        self.modulus_tail = [t % m for t in tail]
         # a slot of a folded product sums P terms below p^(2N)
-        self._slot = w = 2 * m.bit_length() + self.order.bit_length()
-        # row n of Pascal's triangle mod m: zeta^n = sum_i C(n,i) pi^i and
-        # pi^n = sum_i (-1)^(n-i) C(n,i) zeta^i
-        self._to_zeta, self._from_zeta = [], []
-        row = [1]
-        for n in range(d):
-            self._from_zeta.append(pack_digits(row, w))
-            signed = [(-1) ** (n - i) * c % m for i, c in enumerate(row)]
-            self._to_zeta.append(pack_digits(signed, w))
-            row = [1] + [(a + b) % m for a, b in zip(row, row[1:])] + [1]
+        self._slot = 2 * ctx.modulus.bit_length() + self.order.bit_length()
         self._base = None
 
     def __eq__(self, other):
@@ -141,7 +110,7 @@ class CycRing:
         return self.from_coeffs([c])
 
     def uniformizer(self) -> "CycElt":
-        return self.from_coeffs([0, 1])
+        return self.from_zeta([-1, 1])
 
     def zeta(self) -> "CycElt":
         return _on_zeta(self, [0, 1] + [0] * (self.order - 2), self.ctx.N)
@@ -158,12 +127,23 @@ class CycRing:
                 if c.ctx != self.ctx:
                     raise UsageError("mixed p-adic contexts")
                 prec = min(prec, c.prec)
+            elif not isinstance(c, int):
+                raise RingMismatch(f"unsupported digit {c!r}")
         q = self.ctx.p ** prec
         digits = [
-            (c.value if isinstance(c, PadicInt) else int(c)) % q for c in coeffs
+            (c.value if isinstance(c, PadicInt) else c) % q for c in coeffs
         ]
         digits += [0] * (self.degree - len(digits))
         return CycElt(self, digits, prec)
+
+    def from_zeta(self, coeffs) -> "CycElt":
+        """sum_k coeffs[k] zeta^k for int coeffs, folded by zeta^P = 1 and
+        reduced mod p^N."""
+        if not all(isinstance(c, int) for c in coeffs):
+            raise RingMismatch("zeta-power coefficients must be ints")
+        P, q = self.order, self.ctx.modulus
+        return _on_zeta(self, [sum(coeffs[k::P]) % q for k in range(P)],
+                        self.ctx.N)
 
     def base_ring(self) -> "CycRing":
         if self.level == 0:
@@ -182,23 +162,23 @@ def cyc_ring(p: int, level: int, prec: int = 4, pi_prec: int | None = None) -> C
 # -- the two changes of basis ------------------------------------------------
 
 def _pi_to_zeta(ring: CycRing, digits: list, prec: int) -> list:
-    """The order-P coefficient vector of sum digits[j] pi^j, mod p^prec."""
+    """The order-P coefficient vector of sum digits[j] pi^j, mod p^prec:
+    the Taylor shift by -1, as pi = zeta - 1."""
     if not any(digits[1:]):  # a scalar, the same on both bases
         return digits[:1] + [0] * (ring.order - 1)
     q = ring.ctx.p ** prec
-    packed = _combine(ring._to_zeta, digits)
-    return [c % q for c in unpack_digits(packed, ring._slot, ring.order)]
+    return ([c % q for c in taylor_shift(digits, -1)]
+            + [0] * (ring.order - ring.degree))
 
 
 def _zeta_to_pi(ring: CycRing, coeffs: list, prec: int) -> list:
     """The pi-adic digits of sum coeffs[k] zeta^k, mod p^prec: the top
-    class k >= d comes off each class, then the Pascal rows apply."""
+    class k >= d comes off each class, then the Taylor shift by +1, as
+    zeta = 1 + pi."""
     q = ring.ctx.p ** prec
-    d = ring.degree
-    top = coeffs[d:] * (ring.ctx.p - 1)
+    top = coeffs[ring.degree:] * (ring.ctx.p - 1)
     normal = [(c - t) % q for c, t in zip(coeffs, top)]
-    packed = _combine(ring._from_zeta, normal)
-    return [c % q for c in unpack_digits(packed, ring._slot, d)]
+    return [c % q for c in taylor_shift(normal, 1)]
 
 
 def _on_zeta(ring: CycRing, coeffs: list, prec: int) -> "CycElt":

@@ -18,7 +18,8 @@ from math import comb
 
 from .errors import NonIntegralCoefficient, UsageError
 from .padic import check_odd_prime, power_product
-from .series import TruncSeries, log_one_plus_x, pack_digits, unpack_digits
+from .series import (TruncSeries, log_one_plus_x, pack_digits, taylor_shift,
+                     unpack_digits)
 
 
 def _check_args(p: int, T: int):
@@ -183,22 +184,14 @@ def cw_tower_x(ring):
     is `default_trunc` - 1.  Past that depth the level-1 digits are not
     certified, although the element claims N digits.
 
-    The sum of theta_k pi^k is evaluated in blocks of d terms, by Horner
-    in pi^d: a block sum_{j<d} theta_(bd+j) pi^j is already a digit
-    vector, and the monic modulus gives pi^d = -(sum of
-    modulus_tail[j] pi^j).  That is
-    ceil((top+1)/d) - 1 ring products instead of top, and the ring
-    arithmetic is exact in (Z/p^N)[pi], so the digits are those of the
-    term-by-term Horner.
+    With pi = zeta - 1, sum_k theta_k pi^k is sum_k theta_k (zeta - 1)^k:
+    one Taylor shift by -1 of the theta digits gives its coefficients on
+    the powers of zeta, which `from_zeta` folds by zeta^P = 1 and reduces
+    mod p^N.  No ring product is taken, and the arithmetic is exact in
+    (Z/p^N)[zeta], so the digits are those of the term-by-term Horner.
     """
-    p, d, N = ring.ctx.p, ring.degree, ring.ctx.N
-    top = d * N - 1
+    p, N = ring.ctx.p, ring.ctx.N
+    top = ring.degree * N - 1
     if ring.level:
         top = min(max(p * p, p * ring.pi_prec), top)
-    th = _theta_digits(p, top + 1, N)
-    pi_d = ring.from_coeffs([-t for t in ring.modulus_tail])
-    blocks = [ring.from_coeffs(th[b:b + d]) for b in range(0, top + 1, d)]
-    acc = blocks.pop()
-    for block in reversed(blocks):
-        acc = acc * pi_d + block
-    return acc
+    return ring.from_zeta(taylor_shift(_theta_digits(p, top + 1, N), -1))

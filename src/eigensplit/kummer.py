@@ -8,8 +8,6 @@ of u IS such an f, so the representative is a coefficient copy.
 
 from __future__ import annotations
 
-from math import comb
-
 from .cyclotomic import (
     CycElt,
     CycRing,
@@ -167,9 +165,9 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
     inv_order = ctx.of(p - 1).invert()
     units, exponents = [], []
     for a in range(1, p):
-        # sigma_a(pi)/pi = ((1+pi)^a - 1)/pi = sum_{k<a} C(a, k+1) pi^k, a
+        # sigma_a(pi)/pi = (zeta^a - 1)/(zeta - 1) = sum_{k<a} zeta^k, a
         # unit with residue a; twisting by omega(a)^{-1} makes it a 1-unit
-        r = ring.from_coeffs([comb(a, k + 1) for k in range(a)])
+        r = ring.from_zeta([1] * a)
         w_inv = ctx.teichmuller(pow(a, -1, p))
         units.append(r * w_inv)
         exponents.append(w_inv ** i * inv_order)

@@ -102,6 +102,11 @@ class PadicCtx:
         return f"PadicCtx(p={self.p}, N={self.N})"
 
     def of(self, value, prec: int | None = None) -> "PadicInt":
+        """An int, or a PadicInt of this context at most at its own prec."""
+        if isinstance(value, PadicInt) and value.ctx == self:
+            return value.reduce_to(self.N if prec is None else prec)
+        if not isinstance(value, int):
+            raise RingMismatch(f"cannot read {value!r} in {self!r}")
         return PadicInt(self, value, prec)
 
     def from_rational(self, q) -> "PadicInt":

@@ -2,7 +2,8 @@
 
 The kernel packs digit k of a vector at bit k w of one int, so a product
 of polynomials is one integer multiply (Kronecker substitution); rings,
-theta mod p^N and the exact series all multiply on it.  A series is known
+theta mod p^N and the exact series all multiply on it, and the ring's
+changes of basis are its Taylor shift by +-1.  A series is known
 mod X^trunc.  Every coefficient is a Fraction; ints coerce exactly, and any
 other coefficient or scalar, a PadicInt included, is refused with
 RingMismatch.  Results always carry trunc = min over the inputs, and the
@@ -38,6 +39,31 @@ def unpack_digits(n: int, w: int, count: int) -> list:
         out.append(n & mask)
         n >>= w
     return out
+
+
+def _unpack_signed(n: int, w: int, count: int) -> list:
+    """The low ``count`` w-bit slots of n, each in [-2^(w-1), 2^(w-1))."""
+    half = 1 << (w - 1)
+    bias = half * ((1 << (w * count)) - 1) // ((1 << w) - 1)
+    return [s - half for s in unpack_digits(n + bias, w, count)]
+
+
+def taylor_shift(coeffs, s: int) -> list:
+    """The coefficients of sum_k coeffs[k] (X + s)^k for n int coeffs and
+    s = +-1, by Horner on one packed int (von zur Gathen and Gerhard, 1997).
+
+    Coefficient j is sum_k C(k, j) s^(k-j) coeffs[k], at most max|c|
+    C(n, j+1) < 2^(bitlen(max|c|) + n - 1) in size, so slots of
+    bitlen(max|c|) + n bits hold it as a signed digit; one bit less
+    misreads a single positive coefficient shifted by -1."""
+    if s not in (1, -1):
+        raise UsageError(f"shift must be +1 or -1, got {s}")
+    n = len(coeffs)
+    w = max(map(abs, coeffs)).bit_length() + n
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << w) + c + acc if s == 1 else (acc << w) + c - acc
+    return _unpack_signed(acc, w, n)
 
 
 def _numerators(coeffs) -> tuple:
@@ -114,18 +140,15 @@ class TruncSeries:
             return self.scale(other)
         # one packed product of the numerators: a slot sums fewer than
         # 2^bitlen(T) terms, each below 2^(bitlen(max|a|) + bitlen(max|b|))
-        # in size, so it lies strictly between -2^(w-1) and 2^(w-1), and
-        # adding 2^(w-1) to each of the low T slots reads it as a digit
+        # in size, so it lies strictly between -2^(w-1) and 2^(w-1)
         T = min(self.trunc, other.trunc)
         a, da = _numerators(self.coeffs[:T])
         b, db = _numerators(other.coeffs[:T])
         w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
              + T.bit_length() + 1)
-        half = 1 << (w - 1)
-        bias = half * ((1 << (w * T)) - 1) // ((1 << w) - 1)
-        prod = pack_digits(a, w) * pack_digits(b, w) + bias
+        prod = pack_digits(a, w) * pack_digits(b, w)
         return TruncSeries(
-            [Fraction(s - half, da * db) for s in unpack_digits(prod, w, T)])
+            [Fraction(s, da * db) for s in _unpack_signed(prod, w, T)])
 
     __rmul__ = __mul__
 

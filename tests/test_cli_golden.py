@@ -44,7 +44,7 @@ CASES = (
     ("kummer", "--prime", "13"),
     ("kummer", "--prime", "23"),
     ("kummer", "--prime", "11", "--unit", "lang", "--lambda", "3"),
-    # level-1 tower points of degree 272 and 342, evaluated in blocks
+    # level-1 tower points of degree 272 and 342, one Taylor shift each
     ("units", "--prime", "17"),
     ("units", "--prime", "19"),
     # one p-adic digit, served at the default pi window min(p + 3, p - 1)
@@ -68,6 +68,9 @@ RETIRED = {
 }
 
 FORMATS = ("json", "csv", "text")
+
+# the largest level-1 ring a golden builds, degree 506: json only
+LARGEST = ("units", "--prime", "23", "--format", "json")
 
 GOLDEN = {
     "teich --prime 5 --format json":
@@ -281,6 +284,8 @@ GOLDEN = {
         (0, "eb94872c3ee457678c58187e7fcbb9e1519529a3c684682cfbfa000bf05c2a32"),
     "units --prime 5 --precision 7 --format text":
         (0, "03561d3c1bfd95810e1104a2be39fe8badce4e2051bcce6d96fd250b9e00766e"),
+    "units --prime 23 --format json":
+        (0, "81439a798a2eed04f40b1fa2af53dc6c8bdc31b8d7de9925d085393683905cc5"),
 }
 
 
@@ -301,6 +306,10 @@ def test_cli_output_is_pinned(capsys, case, fmt):
         assert (err.value.code, capsys.readouterr().out) == (1, "")
         argv = RETIRED[case] + ("--format", fmt)
     assert _digest(capsys, argv) == GOLDEN[" ".join(argv)]
+
+
+def test_largest_level1_ring_is_pinned(capsys):
+    assert _digest(capsys, LARGEST) == GOLDEN[" ".join(LARGEST)]
 
 
 @pytest.mark.parametrize("case", CASES + tuple(RETIRED),

@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import mul
 
 import pytest
@@ -40,6 +41,7 @@ from eigensplit.errors import (
     NotInSubfield,
     NotOneUnit,
     PrecisionExhausted,
+    RingMismatch,
     UsageError,
     ZeroResidue,
 )
@@ -76,6 +78,40 @@ def test_pi_valuations():
         assert ring.one().pi_valuation() == 0
         # zeta^a - 1 is an associate of pi for a prime to p
         assert (ring.zeta() ** 2 - 1).pi_valuation() == 1
+
+
+def test_builders_take_only_ints_and_padic_ints():
+    # int() truncated these silently: 1/2 became the digits [0, 0, 0, 0]
+    # and 1.7 the digit 1
+    ring = cyc_ring(5, 0)
+    for bad in (Fraction(1, 2), Fraction(3), 1.7, 2.0):
+        with pytest.raises(RingMismatch):
+            ring.from_scalar(bad)
+        with pytest.raises(RingMismatch):
+            ring.from_coeffs([1, bad])
+        with pytest.raises(RingMismatch):
+            ring.from_zeta([bad, 1])
+    assert ring.from_coeffs([True, 3]).digits == [1, 3, 0, 0]
+
+
+@pytest.mark.parametrize("p, level", ((3, 0), (5, 0), (23, 0), (3, 1),
+                                      (5, 1)))
+def test_from_zeta_sums_zeta_powers(p, level):
+    # sum c_k zeta^k by powers of zeta, with k past the order P and
+    # signed coefficients beyond p^N
+    rng = random.Random(p + level)
+    ring = cyc_ring(p, level)
+    P, m = ring.order, ring.ctx.modulus
+    z = ring.zeta()
+    for length in (1, 2, P - 1, P, 2 * P + 3):
+        coeffs = [rng.randrange(-m ** 2, m ** 2) for _ in range(length)]
+        want = ring.zero()
+        for k, c in enumerate(coeffs):
+            want = want + z ** k * (c % m)
+        got = ring.from_zeta(coeffs)
+        assert (got.digits, got.prec) == (want.digits, want.prec)
+    assert ring.from_zeta([-1, 1]).digits == ring.uniformizer().digits
+    assert ring.uniformizer().digits == [0, 1] + [0] * (ring.degree - 2)
 
 
 def test_galois_is_an_action():
@@ -322,9 +358,22 @@ def test_bad_ring_arguments_are_usage_errors():
 
 # -- the packed kernel against the per-digit schoolbook product -------------
 
+@lru_cache(maxsize=None)
+def _eisenstein_tail(p, level, N):
+    """The lower coefficients mod p^N of the monic Eisenstein modulus of
+    pi = zeta - 1, Phi_P(1 + X) = sum_{k<p} (1 + X)^(k p^level)."""
+    d, step = p ** level * (p - 1), p ** level
+    full = [0] * (d + 1)
+    for k in range(0, p * step, step):
+        for j in range(min(k, d) + 1):
+            full[j] += comb(k, j)
+    assert full[d] == 1 and full[0] == p
+    return tuple(t % p ** N for t in full[:d])
+
+
 def _schoolbook(x, y):
     """The per-digit product the packed kernel replaced: PadicInt digits,
-    schoolbook convolution, then Eisenstein reduction by modulus_tail."""
+    schoolbook convolution, then reduction by the Eisenstein modulus."""
     ring = x.ring
     d = ring.degree
     raw = [ring.ctx.of(0)] * (2 * d - 1)
@@ -333,7 +382,8 @@ def _schoolbook(x, y):
             raw[i + j] = raw[i + j] + a * b
     for deg in range(2 * d - 2, d - 1, -1):
         c = raw[deg]
-        for j, m in enumerate(ring.modulus_tail):
+        for j, m in enumerate(_eisenstein_tail(ring.ctx.p, ring.level,
+                                               ring.ctx.N)):
             raw[deg - d + j] = raw[deg - d + j] - c * m
     return raw[:d]
 
@@ -862,7 +912,7 @@ def test_norms_pinned():
 def _pi_tables(p, level, N):
     """Slot width, fold columns and Pascal rows of the pi-basis ring."""
     ring = cyc_ring(p, level, N)
-    m, d, tail = ring.ctx.modulus, ring.degree, ring.modulus_tail
+    m, d, tail = ring.ctx.modulus, ring.degree, _eisenstein_tail(p, level, N)
     w = 2 * m.bit_length() + d.bit_length() + 1
     r = [-t % m for t in tail]
     fold = []
@@ -1148,9 +1198,14 @@ def test_zeta_storage_matches_pi_basis_ring(data):
 def test_ring_maps_stay_on_the_zeta_basis(monkeypatch):
     # sigma_a permutes the stored coefficients, embed_up spreads them and a
     # product folds them: none converts to pi-adic digits or back, digits
-    # are converted once per element, and no ring builds a fold table of
-    # X^(d+k) mod the Eisenstein modulus
+    # are converted once per element, and no ring builds a table: no fold
+    # table of X^(d+k) mod the Eisenstein modulus, no Pascal rows, no
+    # modulus tail, since the changes of basis are Taylor shifts
     assert not [name for name in CycRing.__slots__ if "fold" in name]
+    assert "modulus_tail" not in CycRing.__slots__
+    for ring in (cyc_ring(5, 0), cyc_ring(7, 1).base_ring(), cyc_ring(7, 1)):
+        assert not [name for name in CycRing.__slots__ if isinstance(
+            getattr(ring, name), (list, tuple, dict))]
     calls = []
     for name in ("_pi_to_zeta", "_zeta_to_pi"):
         real = getattr(cyclotomic, name)

@@ -243,7 +243,7 @@ def _tower_top(ring):
 
 def _termwise_tower_x(ring):
     # the sum of theta_k pi^k by Horner in pi, one ring product per term:
-    # the oracle for the evaluation in blocks of pi^degree
+    # the oracle for the one Taylor shift of theta to the powers of zeta
     top = _tower_top(ring)
     th = _theta_digits(ring.ctx.p, top + 1, ring.ctx.N)
     pi = ring.uniformizer()
@@ -253,9 +253,10 @@ def _termwise_tower_x(ring):
     return acc * pi
 
 
-# (p, level, prec, pi_prec).  Level 0 at prec 4 ends on a full block
-# (top + 1 = 4 * degree), level 1 at prec 4 on a partial one, and prec 1
-# at level 0 leaves a single block
+# (p, level, prec, pi_prec).  Level 0 at prec 4 sums theta to a multiple
+# of the degree (top + 1 = 4 * degree), level 1 at prec 4 to no multiple,
+# and prec 1 at level 0 to top + 1 = degree, below the order P; every
+# other case folds powers of zeta past P
 _BLOCK_CASES = tuple(
     (p, level, 4, None) for p in (3, 5, 7, 11) for level in (0, 1)
 ) + tuple(

@@ -18,9 +18,9 @@ LAYERS = list(eigensplit._EXPORTS)
 # series is exact-only and kummer walks its own logarithm
 _ABSENT = {"series": {"padic"}, "kummer": {"series"}}
 
-# the packed kernel for truncated polynomials, and the layers that
-# multiply on it besides the exact series
-_KERNEL = {"pack_digits", "unpack_digits"}
+# the packed kernel for truncated polynomials with its Taylor shift, and
+# the layers that use it besides the exact series
+_KERNEL = {"pack_digits", "unpack_digits", "taylor_shift"}
 _KERNEL_USERS = ("cyclotomic", "formal_groups")
 
 # (layer, function, layer it imports): the only imports inside function

@@ -1,6 +1,7 @@
 """Fixed-precision p-adic integers: arithmetic, roots of unity, division."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,6 +63,20 @@ def test_vp():
 def test_mixed_contexts_raise_ring_mismatch():
     with pytest.raises(RingMismatch):
         PadicCtx(5, 3).of(1) + PadicCtx(5, 4).of(1)
+
+
+def test_of_takes_only_ints_and_padic_ints():
+    # int() truncated these silently: 1/2 became 0 + O(5^4)
+    ctx = PadicCtx(5, 4)
+    for bad in (Fraction(1, 2), Fraction(4), 1.7, 2.0, "3", None):
+        with pytest.raises(RingMismatch):
+            ctx.of(bad)
+    x = ctx.of(ctx.of(7 + 5 ** 3), 2)
+    assert (x.value, x.prec) == (7, 2)
+    y = ctx.of(PadicInt(ctx, 7, 3))
+    assert (y.value, y.prec) == (7, 3)
+    with pytest.raises(RingMismatch):
+        ctx.of(PadicCtx(5, 3).of(1))
 
 
 def test_ring_laws_random():

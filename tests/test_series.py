@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from eigensplit.errors import (
     UsageError,
 )
 from eigensplit.padic import PadicCtx
-from eigensplit.series import TruncSeries, log_one_plus_x
+from eigensplit.series import TruncSeries, log_one_plus_x, taylor_shift
 
 
 def one_plus_x_pow(a: int, T: int) -> TruncSeries:
@@ -74,6 +75,41 @@ def test_mul_against_naive_convolution(f, g):
     prod = f * g
     assert prod.trunc == min(f.trunc, g.trunc)
     assert prod.coeffs == _schoolbook(f, g)
+
+
+def _comb_shift(coeffs, s):
+    """[X^j] sum_k coeffs[k] (X + s)^k by the binomial theorem."""
+    n = len(coeffs)
+    return [sum(comb(k, j) * s ** (k - j) * coeffs[k] for k in range(j, n))
+            for j in range(n)]
+
+
+_TOP = 2 ** 300
+
+
+# every coefficient of the largest size: [X^j] of all +_TOP shifted by +1,
+# and of alternating +-_TOP shifted by -1, is +-_TOP C(n, j+1), the
+# largest a slot holds; at lengths 1 and 2 a slot one bit narrower
+# misreads it
+_ALTERNATING = [_TOP, -_TOP] * 30
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(st.integers(-_TOP, _TOP), min_size=1, max_size=60),
+       s=st.sampled_from((1, -1)))
+@example(coeffs=[_TOP] * 60, s=1)
+@example(coeffs=[-_TOP] * 60, s=1)
+@example(coeffs=_ALTERNATING, s=-1)
+@example(coeffs=_ALTERNATING[:1], s=-1)
+@example(coeffs=_ALTERNATING[:2], s=-1)
+def test_taylor_shift_matches_binomials(coeffs, s):
+    assert taylor_shift(coeffs, s) == _comb_shift(coeffs, s)
+
+
+def test_taylor_shift_needs_a_unit_shift():
+    for s in (0, 2, -2):
+        with pytest.raises(UsageError):
+            taylor_shift([1, 2], s)
 
 
 def test_trunc_bookkeeping():
