@@ -55,7 +55,7 @@ class CycRing:
     )
 
     def __init__(self, ctx: PadicCtx, level: int, pi_prec: int | None = None):
-        if level not in (0, 1):
+        if not isinstance(level, int) or level not in (0, 1):
             raise UsageError(f"level must be 0 or 1, got {level}")
         p = ctx.p
         if ctx.N < level + 1:
@@ -68,7 +68,7 @@ class CycRing:
         top = ctx.N * (p - 1)
         if pi_prec is None:
             pi_prec = min(p + 3, top)
-        if not 1 <= pi_prec <= top:
+        if not isinstance(pi_prec, int) or not 1 <= pi_prec <= top:
             raise UsageError(
                 f"pi_prec {pi_prec} outside 1..{top} supported by ctx"
             )
@@ -116,23 +116,14 @@ class CycRing:
         return _on_zeta(self, [0, 1] + [0] * (self.order - 2), self.ctx.N)
 
     def from_coeffs(self, coeffs) -> "CycElt":
-        """Pi-adic digits from ints or PadicInts; a PadicInt known to
-        fewer p-adic digits lowers the element's prec to its own."""
-        coeffs = list(coeffs)
+        """Pi-adic digits, each read by `PadicCtx.of`; a PadicInt known
+        to fewer p-adic digits lowers the element's prec to its own."""
+        coeffs = [self.ctx.of(c) for c in coeffs]
         if len(coeffs) > self.degree:
             raise UsageError("too many digits")
-        prec = self.ctx.N
-        for c in coeffs:
-            if isinstance(c, PadicInt):
-                if c.ctx != self.ctx:
-                    raise UsageError("mixed p-adic contexts")
-                prec = min(prec, c.prec)
-            elif not isinstance(c, int):
-                raise RingMismatch(f"unsupported digit {c!r}")
+        prec = min((c.prec for c in coeffs), default=self.ctx.N)
         q = self.ctx.p ** prec
-        digits = [
-            (c.value if isinstance(c, PadicInt) else c) % q for c in coeffs
-        ]
+        digits = [c.value % q for c in coeffs]
         digits += [0] * (self.degree - len(digits))
         return CycElt(self, digits, prec)
 
@@ -340,12 +331,12 @@ class CycElt:
 def galois_apply(a: int, x: CycElt) -> CycElt:
     """sigma_a, the automorphism zeta -> zeta^a, i.e. pi -> (1+pi)^a - 1:
     at level n it sends zeta^k to zeta^(ak mod p^(n+1)), a permutation of
-    the stored coefficients, and the image keeps x's prec."""
+    the stored coefficients, and the image keeps x's prec.  It reads a
+    mod p^(n+1), so a PadicInt a needs n+1 digits."""
     ring = x.ring
-    p = ring.ctx.p
     P = ring.order
-    a = int(a.value if isinstance(a, PadicInt) else a) % P
-    if a % p == 0:
+    a = ring.ctx.of(a).residue(ring.level + 1)
+    if a % ring.ctx.p == 0:
         raise NotAUnitExponent(f"{a} is not a unit mod {P}")
     if a == 1:
         return x
@@ -464,24 +455,17 @@ def _exponent_digits(u: CycElt) -> int:
 def unit_pow_product(bases, exponents) -> CycElt:
     """prod_k u_k^(c_k) for 1-units u_k and Z_p exponents c_k.
 
-    u^c depends only on c mod p^k, k = _exponent_digits(u).  The reduced
-    exponents share one squaring chain, `padic.power_product`; products
-    are exact in (Z/p^prec)[zeta], so their order changes no digit.
+    u^c depends only on c mod p^k, k = _exponent_digits(u), so a PadicInt
+    c needs k digits.  The reduced exponents share one squaring chain,
+    `padic.power_product`; products are exact in (Z/p^prec)[zeta], so
+    their order changes no digit.
     """
     ring = bases[0].ring
-    p = ring.ctx.p
     reduced = []
     for u, c in zip(bases, exponents):
         if not u.is_one_unit():
             raise NotOneUnit("Z_p-powers need a 1-unit base")
-        k = _exponent_digits(u)
-        if isinstance(c, PadicInt):
-            if c.prec < k:
-                raise PrecisionExhausted(
-                    f"exponent known mod p^{c.prec}, need p^{k} for stability"
-                )
-            c = c.value
-        reduced.append(int(c) % p ** k)
+        reduced.append(ring.ctx.of(c).residue(_exponent_digits(u)))
     acc = power_product(mul, bases, reduced)
     return ring.one() if acc is None else acc
 
@@ -530,15 +514,17 @@ def eigen_valuation(u: CycElt) -> Fraction:
 # -- the omega^1 non-torsion certificate -----------------------------------
 
 def as_mu_element(ctx: PadicCtx, lam) -> PadicInt:
-    """Normalize lambda: an int is read as a residue and lifted to its
-    Teichmuller representative, a PadicInt is taken as given.  lambda = 0
-    and lambda = 1 mod p are refused."""
-    residue = int(lam.value if isinstance(lam, PadicInt) else lam) % ctx.p
+    """Normalize lambda, read by `PadicCtx.of`: an int is read as a
+    residue and lifted to its Teichmuller representative, a PadicInt of
+    the ring's context is taken as given.  lambda = 0 and lambda = 1
+    mod p are refused."""
+    x = ctx.of(lam)
+    residue = x.residue(1)
     if residue == 0:
         raise ZeroResidue(f"lambda = 0 mod {ctx.p} is excluded")
     if residue == 1:
         raise LambdaIsOne("lambda = 1 is excluded")
-    return lam if isinstance(lam, PadicInt) else ctx.teichmuller(lam)
+    return x if isinstance(lam, PadicInt) else ctx.teichmuller(residue)
 
 
 def eps1_intermediate_congruence(ring: CycRing, lam) -> bool:

@@ -281,9 +281,13 @@ def _lvalue_exponent(p: int, i: int, s: int) -> int:
     return lp_value(p, i, s, _PREC_LADDER[-1]).certified_valuation()
 
 
-def check_window(p: int, lo: int, hi: int):
+def check_window(p: int, window) -> tuple:
     # keeps Bernoulli/L-value demands desk-scale; the floor of 40 admits
     # small-prime windows a few periods wide
+    if not (isinstance(window, (tuple, list)) and len(window) == 2
+            and all(isinstance(n, int) for n in window)):
+        raise UsageError(f"a window is two ints (lo, hi), got {window!r}")
+    lo, hi = window
     if lo > hi:
         raise UsageError(f"empty window [{lo}, {hi}]")
     bound = max(6 * (p - 1), 40)
@@ -291,6 +295,7 @@ def check_window(p: int, lo: int, hi: int):
         raise UsageError(
             f"window [{lo}, {hi}] exceeds the +-{bound} guard for p = {p}"
         )
+    return lo, hi
 
 
 def _pattern(lo: int, hi: int, p: int, offset: int,
@@ -316,8 +321,7 @@ def _free_at(n: int) -> FgZpModule:
 def _gate(sid: SpectrumId, window) -> tuple:
     """The window guard and then the Kummer-Vandiver gate of every public
     entry; returns the window."""
-    lo, hi = window
-    check_window(sid.p, lo, hi)
+    lo, hi = check_window(sid.p, window)
     if sid.needs_kv() and not sid.kv_assume:
         raise KummerVandiverRequired(
             f"{sid!r} depends on the L-value description; p = {sid.p} is "

@@ -101,7 +101,7 @@ def lang_unit(ring: CycRing, lam) -> CycElt:
         raise UsageError("Lang units live at level 0")
     ctx = ring.ctx
     lam = as_mu_element(ctx, lam)
-    scalar = ctx.teichmuller((lam.value - 1) % ctx.p).invert()
+    scalar = ctx.teichmuller(lam.value - 1).invert()
     u = (ring.from_scalar(lam) - ring.zeta()) * scalar
     assert u.is_one_unit()
     return u

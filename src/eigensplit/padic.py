@@ -35,13 +35,13 @@ def is_prime(n: int) -> bool:
 
 
 def check_odd_prime(p: int) -> int:
-    if not is_prime(p) or p == 2:
+    if not isinstance(p, int) or not is_prime(p) or p == 2:
         raise UsageError(f"{p} is not an odd prime")
     return p
 
 
 def check_precision(N: int) -> None:
-    if N < 1:
+    if not isinstance(N, int) or N < 1:
         raise UsageError(f"precision must be >= 1, got {N}")
 
 
@@ -110,7 +110,10 @@ class PadicCtx:
         return PadicInt(self, value, prec)
 
     def from_rational(self, q) -> "PadicInt":
-        """Reduce an exact rational with denominator prime to p."""
+        """Reduce an exact rational with denominator prime to p: an int,
+        a Fraction or its string."""
+        if not isinstance(q, (int, Fraction, str)):
+            raise RingMismatch(f"{q!r} is not an exact rational")
         q = Fraction(q)
         if q.denominator % self.p == 0:
             raise NonIntegralCoefficient(
@@ -125,7 +128,7 @@ class PadicCtx:
         Write a = omega(a)<a> with <a> in 1 + pZ_p.  Then <a>^(p^(N-1)) = 1
         mod p^N, and omega(a)^(p^(N-1)) = omega(a) because p^(N-1) = 1
         mod p-1."""
-        a0 = int(a.value if isinstance(a, PadicInt) else a) % self.p
+        a0 = self.of(a).residue(1)
         if a0 == 0:
             raise ZeroResidue("Teichmuller lift needs a nonzero residue mod p")
         cached = self._teich.get(a0)

@@ -80,6 +80,19 @@ def test_pi_valuations():
         assert (ring.zeta() ** 2 - 1).pi_valuation() == 1
 
 
+# every Z_p scalar that enters a ring, a Galois action, a Teichmuller
+# lift, a lambda or a Z_p exponent, as a call on the level-0 and level-1
+# rings at p = 5, N = 4
+_READERS = {
+    "teichmuller": lambda r0, r1, c: r0.ctx.teichmuller(c),
+    "galois_apply/0": lambda r0, r1, c: galois_apply(c, cw_unit(r0)),
+    "galois_apply/1": lambda r0, r1, c: galois_apply(c, cw_unit(r1)),
+    "lang_unit": lambda r0, r1, c: lang_unit(r0, c),
+    "unit_pow_zp": lambda r0, r1, c: unit_pow_zp(cw_unit(r0), c),
+    "from_coeffs": lambda r0, r1, c: r0.from_coeffs([1, c]),
+}
+
+
 def test_builders_take_only_ints_and_padic_ints():
     # int() truncated these silently: 1/2 became the digits [0, 0, 0, 0]
     # and 1.7 the digit 1
@@ -92,6 +105,75 @@ def test_builders_take_only_ints_and_padic_ints():
         with pytest.raises(RingMismatch):
             ring.from_zeta([bad, 1])
     assert ring.from_coeffs([True, 3]).digits == [1, 3, 0, 0]
+    # each reader once cut these to an int or read the other prime's
+    # residue: unit_pow_zp(u, 1/3) gave 1, teichmuller(2.7) omega(2),
+    # galois_apply(7/2, u) sigma_3 and lang_unit(ring, 5/2) lambda = 2
+    ring1 = cyc_ring(5, 1)
+    for read in _READERS.values():
+        for bad in (1.5, 2.5, 2.7, Fraction(1, 3), Fraction(5, 2),
+                    Fraction(7, 2), PadicCtx(7, 4).of(3),
+                    PadicCtx(5, 3).of(3)):
+            with pytest.raises(RingMismatch, match="^cannot read "):
+                read(ring, ring1, bad)
+        read(ring, ring1, 3)
+        read(ring, ring1, ring.ctx.of(3))
+    # the true cube root, through the exact reader of rationals
+    u = cw_unit(ring)
+    assert unit_pow_zp(u, ring.ctx.from_rational(Fraction(1, 3))) ** 3 == u
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_level1_galois_needs_the_exponent_mod_p_squared(p):
+    # sigma_a at level 1 depends on a mod p^2; omega(2) known mod p alone
+    # once applied sigma_2 where omega(2) asks for another sigma
+    ring1 = cyc_ring(p, 1)
+    u1 = cw_unit(ring1)
+    w = ring1.ctx.teichmuller(2)
+    assert w.residue(2) != 2
+    with pytest.raises(PrecisionExhausted, match="mod p\\^2"):
+        galois_apply(w.reduce_to(1), u1)
+    assert galois_apply(w.reduce_to(2), u1) == galois_apply(w.residue(2), u1)
+    # level 0 reads a mod p, which one digit holds
+    u0 = cw_unit(ring1.base_ring())
+    assert galois_apply(w.reduce_to(1), u0) == galois_apply(2, u0)
+
+
+def _read_both_ways(f, ctx, c):
+    """(digits or value, prec) of f on the int c and on c as a PadicInt
+    of ctx, or the type of the exception each raised."""
+    out = []
+    for arg in (c, ctx.of(c)):
+        try:
+            x = f(arg)
+        except EigensplitError as exc:
+            out.append(type(exc))
+        else:
+            out.append((x.value if isinstance(x, PadicInt) else x.digits,
+                        x.prec))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]), st.integers(2, 6),
+       st.integers(-10 ** 6, 10 ** 6), st.randoms(use_true_random=False))
+@example(23, 6, 2, random.Random(0))
+@example(3, 2, 1, random.Random(0))
+def test_int_and_padic_int_read_alike(p, N, c, rng):
+    # an int and the same value as a PadicInt of the ring's context give
+    # the same digits and prec, or the same refusal; lang_unit lifts an
+    # int lambda and takes a PadicInt as given, so it reads a lift
+    ring0, ring1 = cyc_ring(p, 0, N), cyc_ring(p, 1, N)
+    ctx = ring0.ctx
+    u0 = _random_one_unit(rng, ring0)
+    u1 = _random_one_unit(rng, ring1)
+    lift = ctx.teichmuller(c).value if c % p else c
+    for f, a in ((ctx.teichmuller, c),
+                 (lambda a: galois_apply(a, u0), c),
+                 (lambda a: galois_apply(a, u1), c),
+                 (lambda a: lang_unit(ring0, a), lift),
+                 (lambda a: unit_pow_zp(u0, a), c)):
+        int_read, padic_read = _read_both_ways(f, ctx, a)
+        assert int_read == padic_read
 
 
 @pytest.mark.parametrize("p, level", ((3, 0), (5, 0), (23, 0), (3, 1),
@@ -354,6 +436,10 @@ def test_bad_ring_arguments_are_usage_errors():
         cyc_ring(5, 0, prec=1, pi_prec=8)
     with pytest.raises(UsageError):
         cyc_ring(5, 0, pi_prec=0)
+    with pytest.raises(UsageError, match="^level must be 0 or 1"):
+        CycRing(PadicCtx(5, 4), 0.0)
+    with pytest.raises(UsageError, match="^pi_prec 2.5 outside"):
+        cyc_ring(5, 0, 4, 2.5)
 
 
 # -- the packed kernel against the per-digit schoolbook product -------------

@@ -571,7 +571,8 @@ def test_duality_full_guard_window():
     assert report.cells
 
 
-@pytest.mark.parametrize("window", [(-61, 60), (-60, 61), (3, 2)])
+@pytest.mark.parametrize("window", [(-61, 60), (-60, 61), (3, 2), (0,),
+                                    (0, 3, 5), (-2.5, 3), (0, "3"), 5])
 @pytest.mark.parametrize("entry", [
     lambda w: homotopy_of(SpectrumId("J", 11), w),
     lambda w: assemble("TCZ", 11, w, kv_assume=True),

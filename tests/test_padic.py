@@ -42,11 +42,17 @@ def test_ctx_rejects_bad_arguments():
         PadicCtx(2, 3)
     with pytest.raises(ValueError):
         PadicCtx(5, 0)
+    # a float prime or precision once built a context: PadicCtx(5, 2.5)
+    # had the modulus 55.9
+    with pytest.raises(UsageError, match="^precision must be >= 1, got 2.5$"):
+        PadicCtx(5, 2.5)
+    with pytest.raises(UsageError, match="^5.0 is not an odd prime$"):
+        PadicCtx(5.0, 2)
 
 
 def test_check_odd_prime():
     assert check_odd_prime(7) == 7
-    for bad in (2, 9, 1, -3):
+    for bad in (2, 9, 1, -3, 5.0, 2.5):
         with pytest.raises(UsageError, match=f"^{bad} is not an odd prime$"):
             check_odd_prime(bad)
 
@@ -75,8 +81,9 @@ def test_of_takes_only_ints_and_padic_ints():
     assert (x.value, x.prec) == (7, 2)
     y = ctx.of(PadicInt(ctx, 7, 3))
     assert (y.value, y.prec) == (7, 3)
-    with pytest.raises(RingMismatch):
-        ctx.of(PadicCtx(5, 3).of(1))
+    for other in (PadicCtx(5, 3), PadicCtx(7, 4)):
+        with pytest.raises(RingMismatch):
+            ctx.of(other.of(1))
 
 
 def test_ring_laws_random():
@@ -160,6 +167,12 @@ def test_from_rational():
     assert half * 2 == 1
     with pytest.raises(NonIntegralCoefficient):
         ctx.from_rational("3/14")
+    assert ctx.from_rational(Fraction(-3, 4)) * 4 == -3
+    assert ctx.from_rational(5).value == 5
+    # 0.1 once read as the binary float 3602879701896397/2^55
+    for bad in (0.1, 0.5, 2.0):
+        with pytest.raises(RingMismatch):
+            ctx.from_rational(bad)
 
 
 def test_teichmuller_is_root_of_unity():
