@@ -41,7 +41,7 @@ from .errors import (
     UsageError,
     ZeroResidue,
 )
-from .padic import PadicCtx, PadicInt, power_product
+from .padic import PadicCtx, PadicInt, check_int, power_product
 from .series import pack_digits, taylor_shift, unpack_digits
 
 
@@ -55,8 +55,7 @@ class CycRing:
     )
 
     def __init__(self, ctx: PadicCtx, level: int, pi_prec: int | None = None):
-        if not isinstance(level, int) or level not in (0, 1):
-            raise UsageError(f"level must be 0 or 1, got {level}")
+        check_int(level, "level", 0, 1)
         p = ctx.p
         if ctx.N < level + 1:
             raise UsageError(
@@ -66,12 +65,8 @@ class CycRing:
         # the level-0 window at both levels: a level-1 ring hands its
         # pi_prec to its base ring, which holds at most N (p-1)
         top = ctx.N * (p - 1)
-        if pi_prec is None:
-            pi_prec = min(p + 3, top)
-        if not isinstance(pi_prec, int) or not 1 <= pi_prec <= top:
-            raise UsageError(
-                f"pi_prec {pi_prec} outside 1..{top} supported by ctx"
-            )
+        pi_prec = check_int(min(p + 3, top) if pi_prec is None else pi_prec,
+                            "pi_prec", 1, top)
         self.ctx = ctx
         self.level = level
         self.degree = p ** level * (p - 1)
@@ -266,9 +261,7 @@ class CycElt:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise UsageError("negative powers are not defined here")
-        acc = power_product(mul, [self], [n])
+        acc = power_product(mul, [self], [check_int(n, "exponent", 0)])
         return self.ring.one() if acc is None else acc
 
     def __eq__(self, other):
@@ -287,7 +280,7 @@ class CycElt:
         """Whether pi^M divides the element: j + degree*v_p(c_j) >= M at
         every digit position j.  Refused when M exceeds degree*prec, the
         depth the digits resolve."""
-        need = _ceil_div(M, self.ring.degree)
+        need = _ceil_div(check_int(M, "pi-power M"), self.ring.degree)
         if need > self.prec:
             raise PrecisionExhausted(
                 f"digits have {self.prec} p-adic digits, need {need} "
@@ -488,7 +481,7 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
         raise NotOneUnit("eigenprojection acts on 1-units")
     ctx = u.ring.ctx
     p = ctx.p
-    i = i % (p - 1)
+    i = check_int(i, "character index i") % (p - 1)
     inv_order = ctx.of(p - 1).invert()
     q = p ** _exponent_digits(u)
     conjugates, exponents = [], []

@@ -16,16 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import NonIntegralCoefficient, UsageError
-from .padic import check_odd_prime, power_product
+from .errors import NonIntegralCoefficient
+from .padic import check_int, check_odd_prime, power_product
 from .series import (TruncSeries, log_one_plus_x, pack_digits, taylor_shift,
                      unpack_digits)
-
-
-def _check_args(p: int, T: int):
-    check_odd_prime(p)
-    if T < 2:
-        raise UsageError(f"truncation must be >= 2, got {T}")
 
 
 def default_trunc(p: int) -> int:
@@ -53,7 +47,8 @@ def _log_coeffs(p: int, T: int) -> tuple:
 
 def lubin_tate_log(p: int, T: int | None = None) -> TruncSeries:
     """log_G mod X^T; its support lies in exponents = 1 mod (p-1)."""
-    _check_args(p, T := default_trunc(p) if T is None else T)
+    check_odd_prime(p)
+    T = check_int(default_trunc(p) if T is None else T, "truncation", 2)
     return TruncSeries(list(_log_coeffs(p, T)))
 
 
@@ -74,7 +69,8 @@ def _exp_support(p: int, T: int) -> tuple:
 def lubin_tate_exp(p: int, T: int | None = None) -> TruncSeries:
     """exp_G mod Y^T, the compositional inverse of log_G; its support lies
     in exponents = 1 mod (p-1)."""
-    _check_args(p, T := default_trunc(p) if T is None else T)
+    check_odd_prime(p)
+    T = check_int(default_trunc(p) if T is None else T, "truncation", 2)
     e = [Fraction(0)] * T
     e[1::p - 1] = _exp_support(p, T)
     return TruncSeries(e)
@@ -166,7 +162,8 @@ def _exact_theta(p: int, T: int) -> tuple:
 
 def theta(p: int, T: int | None = None) -> TruncSeries:
     """The strict isomorphism theta = exp_G(log(1+X)), exact and p-integral."""
-    _check_args(p, T := default_trunc(p) if T is None else T)
+    check_odd_prime(p)
+    T = check_int(default_trunc(p) if T is None else T, "truncation", 2)
     return TruncSeries(list(_exact_theta(p, T)))
 
 

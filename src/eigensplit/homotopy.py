@@ -27,22 +27,20 @@ from .errors import (
     WindowInsufficient,
 )
 from .lfunctions import bernoulli, lp_value, regularity_certificate
-from .padic import check_odd_prime, vp
+from .padic import check_int, check_odd_prime, vp
 
 
 class FgZpModule:
-    """Z_p^rank + sum of Z/p^e, torsion exponents sorted descending."""
+    """Z_p^rank + sum of Z/p^e for a sequence of torsion exponents e,
+    kept sorted descending."""
 
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int = 0, torsion=()):
-        if rank < 0:
-            raise UsageError("rank must be nonnegative")
-        tors = tuple(sorted(torsion, reverse=True))
-        if tors and tors[-1] < 1:
-            raise UsageError("torsion exponents must be >= 1")
-        self.rank = rank
-        self.torsion = tors
+        self.rank = check_int(rank, "rank", 0)
+        for e in torsion:
+            check_int(e, "torsion exponent", 1)
+        self.torsion = tuple(sorted(torsion, reverse=True))
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -80,7 +78,7 @@ def free(rank: int = 1) -> FgZpModule:
 
 
 def cyclic(e: int) -> FgZpModule:
-    return FgZpModule(0, (e,)) if e > 0 else ZERO
+    return FgZpModule(0, (e,)) if check_int(e, "torsion exponent") > 0 else ZERO
 
 
 class GradedModule:
@@ -93,7 +91,7 @@ class GradedModule:
     __slots__ = ("lo", "hi", "entries")
 
     def __init__(self, lo: int, hi: int, entries=None):
-        if lo > hi:
+        if check_int(lo, "lo") > check_int(hi, "hi"):
             raise UsageError(f"empty window [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -103,8 +101,7 @@ class GradedModule:
                 self.set(n, m)
 
     def set(self, n: int, m: FgZpModule):
-        if not self.lo <= n <= self.hi:
-            raise UsageError(f"degree {n} outside window [{self.lo}, {self.hi}]")
+        check_int(n, "degree", self.lo, self.hi)
         if m.is_zero():
             self.entries.pop(n, None)
         else:
@@ -114,19 +111,18 @@ class GradedModule:
         self.set(n, self.entry(n) + m)
 
     def entry(self, n: int) -> FgZpModule:
-        if not self.lo <= n <= self.hi:
-            raise UsageError(f"degree {n} outside window [{self.lo}, {self.hi}]")
+        check_int(n, "degree", self.lo, self.hi)
         return self.entries.get(n, ZERO)
 
     def degrees(self):
         return sorted(self.entries)
 
     def restrict(self, lo: int, hi: int) -> "GradedModule":
+        out = GradedModule(lo, hi)
         if lo < self.lo or hi > self.hi:
             raise WindowInsufficient(
                 f"[{lo}, {hi}] not contained in [{self.lo}, {self.hi}]"
             )
-        out = GradedModule(lo, hi)
         for n, m in self.entries.items():
             if lo <= n <= hi:
                 out.set(n, m)
@@ -147,7 +143,7 @@ class GradedModule:
 
 
 def shift(M: GradedModule, k: int) -> GradedModule:
-    out = GradedModule(M.lo + k, M.hi + k)
+    out = GradedModule(M.lo + check_int(k, "shift k"), M.hi + k)
     for n, m in M.entries.items():
         out.set(n + k, m)
     return out
@@ -155,6 +151,7 @@ def shift(M: GradedModule, k: int) -> GradedModule:
 
 def connected_cover(M: GradedModule, c) -> GradedModule:
     """Zero out all degrees <= c; the window is unchanged."""
+    check_int(c, "cover degree c")
     out = GradedModule(M.lo, M.hi)
     for n, m in M.entries.items():
         if n > c:
@@ -209,7 +206,7 @@ class SpectrumId:
         elif tag in _FAMILY_TAGS:
             if index is None:
                 raise UsageError(f"{tag} needs an index")
-            index %= p - 1
+            index = check_int(index, "spectrum index") % (p - 1)
         else:
             raise UsageError(f"unknown spectrum tag {tag!r}")
         self.tag = tag
@@ -284,10 +281,9 @@ def _lvalue_exponent(p: int, i: int, s: int) -> int:
 def check_window(p: int, window) -> tuple:
     # keeps Bernoulli/L-value demands desk-scale; the floor of 40 admits
     # small-prime windows a few periods wide
-    if not (isinstance(window, (tuple, list)) and len(window) == 2
-            and all(isinstance(n, int) for n in window)):
+    if not (isinstance(window, (tuple, list)) and len(window) == 2):
         raise UsageError(f"a window is two ints (lo, hi), got {window!r}")
-    lo, hi = window
+    lo, hi = (check_int(n, "window end") for n in window)
     if lo > hi:
         raise UsageError(f"empty window [{lo}, {hi}]")
     bound = max(6 * (p - 1), 40)

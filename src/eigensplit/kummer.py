@@ -19,7 +19,7 @@ from .cyclotomic import (
 )
 from .errors import NoneFound, NotOneUnit, UsageError
 from .formal_groups import cw_tower_x
-from .padic import PadicInt
+from .padic import PadicInt, check_int
 
 
 def kummer_phis(u: CycElt) -> list:
@@ -30,9 +30,7 @@ def kummer_phis(u: CycElt) -> list:
 def kummer_phi(i: int, u: CycElt) -> int:
     """D^i(log f_u) at X = 0, mod p, with D = (1+X) d/dX; the logarithm
     is taken mod X^(i+1) only (see _phis_up_to)."""
-    p = u.ring.ctx.p
-    if not 1 <= i <= p - 2:
-        raise UsageError(f"phi_{i} undefined, need 1 <= i <= {p - 2}")
+    i = check_int(i, "phi index i", 1, u.ring.ctx.p - 2)
     return _phis_up_to(i, u)[-1]
 
 
@@ -160,7 +158,7 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
     p = ctx.p
     if ring.level != 0:
         raise UsageError("surrogate is a level-0 computation")
-    if not 2 <= i <= p - 3 or i % 2 != 0:
+    if check_int(i, "criterion index i", 2, p - 3) % 2:
         raise UsageError(f"criterion applies to even i in 2..{p - 3}")
     inv_order = ctx.of(p - 1).invert()
     units, exponents = [], []

@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .padic import PadicCtx, PadicInt, check_odd_prime, check_precision, vp
+from .padic import PadicCtx, PadicInt, check_int, check_odd_prime, vp
 
 
 def _tangent_numbers():
@@ -171,9 +171,7 @@ class BernoulliTable:
                           f"{err.strerror or err}")
 
     def get(self, n: int) -> Fraction:
-        if n < 0:
-            raise UsageError("Bernoulli index must be >= 0")
-        if n >= len(self._known):
+        if check_int(n, "Bernoulli index n", 0) >= len(self._known):
             self._parse(n)
             if n >= len(self._known):
                 self._extend(n)
@@ -258,7 +256,7 @@ class LValue:
 
 def _check_character(p: int, i: int) -> int:
     check_odd_prime(p)
-    i %= p - 1
+    i = check_int(i, "character exponent i") % (p - 1)
     if i == 0:
         raise PoleAtZeroCharacter(
             "the trivial-character branch has a pole and is never needed"
@@ -271,10 +269,8 @@ def _check_character(p: int, i: int) -> int:
 def lp_neg(p: int, i: int, n: int, prec: int = 4) -> LValue:
     """L_p(1-n, omega^i) = -(1 - p^{n-1}) B_n / n for n = i mod p-1."""
     i = _check_character(p, i)
-    check_precision(prec)
-    if n < 1:
-        raise UsageError("interpolation index n must be >= 1")
-    if (n - i) % (p - 1) != 0:
+    check_int(prec, "precision", 1)
+    if (check_int(n, "interpolation index n", 1) - i) % (p - 1) != 0:
         raise CongruenceClassMismatch(
             f"n = {n} is not congruent to {i} mod {p - 1}"
         )
@@ -303,18 +299,18 @@ def lp_at(p: int, i: int, s: int, M: int = 3) -> LValue:
     omega(a)^((i+s-1) mod (p-1)) a^(1-s) mod p^K.
     """
     i = _check_character(p, i)
-    check_precision(M)
-    if s == 1:
+    check_int(M, "precision", 1)
+    if check_int(s, "s") == 1:
         raise UsageError("s = 1 is outside the implemented range")
     K = M + 2 + vp(s - 1, p)
     ctx = PadicCtx(p, K)
     e = (i + s - 1) % (p - 1)
     total = 0
     bernoulli(K + 1)  # extends the table, and writes the cache, once
+    bs = [bernoulli(j) for j in range(K + 2)]
     for a in range(1, p):
         inner = Fraction(0)
-        for j in range(K + 2):
-            b = bernoulli(j)
+        for j, b in enumerate(bs):
             if b:
                 inner += _binom(1 - s, j) * Fraction(p, a) ** j * b
         unit = pow(ctx.teichmuller(a).value, e, ctx.modulus) * pow(
@@ -328,8 +324,8 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
     """Dispatch: exact interpolation when s = 1-n with n = i mod p-1 and
     n >= 1; the congruence-class evaluation otherwise."""
     i = _check_character(p, i)
-    check_precision(M)
-    n = 1 - s
+    check_int(M, "precision", 1)
+    n = 1 - check_int(s, "s")
     if n >= 1 and (n - i) % (p - 1) == 0:
         # The exact value costs nothing to expand, so keep the floor of 4
         # digits these points always had: stored answers (perfbench's
@@ -342,7 +338,7 @@ def irregular_pairs(p: int, k_max: int | None = None) -> list:
     """Even k in 2..p-3 with p dividing numerator(B_k), from the exact
     table: the whole range, or k <= k_max when that narrows it."""
     check_odd_prime(p)
-    top = p - 3 if k_max is None else min(p - 3, k_max)
+    top = p - 3 if k_max is None else min(p - 3, check_int(k_max, "k_max"))
     if top < 2:
         return []
     bernoulli(top)

@@ -4,6 +4,11 @@ An element is a residue mod p^prec together with the number of guaranteed
 digits ``prec``.  Arithmetic propagates precision by the min rule; dividing by
 p^v costs v digits.  Convention: precision is absolute (digits of the value),
 not relative to the valuation.
+
+Every int argument of a public entry in the package, a precision, an
+index, an exponent, a truncation or a rank, is read by ``check_int``: a
+non-int or an int out of range is refused with a ``UsageError`` that
+names the argument, never truncated.
 """
 
 from __future__ import annotations
@@ -21,8 +26,21 @@ from .errors import (
 )
 
 
+def check_int(n, what: str, lo: int | None = None,
+              hi: int | None = None) -> int:
+    """n, if it is an int in lo..hi; otherwise a UsageError naming `what`
+    with the bound it was read against: ">= lo", "in lo..hi" (hi is used
+    with lo) or, with no bound, "an int"."""
+    if (isinstance(n, int) and (lo is None or n >= lo)
+            and (hi is None or n <= hi)):
+        return n
+    bound = ("an int" if lo is None else f">= {lo}" if hi is None
+             else f"in {lo}..{hi}")
+    raise UsageError(f"{what} must be {bound}, got {n!r}")
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    if check_int(n, "n") < 2:
         return False
     if n % 2 == 0:
         return n == 2
@@ -38,11 +56,6 @@ def check_odd_prime(p: int) -> int:
     if not isinstance(p, int) or not is_prime(p) or p == 2:
         raise UsageError(f"{p} is not an odd prime")
     return p
-
-
-def check_precision(N: int) -> None:
-    if not isinstance(N, int) or N < 1:
-        raise UsageError(f"precision must be >= 1, got {N}")
 
 
 def vp(n: int, p: int) -> int:
@@ -80,10 +93,8 @@ class PadicCtx:
     __slots__ = ("p", "N", "modulus", "_teich", "_beta")
 
     def __init__(self, p: int, N: int):
-        check_odd_prime(p)
-        check_precision(N)
-        self.p = p
-        self.N = N
+        self.p = check_odd_prime(p)
+        self.N = check_int(N, "precision", 1)
         self.modulus = p ** N
         self._teich = {}
         self._beta = None
@@ -102,11 +113,11 @@ class PadicCtx:
         return f"PadicCtx(p={self.p}, N={self.N})"
 
     def of(self, value, prec: int | None = None) -> "PadicInt":
-        """An int, or a PadicInt of this context at most at its own prec."""
-        if isinstance(value, PadicInt) and value.ctx == self:
-            return value.reduce_to(self.N if prec is None else prec)
-        if not isinstance(value, int):
-            raise RingMismatch(f"cannot read {value!r} in {self!r}")
+        """An int, or a PadicInt of this context: as it is, or at prec
+        when that is lower."""
+        if isinstance(value, PadicInt) and (value.ctx is self
+                                            or value.ctx == self):
+            return value if prec is None else value.reduce_to(prec)
         return PadicInt(self, value, prec)
 
     def from_rational(self, q) -> "PadicInt":
@@ -149,18 +160,22 @@ class PadicCtx:
 
 
 class PadicInt:
+    """The int value mod p^prec, prec capped at N; never mutated."""
+
     __slots__ = ("ctx", "value", "prec")
 
     def __init__(self, ctx: PadicCtx, value: int, prec: int | None = None):
-        if prec is None:
-            prec = ctx.N
-        if prec < 1:
-            raise PrecisionExhausted("no guaranteed digits remain")
-        if prec > ctx.N:
-            prec = ctx.N
+        if not isinstance(value, int):
+            raise RingMismatch(f"cannot read {value!r} in {ctx!r}")
         self.ctx = ctx
-        self.prec = prec
-        self.value = int(value) % ctx.p ** prec
+        if prec is None or check_int(prec, "precision") >= ctx.N:
+            self.prec = ctx.N
+            self.value = value % ctx.modulus
+        elif prec < 1:
+            raise PrecisionExhausted("no guaranteed digits remain")
+        else:
+            self.prec = prec
+            self.value = value % ctx.p ** prec
 
     # -- helpers ---------------------------------------------------------
 
@@ -177,14 +192,15 @@ class PadicInt:
         return self.value
 
     def residue(self, k: int) -> int:
-        if k > self.prec:
+        if check_int(k, "digits k") > self.prec:
             raise PrecisionExhausted(
                 f"residue mod p^{k} requested but only {self.prec} digits known"
             )
         return self.value % self.ctx.p ** k
 
     def reduce_to(self, prec: int) -> "PadicInt":
-        return PadicInt(self.ctx, self.value, min(prec, self.prec))
+        return PadicInt(self.ctx, self.value,
+                        min(check_int(prec, "precision"), self.prec))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -220,7 +236,7 @@ class PadicInt:
         return PadicInt(self.ctx, -self.value, self.prec)
 
     def __pow__(self, n: int):
-        if n < 0:
+        if check_int(n, "exponent") < 0:
             return self.invert() ** (-n)
         return PadicInt(
             self.ctx, pow(self.value, n, self.ctx.p ** self.prec), self.prec
@@ -259,7 +275,7 @@ class PadicInt:
 
     def div_int(self, k: int) -> "PadicInt":
         """Exact division by a nonzero integer; the p-part of k costs digits."""
-        if k == 0:
+        if check_int(k, "divisor") == 0:
             raise ZeroDivisionError
         if k < 0:
             return (-self).div_int(-k)

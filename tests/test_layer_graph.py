@@ -1,7 +1,8 @@
 """The layer graph: each layer's module-level imports reach only layers
 listed before it in `eigensplit._EXPORTS`, the imports inside function
-bodies are the two known upward edges, and a few edges that the design
-rules out stay absent."""
+bodies are the two known upward edges, a few edges that the design
+rules out stay absent, and argument checks are defined only in the known
+places."""
 
 import ast
 import os
@@ -28,6 +29,18 @@ _KERNEL_USERS = ("cyclotomic", "formal_groups")
 _UPWARD = {
     ("cyclotomic", "check_eps1_nontorsion", "kummer"),
     ("kummer", "bernoulli_criterion_surrogate", "lfunctions"),
+}
+
+
+# the functions that check arguments, each where its policy lives: every
+# int is read by padic.check_int; check_eps1_nontorsion is the paper's
+# eps_1 criterion, a certificate and not an argument check
+_CHECKERS = {
+    ("padic", "check_odd_prime"),
+    ("padic", "check_int"),
+    ("homotopy", "check_window"),
+    ("lfunctions", "_check_character"),
+    ("cyclotomic", "check_eps1_nontorsion"),
 }
 
 
@@ -89,3 +102,12 @@ def test_function_level_imports_are_the_known_upward_edges():
                 found.update((layer, node.name, imported) for imported
                              in _layers_imported(ast.walk(node)))
     assert found == _UPWARD
+
+
+def test_argument_checks_live_in_the_known_places():
+    found = {(name[:-3], node.name)
+             for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")
+             for node in ast.walk(_tree(name[:-3]))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith(("check_", "_check"))}
+    assert found == _CHECKERS
