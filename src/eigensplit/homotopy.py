@@ -14,6 +14,10 @@ so it is computed only at irregular pairs.
 Degreewise, the Anderson dual has free part dual to the free part in the
 mirror degree and torsion pulled from one degree below the mirror, and
 this determines it up to isomorphism because the free part splits off.
+
+Input is read once, where it enters the layer (the module constructors,
+`GradedModule.set` and `entry`, `SpectrumId`, the window gate, a shift's k
+and a cover's c); internal routes write the entries of checked models.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ class FgZpModule:
 
     def __init__(self, rank: int = 0, torsion=()):
         self.rank = check_int(rank, "rank", 0)
+        torsion = tuple(torsion)  # checked before sorting compares them
         for e in torsion:
             check_int(e, "torsion exponent", 1)
         self.torsion = tuple(sorted(torsion, reverse=True))
@@ -78,7 +83,7 @@ def free(rank: int = 1) -> FgZpModule:
 
 
 def cyclic(e: int) -> FgZpModule:
-    return FgZpModule(0, (e,)) if check_int(e, "torsion exponent") > 0 else ZERO
+    return FgZpModule(0, (e,)) if check_int(e, "torsion exponent", 0) else ZERO
 
 
 class GradedModule:
@@ -102,13 +107,13 @@ class GradedModule:
 
     def set(self, n: int, m: FgZpModule):
         check_int(n, "degree", self.lo, self.hi)
+        if not isinstance(m, FgZpModule):
+            raise UsageError(f"the entry in degree {n} must be an "
+                             f"FgZpModule, got {m!r}")
         if m.is_zero():
             self.entries.pop(n, None)
         else:
             self.entries[n] = m
-
-    def add_at(self, n: int, m: FgZpModule):
-        self.set(n, self.entry(n) + m)
 
     def entry(self, n: int) -> FgZpModule:
         check_int(n, "degree", self.lo, self.hi)
@@ -123,9 +128,7 @@ class GradedModule:
             raise WindowInsufficient(
                 f"[{lo}, {hi}] not contained in [{self.lo}, {self.hi}]"
             )
-        for n, m in self.entries.items():
-            if lo <= n <= hi:
-                out.set(n, m)
+        out.entries = {n: m for n, m in self.entries.items() if lo <= n <= hi}
         return out
 
     def __eq__(self, other) -> bool:
@@ -144,8 +147,7 @@ class GradedModule:
 
 def shift(M: GradedModule, k: int) -> GradedModule:
     out = GradedModule(M.lo + check_int(k, "shift k"), M.hi + k)
-    for n, m in M.entries.items():
-        out.set(n + k, m)
+    out.entries = {n + k: m for n, m in M.entries.items()}
     return out
 
 
@@ -153,9 +155,7 @@ def connected_cover(M: GradedModule, c) -> GradedModule:
     """Zero out all degrees <= c; the window is unchanged."""
     check_int(c, "cover degree c")
     out = GradedModule(M.lo, M.hi)
-    for n, m in M.entries.items():
-        if n > c:
-            out.set(n, m)
+    out.entries = {n: m for n, m in M.entries.items() if n > c}
     return out
 
 
@@ -169,7 +169,7 @@ def direct_sum(*mods: GradedModule) -> GradedModule:
     out = GradedModule(lo, hi)
     for M in mods:
         for n, m in M.entries.items():
-            out.add_at(n, m)
+            out.entries[n] = out.entries[n] + m if n in out.entries else m
     return out
 
 
@@ -177,13 +177,14 @@ def anderson_dual(M: GradedModule) -> GradedModule:
     """Degreewise dual: rank from the mirror degree, torsion from one
     below it; determined on [-hi, -lo-1] and undefined outside."""
     out = GradedModule(-M.hi, -M.lo - 1)
+    get = M.entries.get
     # a stored degree d feeds only the free part of -d and the torsion
     # of -d-1; every other degree of the dual is zero
     for d in M.entries:
         for n in (-d, -d - 1):
-            if out.lo <= n <= out.hi:
-                out.set(n, FgZpModule(M.entry(-n).rank,
-                                      M.entry(-n - 1).torsion))
+            m = FgZpModule(get(-n, ZERO).rank, get(-n - 1, ZERO).torsion)
+            if out.lo <= n <= out.hi and not m.is_zero():
+                out.entries[n] = m
     return out
 
 
@@ -329,7 +330,7 @@ def _gate(sid: SpectrumId, window) -> tuple:
 
 def homotopy_of(sid: SpectrumId, window) -> GradedModule:
     """The graded homotopy model of the named spectrum on the window."""
-    return _build(sid, *_gate(sid, window))
+    return _build(sid.p, sid.tag, sid.index, *_gate(sid, window))
 
 
 # every connective tag is the cover of a periodic model: the model's tag,
@@ -345,11 +346,11 @@ _COVER = {
 }
 
 
-def _build(sid: SpectrumId, lo: int, hi: int) -> GradedModule:
+def _build(p: int, tag: str, i: int | None, lo: int,
+           hi: int) -> GradedModule:
     # unguarded: the public entries check the window and the
     # Kummer-Vandiver gate, and their internal routes may reach a degree
     # or two past the checked window
-    p, tag, i = sid.p, sid.tag, sid.index
     if tag in ("KZ", "TCZ", "FibTau"):
         return _assemble(p, tag, lo, hi)
     cover = _COVER.get(tag)
@@ -364,7 +365,7 @@ def _build(sid: SpectrumId, lo: int, hi: int) -> GradedModule:
         M = _pattern(lo, hi, p, -1, lambda n: free() if n == -1 else
                      cyclic(_j_exponent(p, (n + 1) // (2 * (p - 1)))))
         if lo <= 0 <= hi:
-            M.set(0, free())
+            M.entries[0] = free()
     elif (tag, i) in (("Y", 0), ("X", 1)):
         M = GradedModule(lo, hi)
     elif tag == "Z" or (tag == "Y" and i % 2 == 1):
@@ -385,17 +386,13 @@ def _build(sid: SpectrumId, lo: int, hi: int) -> GradedModule:
 
 
 def _assemble(p: int, tag: str, lo: int, hi: int) -> GradedModule:
-    def piece(t, i=None):
-        return _build(SpectrumId(t, p, i), lo, hi)
-
-    if tag == "KZ":
-        pieces = [piece("j")] + [piece("y", i) for i in range(p - 1)]
-    elif tag == "TCZ":
-        jp = _build(SpectrumId("jprime", p), lo - 1, hi - 1)
-        pieces = [piece("j"), shift(jp, 1)]
-        pieces += [piece("z", i) for i in range(p - 1)]
-    else:
-        pieces = [piece("jprime")] + [piece("x", i) for i in range(p - 1)]
+    # KZ = j + the y(i), TCZ = j + Sigma j' + the z(i), FibTau = j' + the x(i)
+    family = {"KZ": "y", "TCZ": "z", "FibTau": "x"}[tag]
+    pieces = [_build(p, family, i, lo, hi) for i in range(p - 1)]
+    j = "jprime" if tag == "FibTau" else "j"
+    pieces.append(_build(p, j, None, lo, hi))
+    if tag == "TCZ":
+        pieces.append(shift(_build(p, "jprime", None, lo - 1, hi - 1), 1))
     return direct_sum(*pieces)
 
 
@@ -456,17 +453,16 @@ def verify_main_duality(p: int, window,
     report = DualityReport(p, lo, hi)
     period = 2 * (p - 1)
     for i in range(p - 1):
-        A = _build(SpectrumId("x", p, i), lo, hi)
+        A = _build(p, "x", i, lo, hi)
         if i == 1:
-            A = direct_sum(A, _build(SpectrumId("jprime", p), lo, hi))
+            A = direct_sum(A, _build(p, "jprime", None, lo, hi))
         k = (p - i) % (p - 1)
-        kid = SpectrumId("J", p) if k == 0 else SpectrumId("Y", p, k)
-        K = _build(kid, -hi - 2, -lo - 1)
+        K = _build(p, "Y" if k else "J", k or None, -hi - 2, -lo - 1)
         B = connected_cover(shift(anderson_dual(K), -1), -3)
         # A and B share the window [lo, hi]; a degree where both are
         # zero adds no cell
         for n in sorted(A.entries.keys() | B.entries.keys()):
-            a, b = A.entry(n), B.entry(n)
+            a, b = A.entries.get(n, ZERO), B.entries.get(n, ZERO)
             if a == b:
                 if not a.is_zero():
                     report.cells.append({

@@ -1,6 +1,7 @@
 """Graded Z_p-module models, duality, and long-exact-sequence bookkeeping."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,6 +72,33 @@ def test_fg_module_basics():
         FgZpModule(-1)
 
 
+def test_torsion_from_a_one_shot_iterable_is_kept():
+    # a check loop that consumes a generator before sorting it builds the
+    # zero module
+    assert FgZpModule(0, (e for e in [2, 3])) == FgZpModule(0, (3, 2))
+    assert FgZpModule(1, iter([1, 4, 2])).torsion == (4, 2, 1)
+
+
+def test_cyclic_refuses_a_negative_exponent():
+    assert cyclic(0) is homotopy.ZERO
+    assert cyclic(2) == FgZpModule(0, (2,))
+    for e in (-1, -2):
+        with pytest.raises(UsageError,
+                           match=rf"^torsion exponent must be >= 0, got {e}$"):
+            cyclic(e)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: GradedModule(-2, 4).set(1, m),
+    lambda m: GradedModule(0, 3, {1: m}),
+], ids=["set", "constructor"])
+@pytest.mark.parametrize("m", ["x", 5, None, (1, (2,))])
+def test_a_graded_entry_must_be_a_module(build, m):
+    with pytest.raises(UsageError,
+                       match=rf"degree 1 .*, got {re.escape(repr(m))}$"):
+        build(m)
+
+
 def test_graded_window_guards():
     M = GradedModule(-2, 4)
     M.set(0, Zp)
@@ -131,10 +159,13 @@ def _dense_anderson_dual(M):
 
 
 @st.composite
-def _graded_modules(draw):
-    lo = draw(st.integers(-30, 30))
-    # the dual of [lo, hi] is [-hi, -lo-1], so one degree has no dual
-    hi = lo + draw(st.integers(1, 30))
+def _graded_modules(draw, window=None):
+    if window is None:
+        lo = draw(st.integers(-30, 30))
+        # the dual of [lo, hi] is [-hi, -lo-1], so one degree has no dual
+        hi = lo + draw(st.integers(1, 30))
+    else:
+        lo, hi = window
     degrees = draw(st.lists(st.integers(lo, hi), max_size=hi - lo + 1,
                             unique=True))
     return GradedModule(lo, hi, {
@@ -153,6 +184,99 @@ def test_sparse_dual_matches_dense_walk(M):
     D = anderson_dual(M)
     assert D == _dense_anderson_dual(M)
     assert all(not m.is_zero() for m in D.entries.values())
+
+
+# per-degree oracles for the routes that write `entries` directly: every
+# degree of the output window through the checked `set` and `entry`
+
+def _dense_shift(M, k):
+    out = GradedModule(M.lo + k, M.hi + k)
+    for n in range(M.lo, M.hi + 1):
+        out.set(n + k, M.entry(n))
+    return out
+
+
+def _dense_cover(M, c):
+    out = GradedModule(M.lo, M.hi)
+    for n in range(M.lo, M.hi + 1):
+        if n > c:
+            out.set(n, M.entry(n))
+    return out
+
+
+def _dense_sum(mods):
+    out = GradedModule(mods[0].lo, mods[0].hi)
+    for n in range(out.lo, out.hi + 1):
+        total = FgZpModule()
+        for M in mods:
+            total = total + M.entry(n)
+        out.set(n, total)
+    return out
+
+
+def _dense_restrict(M, lo, hi):
+    out = GradedModule(lo, hi)
+    for n in range(lo, hi + 1):
+        out.set(n, M.entry(n))
+    return out
+
+
+def _no_stored_zero(M):
+    return all(not m.is_zero() for m in M.entries.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_modules(), st.integers(-40, 40))
+@example(GradedModule(0, 1), 0)
+@example(GradedModule(-3, 2, {-3: cyclic(1), 2: free()}), -5)
+def test_shift_matches_the_dense_walk(M, k):
+    S = shift(M, k)
+    assert S == _dense_shift(M, k)
+    assert _no_stored_zero(S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_modules(), st.integers(-40, 40))
+@example(GradedModule(-3, 2, {-3: cyclic(1), 2: free()}), -3)
+@example(GradedModule(-3, 2, {-3: cyclic(1), 2: free()}), 2)
+def test_connected_cover_matches_the_dense_walk(M, c):
+    C = connected_cover(M, c)
+    assert C == _dense_cover(M, c)
+    assert _no_stored_zero(C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_direct_sum_matches_the_dense_walk(data):
+    M = data.draw(_graded_modules())
+    others = data.draw(st.lists(_graded_modules(window=(M.lo, M.hi)),
+                                max_size=3))
+    # M twice, so every stored degree of M overlaps in the sum
+    mods = [M, *others, M]
+    S = direct_sum(*mods)
+    assert S == _dense_sum(mods)
+    assert _no_stored_zero(S)
+    assert direct_sum(M) == M
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_restrict_matches_the_dense_walk(data):
+    M = data.draw(_graded_modules())
+    lo = data.draw(st.integers(M.lo, M.hi))
+    hi = data.draw(st.integers(lo, M.hi))
+    R = M.restrict(lo, hi)
+    assert R == _dense_restrict(M, lo, hi)
+    assert _no_stored_zero(R)
+
+
+def test_routes_leave_their_input_unchanged():
+    M = GradedModule(-4, 4, {-3: cyclic(1), 0: free(), 2: FgZpModule(1, (2,))})
+    before = dict(M.entries)
+    S = direct_sum(M, M)
+    for out in (shift(M, 0), connected_cover(M, -5), M.restrict(-4, 4), S):
+        out.entries.clear()
+    assert M.entries == before
 
 
 def test_anderson_double_dual_is_identity():
@@ -417,9 +541,9 @@ def test_build_matches_the_per_tag_oracle(p, exponents, monkeypatch):
         for tag in _PLAIN_TAGS + _FAMILY_TAGS:
             for i in [None] if tag in _PLAIN_TAGS else range(p - 1):
                 sid = SpectrumId(tag, p, i, kv_assume=True)
-                assert _build(sid, lo, hi) == _oracle_build(sid, lo, hi), (
-                    tag, i, lo, hi)
-                assert homotopy_of(sid, (lo, hi)) == _build(sid, lo, hi)
+                built = _build(p, tag, sid.index, lo, hi)
+                assert built == _oracle_build(sid, lo, hi), (tag, i, lo, hi)
+                assert homotopy_of(sid, (lo, hi)) == built
 
 
 def test_every_connective_tag_has_a_cover():
@@ -589,12 +713,14 @@ def _dense_duality(p, lo, hi):
     cells, notes, flags = [], [], []
     period = 2 * (p - 1)
     for i in range(p - 1):
-        A = _build(SpectrumId("x", p, i), lo, hi)
+        A = _build(p, "x", i, lo, hi)
         if i == 1:
-            A = direct_sum(A, _build(SpectrumId("jprime", p), lo, hi))
+            A = direct_sum(A, _build(p, "jprime", None, lo, hi))
         k = (p - i) % (p - 1)
-        kid = SpectrumId("J", p) if k == 0 else SpectrumId("Y", p, k)
-        K = _build(kid, -hi - 2, -lo - 1)
+        if k == 0:
+            K = _build(p, "J", None, -hi - 2, -lo - 1)
+        else:
+            K = _build(p, "Y", k, -hi - 2, -lo - 1)
         B = connected_cover(shift(_dense_anderson_dual(K), -1), -3)
         for n in range(lo, hi + 1):
             a, b = A.entry(n), B.entry(n)

@@ -1,8 +1,8 @@
 """The layer graph: each layer's module-level imports reach only layers
 listed before it in `eigensplit._EXPORTS`, the imports inside function
 bodies are the two known upward edges, a few edges that the design
-rules out stay absent, and argument checks are defined only in the known
-places."""
+rules out stay absent, argument checks are defined only in the known
+places, and the homotopy layer reads its input only where it enters."""
 
 import ast
 import os
@@ -42,6 +42,28 @@ _CHECKERS = {
     ("lfunctions", "_check_character"),
     ("cyclotomic", "check_eps1_nontorsion"),
 }
+
+# in homotopy, a SpectrumId is built only from a caller's text or by a
+# public entry for its gate, and only GradedModule itself goes through its
+# checked accessors: the internal routes write entries of checked models
+_SPECTRUM_ID_BUILDERS = {"SpectrumId.parse", "assemble", "verify_main_duality"}
+_CHECKED_ACCESSORS = {"set", "entry", "add_at"}
+
+# the assembly and the sum as they were when each piece was named by a
+# SpectrumId and each entry was added through the checked accessors
+_PIECEWISE_LAYER = """
+def _assemble(p, tag, lo, hi):
+    def piece(t, i=None):
+        return _build(SpectrumId(t, p, i), lo, hi)
+    return direct_sum(*[piece("y", i) for i in range(p - 1)])
+
+def direct_sum(*mods):
+    out = GradedModule(mods[0].lo, mods[0].hi)
+    for M in mods:
+        for n, m in M.entries.items():
+            out.add_at(n, m)
+    return out
+"""
 
 
 def _tree(layer):
@@ -111,3 +133,40 @@ def test_argument_checks_live_in_the_known_places():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name.startswith(("check_", "_check"))}
     assert found == _CHECKERS
+
+
+def _scoped_calls(node, cls=None, func=None):
+    """Each call under ``node`` with its enclosing class and the qualified
+    name of its outermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _scoped_calls(child, child.name, func)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = func or (f"{cls}.{child.name}" if cls else child.name)
+            yield from _scoped_calls(child, cls, name)
+        else:
+            if isinstance(child, ast.Call):
+                yield cls, func, child
+            yield from _scoped_calls(child, cls, func)
+
+
+def _boundary_breaches(tree):
+    """(function, callee) for each SpectrumId built outside the known
+    builders and each checked accessor called outside GradedModule."""
+    for cls, func, call in _scoped_calls(tree):
+        f = call.func
+        if (isinstance(f, ast.Name) and f.id == "SpectrumId"
+                and func not in _SPECTRUM_ID_BUILDERS):
+            yield func, f.id
+        elif (isinstance(f, ast.Attribute) and f.attr in _CHECKED_ACCESSORS
+                and cls != "GradedModule"):
+            yield func, f.attr
+
+
+def test_homotopy_reads_its_input_where_it_enters():
+    assert list(_boundary_breaches(_tree("homotopy"))) == []
+
+
+def test_the_boundary_rule_sees_a_piecewise_layer():
+    breaches = sorted(_boundary_breaches(ast.parse(_PIECEWISE_LAYER)))
+    assert breaches == [("_assemble", "SpectrumId"), ("direct_sum", "add_at")]
