@@ -40,8 +40,9 @@ from .errors import (
     RingMismatch,
     UsageError,
     ZeroResidue,
+    check_int,
 )
-from .padic import PadicCtx, PadicInt, check_int, power_product
+from .padic import PadicCtx, PadicInt, power_product
 from .series import pack_digits, taylor_shift, unpack_digits
 
 

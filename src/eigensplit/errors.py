@@ -4,6 +4,11 @@ Anything raised on bad input derives from UsageError; anything raised when a
 quantity cannot be pinned down at the working precision derives from
 PrecisionError.  A computation that finishes but contradicts a certified
 expectation raises VerificationError (the CLI maps these to exit code 2).
+
+Every int argument of a public entry in the package, a precision, an
+index, an exponent, a truncation or a rank, is read by ``check_int``: a
+non-int or an int out of range is refused with a ``UsageError`` that
+names the argument, never truncated.
 """
 
 
@@ -21,6 +26,19 @@ class PrecisionError(EigensplitError, ArithmeticError):
 
 class VerificationError(EigensplitError):
     pass
+
+
+def check_int(n, what: str, lo: int | None = None,
+              hi: int | None = None) -> int:
+    """n, if it is an int in lo..hi; otherwise a UsageError naming `what`
+    with the bound it was read against: ">= lo", "in lo..hi" (hi is used
+    with lo) or, with no bound, "an int"."""
+    if (isinstance(n, int) and (lo is None or n >= lo)
+            and (hi is None or n <= hi)):
+        return n
+    bound = ("an int" if lo is None else f">= {lo}" if hi is None
+             else f"in {lo}..{hi}")
+    raise UsageError(f"{what} must be {bound}, got {n!r}")
 
 
 # p-adic scalars
@@ -90,10 +108,6 @@ class NoneFound(EigensplitError, RuntimeError):
 
 
 # L-values
-
-class CongruenceClassMismatch(UsageError):
-    pass
-
 
 class PoleAtZeroCharacter(UsageError):
     pass

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import NonIntegralCoefficient
-from .padic import check_int, check_odd_prime, power_product
+from .errors import NonIntegralCoefficient, check_int
+from .padic import check_odd_prime, power_product
 from .series import (TruncSeries, log_one_plus_x, pack_digits, taylor_shift,
                      unpack_digits)
 

@@ -16,8 +16,9 @@ mirror degree and torsion pulled from one degree below the mirror, and
 this determines it up to isomorphism because the free part splits off.
 
 Input is read once, where it enters the layer (the module constructors,
-`GradedModule.set` and `entry`, `SpectrumId`, the window gate, a shift's k
-and a cover's c); internal routes write the entries of checked models.
+`GradedModule.set` and `entry`, `SpectrumId`, the window gate, a shift's k,
+a cover's c and the type of each route's argument); internal routes write
+the entries of checked models.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
     WindowInsufficient,
+    check_int,
 )
 from .lfunctions import bernoulli, lp_value, regularity_certificate
-from .padic import check_int, check_odd_prime, vp
+from .padic import check_odd_prime, vp
 
 
 class FgZpModule:
@@ -55,6 +57,8 @@ class FgZpModule:
         return sum(self.torsion)
 
     def __add__(self, other: "FgZpModule") -> "FgZpModule":
+        if not isinstance(other, FgZpModule):
+            return NotImplemented
         return FgZpModule(self.rank + other.rank, self.torsion + other.torsion)
 
     def __eq__(self, other) -> bool:
@@ -145,7 +149,14 @@ class GradedModule:
         return f"GradedModule[{self.lo}..{self.hi}]{{{body}}}"
 
 
+def _check_type(cls, *args):
+    for a in args:
+        if not isinstance(a, cls):
+            raise UsageError(f"expected a {cls.__name__}, got {a!r}")
+
+
 def shift(M: GradedModule, k: int) -> GradedModule:
+    _check_type(GradedModule, M)
     out = GradedModule(M.lo + check_int(k, "shift k"), M.hi + k)
     out.entries = {n + k: m for n, m in M.entries.items()}
     return out
@@ -153,6 +164,7 @@ def shift(M: GradedModule, k: int) -> GradedModule:
 
 def connected_cover(M: GradedModule, c) -> GradedModule:
     """Zero out all degrees <= c; the window is unchanged."""
+    _check_type(GradedModule, M)
     check_int(c, "cover degree c")
     out = GradedModule(M.lo, M.hi)
     out.entries = {n: m for n, m in M.entries.items() if n > c}
@@ -162,6 +174,7 @@ def connected_cover(M: GradedModule, c) -> GradedModule:
 def direct_sum(*mods: GradedModule) -> GradedModule:
     if not mods:
         raise UsageError("empty direct sum")
+    _check_type(GradedModule, *mods)
     lo, hi = mods[0].lo, mods[0].hi
     for M in mods[1:]:
         if (M.lo, M.hi) != (lo, hi):
@@ -176,6 +189,7 @@ def direct_sum(*mods: GradedModule) -> GradedModule:
 def anderson_dual(M: GradedModule) -> GradedModule:
     """Degreewise dual: rank from the mirror degree, torsion from one
     below it; determined on [-hi, -lo-1] and undefined outside."""
+    _check_type(GradedModule, M)
     out = GradedModule(-M.hi, -M.lo - 1)
     get = M.entries.get
     # a stored degree d feeds only the free part of -d and the torsion
@@ -210,6 +224,9 @@ class SpectrumId:
             index = check_int(index, "spectrum index") % (p - 1)
         else:
             raise UsageError(f"unknown spectrum tag {tag!r}")
+        if not isinstance(kv_assume, bool):
+            raise UsageError(
+                f"kv_assume must be True or False, got {kv_assume!r}")
         self.tag = tag
         self.index = index
         self.p = p
@@ -330,6 +347,7 @@ def _gate(sid: SpectrumId, window) -> tuple:
 
 def homotopy_of(sid: SpectrumId, window) -> GradedModule:
     """The graded homotopy model of the named spectrum on the window."""
+    _check_type(SpectrumId, sid)
     return _build(sid.p, sid.tag, sid.index, *_gate(sid, window))
 
 
@@ -542,6 +560,7 @@ def les_consistency(X: GradedModule, Y: GradedModule,
     a segment is a run of nonzero slots, so only the stored degrees are
     visited: a gap between two of their slot positions closes a segment.
     """
+    _check_type(GradedModule, X, Y, Z)
     if not (X.lo == Y.lo == Z.lo and X.hi == Y.hi == Z.hi):
         raise UsageError("les_consistency needs a common window")
     last = 3 * (X.hi - X.lo) + 2

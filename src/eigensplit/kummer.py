@@ -17,9 +17,9 @@ from .cyclotomic import (
     nontorsion_certified,
     unit_pow_product,
 )
-from .errors import NoneFound, NotOneUnit, UsageError
+from .errors import NoneFound, NotOneUnit, UsageError, check_int
 from .formal_groups import cw_tower_x
-from .padic import PadicInt, check_int
+from .padic import PadicInt
 
 
 def kummer_phis(u: CycElt) -> list:

@@ -4,11 +4,6 @@ An element is a residue mod p^prec together with the number of guaranteed
 digits ``prec``.  Arithmetic propagates precision by the min rule; dividing by
 p^v costs v digits.  Convention: precision is absolute (digits of the value),
 not relative to the valuation.
-
-Every int argument of a public entry in the package, a precision, an
-index, an exponent, a truncation or a rank, is read by ``check_int``: a
-non-int or an int out of range is refused with a ``UsageError`` that
-names the argument, never truncated.
 """
 
 from __future__ import annotations
@@ -23,20 +18,8 @@ from .errors import (
     RingMismatch,
     UsageError,
     ZeroResidue,
+    check_int,
 )
-
-
-def check_int(n, what: str, lo: int | None = None,
-              hi: int | None = None) -> int:
-    """n, if it is an int in lo..hi; otherwise a UsageError naming `what`
-    with the bound it was read against: ">= lo", "in lo..hi" (hi is used
-    with lo) or, with no bound, "an int"."""
-    if (isinstance(n, int) and (lo is None or n >= lo)
-            and (hi is None or n <= hi)):
-        return n
-    bound = ("an int" if lo is None else f">= {lo}" if hi is None
-             else f"in {lo}..{hi}")
-    raise UsageError(f"{what} must be {bound}, got {n!r}")
 
 
 def is_prime(n: int) -> bool:

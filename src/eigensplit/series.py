@@ -20,6 +20,7 @@ from .errors import (
     NonzeroConstantTerm,
     RingMismatch,
     UsageError,
+    check_int,
 )
 
 
@@ -56,7 +57,7 @@ def taylor_shift(coeffs, s: int) -> list:
     C(n, j+1) < 2^(bitlen(max|c|) + n - 1) in size, so slots of
     bitlen(max|c|) + n bits hold it as a signed digit; one bit less
     misreads a single positive coefficient shifted by -1."""
-    if s not in (1, -1):
+    if not isinstance(s, int) or s not in (1, -1):
         raise UsageError(f"shift must be +1 or -1, got {s}")
     n = len(coeffs)
     w = max(map(abs, coeffs)).bit_length() + n
@@ -97,8 +98,7 @@ class TruncSeries:
         return self.coeffs[0]
 
     def truncate(self, T: int) -> "TruncSeries":
-        if T < 1 or T > self.trunc:
-            raise UsageError(f"cannot truncate to {T} (trunc {self.trunc})")
+        check_int(T, "truncation", 1, self.trunc)
         return TruncSeries(self.coeffs[:T])
 
     def __eq__(self, other):
@@ -198,6 +198,7 @@ class TruncSeries:
 
 def log_one_plus_x(T: int) -> TruncSeries:
     """log(1+X) = X - X^2/2 + X^3/3 - ... over the rationals."""
+    check_int(T, "truncation", 1)
     return TruncSeries(
         [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, T)]
     )

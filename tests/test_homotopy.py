@@ -99,6 +99,30 @@ def test_a_graded_entry_must_be_a_module(build, m):
         build(m)
 
 
+# each of these once ended in an AttributeError
+@pytest.mark.parametrize("call, kind, bad", [
+    (lambda: shift("x", 1), "GradedModule", "x"),
+    (lambda: connected_cover(None, 0), "GradedModule", None),
+    (lambda: direct_sum(GradedModule(0, 3), "x"), "GradedModule", "x"),
+    (lambda: anderson_dual(None), "GradedModule", None),
+    (lambda: les_consistency(GradedModule(0, 3), GradedModule(0, 3), 5),
+     "GradedModule", 5),
+    (lambda: homotopy_of("KZ", (0, 4)), "SpectrumId", "KZ"),
+], ids=["shift", "connected_cover", "direct_sum", "anderson_dual",
+        "les_consistency", "homotopy_of"])
+def test_graded_routes_refuse_what_is_not_a_model(call, kind, bad):
+    with pytest.raises(UsageError, match=rf"^expected a {kind}, "
+                       rf"got {re.escape(repr(bad))}$"):
+        call()
+
+
+def test_module_sum_needs_a_module():
+    assert FgZpModule(1).__add__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        FgZpModule(1) + 2
+    assert FgZpModule(1) + cyclic(2) == FgZpModule(1, (2,))
+
+
 def test_graded_window_guards():
     M = GradedModule(-2, 4)
     M.set(0, Zp)
@@ -316,6 +340,20 @@ def test_kv_gating():
         homotopy_of(SpectrumId("Y", 37, 3), (-4, 4))
     homotopy_of(SpectrumId("Y", 37, 3, kv_assume=True), (-4, 4))
     homotopy_of(SpectrumId("z", 37, 3), (-4, 4))
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None])
+@pytest.mark.parametrize("call", [
+    lambda flag: verify_main_duality(37, (-40, 40), kv_assume=flag),
+    lambda flag: assemble("KZ", 37, (-4, 4), kv_assume=flag),
+    lambda flag: SpectrumId.parse("y(3)", 37, kv_assume=flag),
+    lambda flag: SpectrumId("Y", 37, 3, flag),
+], ids=["verify_main_duality", "assemble", "parse", "SpectrumId"])
+def test_kv_assume_must_be_a_bool(call, flag):
+    # "no" once went ahead under the Kummer-Vandiver hypothesis
+    with pytest.raises(UsageError, match=rf"^kv_assume must be True or "
+                       rf"False, got {re.escape(repr(flag))}$"):
+        call(flag)
 
 
 def test_kv_gate_is_decided_above_200():

@@ -1,4 +1,4 @@
-"""Every int argument of a public entry is read by `padic.check_int`: a
+"""Every int argument of a public entry is read by `errors.check_int`: a
 non-int is refused with a `UsageError` that names the argument, never cut
 to an int and never left to end in a TypeError."""
 
@@ -9,16 +9,16 @@ import pytest
 
 from eigensplit.cyclotomic import cyc_ring, eigen_unit
 from eigensplit.errors import (PrecisionExhausted, RingMismatch,
-                               UsageError)
+                               UsageError, check_int)
 from eigensplit.formal_groups import lubin_tate_exp, lubin_tate_log, theta
 from eigensplit.homotopy import (FgZpModule, GradedModule, SpectrumId,
                                  connected_cover, cyclic, homotopy_of, shift)
 from eigensplit.kummer import (bernoulli_criterion_surrogate, cw_unit,
                                generator_certificate, kummer_phi,
                                lang_generator_search)
-from eigensplit.lfunctions import (bernoulli, irregular_pairs, lp_at,
-                                   lp_neg, lp_value)
-from eigensplit.padic import PadicCtx, PadicInt, check_int, is_prime
+from eigensplit.lfunctions import bernoulli, irregular_pairs, lp_value
+from eigensplit.padic import PadicCtx, PadicInt, is_prime
+from eigensplit.series import TruncSeries, log_one_plus_x, taylor_shift
 
 CTX = PadicCtx(5, 4)
 RING = cyc_ring(5, 0)
@@ -34,6 +34,8 @@ _ENTRIES = [
     ("of-prec", lambda x: CTX.of(3, x), "precision"),
     ("of-padic-prec", lambda x: CTX.of(CTX.of(3), x), "precision"),
     ("is_prime", lambda x: is_prime(x), "n"),
+    ("truncate", lambda x: TruncSeries([1, 2, 3]).truncate(x), "truncation"),
+    ("log_one_plus_x", lambda x: log_one_plus_x(x), "truncation"),
     ("residue", lambda x: CTX.of(3).residue(x), "digits k"),
     ("reduce_to", lambda x: CTX.of(3).reduce_to(x), "precision"),
     ("PadicInt-pow", lambda x: CTX.of(3) ** x, "exponent"),
@@ -58,10 +60,6 @@ _ENTRIES = [
     ("lp_value-i", lambda x: lp_value(5, x, 3, 3), "character exponent i"),
     ("lp_value-s", lambda x: lp_value(5, 2, x, 3), "s"),
     ("lp_value-M", lambda x: lp_value(5, 2, 3, x), "precision"),
-    ("lp_at-s", lambda x: lp_at(5, 2, x, 3), "s"),
-    ("lp_at-M", lambda x: lp_at(5, 2, 3, x), "precision"),
-    ("lp_neg-n", lambda x: lp_neg(5, 2, x), "interpolation index n"),
-    ("lp_neg-prec", lambda x: lp_neg(5, 2, 2, x), "precision"),
     ("SpectrumId", lambda x: SpectrumId("y", 5, x), "spectrum index"),
     ("FgZpModule-rank", lambda x: FgZpModule(x), "rank"),
     ("FgZpModule-torsion", lambda x: FgZpModule(0, (2, x)),
@@ -119,6 +117,9 @@ def test_non_int_arguments_are_refused_by_name(call, name, x):
     (lambda: CTX.of(3, 2.5), "precision"),
     (lambda: FgZpModule(1.5), "rank"),
     (lambda: GradedModule(0.5, 3), "lo"),
+    (lambda: TruncSeries([1, 2, 3]).truncate(2.5), "truncation"),
+    (lambda: log_one_plus_x(3.5), "truncation"),
+    (lambda: taylor_shift([1, 2], 1.0), r"shift must be \+1 or -1, got 1\.0$"),
 ])
 def test_integral_looking_floats_are_refused(call, name):
     with pytest.raises(UsageError, match=f"^{name}"):

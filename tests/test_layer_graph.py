@@ -33,13 +33,14 @@ _UPWARD = {
 
 
 # the functions that check arguments, each where its policy lives: every
-# int is read by padic.check_int; check_eps1_nontorsion is the paper's
-# eps_1 criterion, a certificate and not an argument check
+# int is read by errors.check_int, and every module or spectrum argument of
+# a graded route by homotopy._check_type; check_eps1_nontorsion is the
+# paper's eps_1 criterion, a certificate and not an argument check
 _CHECKERS = {
     ("padic", "check_odd_prime"),
-    ("padic", "check_int"),
+    ("errors", "check_int"),
     ("homotopy", "check_window"),
-    ("lfunctions", "_check_character"),
+    ("homotopy", "_check_type"),
     ("cyclotomic", "check_eps1_nontorsion"),
 }
 

@@ -18,8 +18,6 @@ from eigensplit.lfunctions import (
     bernoulli,
     configure_cache,
     irregular_pairs,
-    lp_at,
-    lp_neg,
     lp_value,
     regularity_certificate,
 )
@@ -141,22 +139,30 @@ def test_cache_file_that_is_a_directory_is_a_usage_error(tmp_path):
     assert lfunctions._table.path is None
 
 
+def test_cache_directory_must_be_a_path():
+    with pytest.raises(UsageError, match=r"^cache directory must be None "
+                       r"or a path, got 5$"):
+        configure_cache(5)
+    assert lfunctions._table.path is None
+
+
 def test_character_guards():
     with pytest.raises(PoleAtZeroCharacter):
-        lp_neg(5, 0, 4)
-    with pytest.raises(UsageError):
-        lp_neg(5, 3, 3)
-    with pytest.raises(UsageError):
-        lp_at(5, 1, 2)
-    with pytest.raises(UsageError):
-        lp_at(5, 2, 1)  # s = 1 is outside the domain here
+        lp_value(5, 0, -3)
+    with pytest.raises(UsageError, match="^odd character exponent 3 "):
+        lp_value(5, 3, -2)
+    with pytest.raises(UsageError, match="^odd character exponent 1 "):
+        lp_value(5, 1, 2)
+    with pytest.raises(UsageError, match="^s = 1 is outside"):
+        lp_value(5, 2, 1)  # s = 1 is outside the domain here
 
 
 @pytest.mark.parametrize("call", [
     lambda M: lp_value(5, 2, -1, M),  # the exact interpolation branch
     lambda M: lp_value(5, 2, 3, M),
-    lambda M: lp_at(5, 2, 3, M),
-    lambda M: lp_neg(5, 2, 2, M),
+    # M is read before s, and before the refusal of s = 1
+    lambda M: lp_value(5, 2, 1, M),
+    lambda M: lp_value(5, 2, 3.5, M),
 ])
 @pytest.mark.parametrize("M", [0, -2])
 def test_precision_below_one_is_refused(call, M):
@@ -167,7 +173,7 @@ def test_precision_below_one_is_refused(call, M):
 def test_lp_neg_exact_rational():
     # -(1 - p^{n-1}) B_n / n, computed here from scratch
     for p, i, n in ((5, 2, 2), (5, 2, 6), (7, 4, 4), (7, 2, 8)):
-        val = lp_neg(p, i, n)
+        val = lp_value(p, i, 1 - n)
         expect = -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
         assert val.rational == expect
         assert val.s == 1 - n
@@ -180,8 +186,9 @@ def test_lp_two_routes_agree_at_negative_integers():
                          (7, 4, (4, 10, 16))):
         for n in n_list:
             s = 1 - n
-            a = lp_at(p, i, s, M=3)
-            b = lp_neg(p, i, n)
+            a = lfunctions._lp_sum(p, i, s, 3)
+            b = lp_value(p, i, s)
+            assert b.rational is not None
             assert a.value.residue(3) == b.value.residue(3)
 
 
@@ -189,8 +196,8 @@ def test_lp_at_positive_s_against_kummer_congruence():
     # L_p(s) at positive s has no closed form; compare against the exact
     # value at a negative integer in the same character class congruent
     # to s modulo p^2 in weight space
-    a = lp_at(5, 2, 3, M=2)
-    b = lp_neg(5, 2, 98)  # 1 - 98 = -97 = 3 mod 4*25, 98 = 2 mod 4
+    a = lp_value(5, 2, 3, M=2)
+    b = lp_value(5, 2, -97)  # -97 = 3 mod 4*25, and 98 = 2 mod 4
     assert a.value.residue(2) == b.value.residue(2)
 
 
@@ -227,23 +234,24 @@ def test_kummer_congruence_spot_checks():
 
 def test_certified_valuation_precision_contract():
     # the (37, 32) pair puts one power of 37 into L_37(s, omega^32)
-    exact = lp_neg(37, 32, 32)
+    exact = lp_value(37, 32, -31)
+    assert exact.rational is not None
     assert exact.certified_valuation() == 1
-    shallow = lp_at(37, 32, 5, M=2)
+    shallow = lp_value(37, 32, 5, M=2)
     with pytest.raises(PrecisionExhausted):
         shallow.certified_valuation()
     # at M = 1 the value vanishes mod 37: refused the same way
-    vanished = lp_at(37, 32, 5, M=1)
+    vanished = lp_value(37, 32, 5, M=1)
     assert vanished.value.lift() == 0
     refusal = "^valuation >= 1 not certifiable at precision 1$"
     with pytest.raises(PrecisionExhausted, match=refusal):
         vanished.certified_valuation()
-    deeper = lp_at(37, 32, 5, M=3)
+    deeper = lp_value(37, 32, 5, M=3)
     assert deeper.certified_valuation() == 1
 
 
 def _lp_at_term_chain(p, i, s, M):
-    """Oracle: `lp_at` as it was, each term a PadicInt product of
+    """Oracle: the finite sum as it was, each term a PadicInt product of
     omega(a)^i, <a>^(1-s) with <a> = a omega(a)^(-1), and the inner sum."""
     K = M + 2 + vp(s - 1, p)
     ctx = PadicCtx(p, K)
@@ -281,14 +289,14 @@ def _lp_at_points(draw):
 def test_lp_at_matches_the_term_chain(point):
     # the unit factor omega(a)^((i+s-1) mod (p-1)) a^(1-s) in ints equals
     # omega^i(a) <a>^(1-s) term by term
-    got = lp_at(*point).value
+    got = lfunctions._lp_sum(*point).value
     want = _lp_at_term_chain(*point)
     assert (got.value, got.prec) == (want.value, want.prec)
 
 
 def test_unit_lvalue_has_valuation_zero():
     for p, i in ((5, 2), (7, 2), (7, 4)):
-        assert lp_at(p, i, 2, M=3).certified_valuation() == 0
+        assert lp_value(p, i, 2, M=3).certified_valuation() == 0
 
 
 def test_cache_round_trip(tmp_path):
@@ -338,7 +346,8 @@ def test_lp_at_writes_an_empty_cache_once(tmp_path, monkeypatch):
                         lambda table: stores.append(store(table)))
     path = tmp_path / "bernoulli.tsv"
     monkeypatch.setattr(lfunctions, "_table", BernoulliTable(str(path)))
-    # s = 3 is no interpolation point, so lp_at reads B_0..B_{K+1}, K = 8
+    # s = 3 is no interpolation point, so the finite sum reads
+    # B_0..B_{K+1}, K = 8
     lp_value(7, 4, 3, M=6)
     assert len(stores) == 1
     assert len(path.read_text().splitlines()) == 10
