@@ -42,7 +42,7 @@ from .errors import (
     ZeroResidue,
     check_int,
 )
-from .padic import PadicCtx, PadicInt, power_product
+from .padic import PadicCtx, PadicInt, power_product, primitive_root
 from .series import pack_digits, taylor_shift, unpack_digits
 
 
@@ -340,13 +340,6 @@ def galois_apply(a: int, x: CycElt) -> CycElt:
     return _on_zeta(ring, [z[k % P] for k in range(0, b * P, b)], x.prec)
 
 
-@lru_cache(maxsize=None)
-def _primitive_root(p: int) -> int:
-    """The least generator of (Z/p)^*."""
-    return next(g for g in range(2, p)
-                if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-
-
 def _orbit_product(x: CycElt, g: int, n: int) -> CycElt:
     """prod_{k<n} sigma_(g^k)(x), by doubling along the orbit (the
     addition-chain norm of Itoh and Tsujii, 1988).
@@ -417,7 +410,7 @@ def norm_to_qp(x: CycElt) -> PadicInt:
     ring = x.ring
     if ring.level == 1:
         return norm_to_qp(norm_down(x))
-    acc = _orbit_product(x, _primitive_root(ring.ctx.p), ring.ctx.p - 1)
+    acc = _orbit_product(x, primitive_root(ring.ctx.p), ring.ctx.p - 1)
     scalar = ring.ctx.of(acc.digits[0], acc.prec)
     if not (acc - scalar).vanishes_mod_pi(ring.pi_prec):
         raise NotInBaseField("norm has nonscalar digits")

@@ -23,6 +23,7 @@ the entries of checked models.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .errors import (
@@ -234,19 +235,16 @@ class SpectrumId:
 
     @classmethod
     def parse(cls, text: str, p: int, kv_assume: bool = False) -> "SpectrumId":
-        """Accepts 'J', 'ell', 'KZ', or indexed forms like 'y(12)'."""
+        """Accepts 'J', 'ell', 'KZ', or indexed forms like 'y(12)': a tag,
+        then an optional '-' and ASCII digits in parentheses, with
+        whitespace only around the whole name."""
         text = text.strip()
-        if "(" in text:
-            tag, _, rest = text.partition("(")
-            rest = rest.strip()
-            if not rest.endswith(")"):
-                raise UsageError(f"malformed spectrum {text!r}")
-            try:
-                index = int(rest[:-1])
-            except ValueError:
-                raise UsageError(f"malformed spectrum index in {text!r}")
-            return cls(tag.strip(), p, index, kv_assume)
-        return cls(text, p, None, kv_assume)
+        tag, paren, rest = text.partition("(")
+        if not paren:
+            return cls(text, p, None, kv_assume)
+        if re.fullmatch(r"-?[0-9]+\)", rest) is None:
+            raise UsageError(f"malformed spectrum index in {text!r}")
+        return cls(tag, p, int(rest[:-1]), kv_assume)
 
     def needs_kv(self) -> bool:
         """Whether the torsion data rides on the L-value description,

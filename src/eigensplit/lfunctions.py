@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
     check_int,
 )
-from .padic import PadicCtx, PadicInt, check_odd_prime, vp
+from .padic import PadicCtx, PadicInt, check_odd_prime, primitive_root, vp
 
 
 def _tangent_numbers():
@@ -303,7 +303,10 @@ def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
     invisible mod p^K.  With K = M + 2 + v_p(s-1), the two divisions
     leave M + 1 digits, of which the value keeps M.  Since <a> =
     a / omega(a) and omega(a)^(p-1) = 1, the unit factor is
-    omega(a)^((i+s-1) mod (p-1)) a^(1-s) mod p^K.
+    omega(a)^((i+s-1) mod (p-1)) a^(1-s) mod p^K.  omega is a character,
+    so the sum visits a = g^k mod p for the least primitive root g and
+    carries omega(a)^e = (omega(g)^e)^k mod p^K: one Teichmuller lift per
+    call.  The total is an exact int sum, so the order changes no digit.
     """
     K = M + 2 + vp(s - 1, p)
     ctx = PadicCtx(p, K)
@@ -311,14 +314,17 @@ def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
     total = 0
     bernoulli(K + 1)  # extends the table, and writes the cache, once
     bs = [bernoulli(j) for j in range(K + 2)]
-    for a in range(1, p):
+    g = primitive_root(p)
+    step = pow(ctx.teichmuller(g).value, e, ctx.modulus)
+    a, w = 1, 1  # a = g^k mod p and w = omega(a)^e mod p^K
+    for _ in range(p - 1):
         inner = Fraction(0)
         for j, b in enumerate(bs):
             if b:
                 inner += _binom(1 - s, j) * Fraction(p, a) ** j * b
-        unit = pow(ctx.teichmuller(a).value, e, ctx.modulus) * pow(
-            a, 1 - s, ctx.modulus)
+        unit = w * pow(a, 1 - s, ctx.modulus)
         total += unit * ctx.from_rational(inner).value
+        a, w = a * g % p, w * step % ctx.modulus
     value = ctx.of(total).div_int(p).div_int(s - 1)
     return LValue(value.reduce_to(M), s, i)
 

@@ -9,6 +9,7 @@ not relative to the valuation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     IndistinguishableFromZero,
@@ -68,6 +69,13 @@ def power_product(mul, bases, exponents):
             if e >> bit & 1:
                 acc = b if acc is None else mul(acc, b)
     return acc
+
+
+@lru_cache(maxsize=None)
+def primitive_root(p: int) -> int:
+    """The least generator of (Z/p)^*."""
+    return next(g for g in range(2, p)
+                if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
 
 
 class PadicCtx:

@@ -212,6 +212,16 @@ def test_homotopy_window_matches_library_guard(capsys):
     ]
 
 
+@pytest.mark.parametrize("name", ["y(1_0)", "y( +3 )", "y(\u0663)"])
+def test_malformed_spectrum_name_exits_one(capsys, name):
+    # y(1_0) once printed the model of y(10) under its own name
+    rc = cli.main(["homotopy", name, "--prime", "37", "--from", "-10",
+                   "--to", "10", "--kv-assume"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert f"malformed spectrum index in {name!r}" in captured.err
+
+
 def test_kv_gate_exit_codes(capsys):
     rc, _ = _run(capsys, "homotopy", "y(2)", "--prime", "37",
                  "--from", "-4", "--to", "12")

@@ -330,6 +330,27 @@ def test_spectrum_id_parsing():
         SpectrumId.parse("J(2)", 5)
 
 
+# int() once read the first six as y(10) and y(3)
+_MALFORMED_NAMES = ["y(1_0)", "y( +3 )", "y(\u0663)", "y(+3)", "y( 3)",
+                    "y(3 )", "y(3", "y()", "y(-)", "y(--3)", "y(3))",
+                    "y(3)x", "y(0x3)"]
+
+
+@pytest.mark.parametrize("text", _MALFORMED_NAMES)
+def test_malformed_spectrum_index_is_refused(text):
+    with pytest.raises(UsageError, match=r"^malformed spectrum index in "
+                       + re.escape(repr(text)) + "$"):
+        SpectrumId.parse(text, 37)
+
+
+def test_spectrum_name_keeps_a_sign_and_outer_whitespace():
+    assert SpectrumId.parse("y(-1)", 37).index == 35  # mod p-1
+    assert SpectrumId.parse(" y(10)\t", 37).index == 10
+    assert SpectrumId.parse(" KZ ", 37).tag == "KZ"
+    with pytest.raises(UsageError, match="^unknown spectrum tag 'y '$"):
+        SpectrumId.parse("y (3)", 37)
+
+
 def test_kv_gating():
     assert not SpectrumId("Y", 5, 3).needs_kv()
     assert not SpectrumId("Y", 37, 1).needs_kv()

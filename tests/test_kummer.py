@@ -348,3 +348,21 @@ def test_search_rejects_bad_index():
     ring = cyc_ring(3, 0)
     with pytest.raises(UsageError):
         lang_generator_search(ring, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_kummer_phi_of_cyclotomic_units_is_bernoulli(p):
+    # c_a = 1 + zeta + ... + zeta^(a-1) = (zeta^a - 1)/(zeta - 1) is a
+    # unit = a mod pi, so c_a omega(a)^(-1) is a one-unit, and Kummer's
+    # logarithmic derivatives give phi_i = (a^i - 1) B_i / i mod p, with
+    # B_1 = +1/2: an oracle that reads no unit walk, 1,192 cases
+    from eigensplit.lfunctions import bernoulli
+
+    ring = cyc_ring(p, 0)
+    for a in range(2, p):
+        u = ring.from_zeta([1] * a) * ring.ctx.teichmuller(a).invert()
+        for i in range(1, p - 1):
+            b = Fraction(1, 2) if i == 1 else bernoulli(i)
+            want = (a ** i - 1) * b / i
+            assert kummer_phi(i, u) == \
+                want.numerator * pow(want.denominator, -1, p) % p, (a, i)

@@ -21,7 +21,7 @@ from eigensplit.lfunctions import (
     lp_value,
     regularity_certificate,
 )
-from eigensplit.padic import PadicCtx, vp
+from eigensplit.padic import PadicCtx, primitive_root, vp
 
 
 def _bernoulli_akiyama_tanigawa(top: int) -> list:
@@ -292,6 +292,16 @@ def test_lp_at_matches_the_term_chain(point):
     got = lfunctions._lp_sum(*point).value
     want = _lp_at_term_chain(*point)
     assert (got.value, got.prec) == (want.value, want.prec)
+
+
+def test_lp_sum_lifts_one_primitive_root(monkeypatch):
+    # one lift of g, where a lift of each a = 1..p-1 would be 156
+    lifted = []
+    lift = PadicCtx.teichmuller
+    monkeypatch.setattr(PadicCtx, "teichmuller",
+                        lambda ctx, a: lifted.append(a) or lift(ctx, a))
+    lfunctions._lp_sum(157, 110, -200, 9)
+    assert lifted == [primitive_root(157)]
 
 
 def test_unit_lvalue_has_valuation_zero():

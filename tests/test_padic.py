@@ -22,6 +22,7 @@ from eigensplit.padic import (
     check_odd_prime,
     is_prime,
     power_product,
+    primitive_root,
     vp,
 )
 
@@ -192,6 +193,38 @@ def test_teichmuller_multiplicative():
         for b in range(1, 13):
             assert ctx.teichmuller(a) * ctx.teichmuller(b) == \
                 ctx.teichmuller(a * b % 13)
+
+
+def _prime_factors(n):
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 500) if is_prime(p)])
+def test_primitive_root_is_the_least_generator(p):
+    # g has order p-1 exactly when g^((p-1)/q) != 1 for each prime q | p-1
+    def generates(g):
+        return all(pow(g, (p - 1) // q, p) != 1
+                   for q in _prime_factors(p - 1))
+    g = primitive_root(p)
+    assert generates(g)
+    assert not any(generates(h) for h in range(2, g))
+
+
+@pytest.mark.parametrize("p, N", [(3, 1), (5, 4), (13, 3), (37, 6),
+                                  (157, 11)])
+def test_teichmuller_of_a_primitive_root_gives_every_lift(p, N):
+    # omega is a character, so one lift reaches every a = g^k mod p
+    ctx = PadicCtx(p, N)
+    g = primitive_root(p)
+    w = ctx.teichmuller(g)
+    for k in range(p - 1):
+        assert w ** k == ctx.teichmuller(pow(g, k, p))
 
 
 def test_beta_root_of_one_minus_p():
