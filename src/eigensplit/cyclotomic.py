@@ -21,12 +21,14 @@ and kept with the element; one built from digits keeps them and is
 converted once, by the shift by -1.  As p = (unit) pi^d and the digit
 positions j + d*v_p(c_j) are pairwise distinct, pi-valuations are read
 straight off the digits.  Equality always means equality mod pi^{pi_prec}.
+
+There is one ring per (context, level, pi_prec), compared by identity, as
+contexts are; mixing elements of two rings raises RingMismatch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .errors import (
@@ -51,11 +53,10 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class CycRing:
-    __slots__ = (
-        "ctx", "level", "degree", "order", "pi_prec", "_slot", "_base",
-    )
+    __slots__ = ("ctx", "level", "degree", "order", "pi_prec", "_slot")
+    _instances = {}
 
-    def __init__(self, ctx: PadicCtx, level: int, pi_prec: int | None = None):
+    def __new__(cls, ctx: PadicCtx, level: int, pi_prec: int | None = None):
         check_int(level, "level", 0, 1)
         p = ctx.p
         if ctx.N < level + 1:
@@ -68,25 +69,16 @@ class CycRing:
         top = ctx.N * (p - 1)
         pi_prec = check_int(min(p + 3, top) if pi_prec is None else pi_prec,
                             "pi_prec", 1, top)
-        self.ctx = ctx
-        self.level = level
-        self.degree = p ** level * (p - 1)
-        self.order = p ** (level + 1)
-        self.pi_prec = pi_prec
-        # a slot of a folded product sums P terms below p^(2N)
-        self._slot = 2 * ctx.modulus.bit_length() + self.order.bit_length()
-        self._base = None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycRing)
-            and self.ctx == other.ctx
-            and self.level == other.level
-            and self.pi_prec == other.pi_prec
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.level, self.pi_prec))
+        key = (ctx, level, pi_prec)
+        self = cls._instances.get(key)
+        if self is None:
+            self = cls._instances[key] = object.__new__(cls)
+            self.ctx, self.level, self.pi_prec = key
+            self.degree = p ** level * (p - 1)
+            self.order = p ** (level + 1)
+            # a slot of a folded product sums P terms below p^(2N)
+            self._slot = 2 * ctx.modulus.bit_length() + self.order.bit_length()
+        return self
 
     def __repr__(self):
         return (
@@ -135,14 +127,14 @@ class CycRing:
     def base_ring(self) -> "CycRing":
         if self.level == 0:
             raise UsageError("level 0 has no lower cyclotomic level")
-        if self._base is None:
-            self._base = CycRing(self.ctx, 0, self.pi_prec)
-        return self._base
+        return CycRing(self.ctx, 0, self.pi_prec)
 
 
-@lru_cache(maxsize=None)
 def cyc_ring(p: int, level: int, prec: int = 4, pi_prec: int | None = None) -> CycRing:
-    """Canonical ring instances keyed by (p, level, prec, pi_prec)."""
+    """The one ring over PadicCtx(p, prec) at the level and window, keyed
+    by the window after its default and bound: cyc_ring(5, 0) is
+    cyc_ring(5, 0, 4, 8).  Rings and contexts compare by identity, and
+    mixing elements of two rings raises RingMismatch."""
     return CycRing(PadicCtx(p, prec), level, pi_prec)
 
 
@@ -203,8 +195,8 @@ class CycElt:
 
     def _coerce(self, other):
         if isinstance(other, CycElt):
-            if other.ring != self.ring:
-                raise UsageError("mixed cyclotomic rings")
+            if other.ring is not self.ring:
+                raise RingMismatch("mixed cyclotomic rings")
             return other
         if isinstance(other, (int, PadicInt)):
             return self.ring.from_scalar(other)
@@ -390,8 +382,8 @@ def embed_up(x: CycElt, ring1: CycRing) -> CycElt:
     coefficient of zeta_0^k moves to position p k."""
     if x.ring.level != 0 or ring1.level != 1:
         raise UsageError("embed_up goes from level 0 to level 1")
-    if ring1.base_ring() != x.ring:
-        raise UsageError("rings are not aligned")
+    if ring1.base_ring() is not x.ring:
+        raise RingMismatch("rings are not aligned")
     coeffs = [0] * ring1.order
     coeffs[::ring1.ctx.p] = x.zeta_coeffs
     return _on_zeta(ring1, coeffs, x.prec)

@@ -4,6 +4,12 @@ An element is a residue mod p^prec together with the number of guaranteed
 digits ``prec``.  Arithmetic propagates precision by the min rule; dividing by
 p^v costs v digits.  Convention: precision is absolute (digits of the value),
 not relative to the valuation.
+
+There is one context per (p, N), compared by identity: ``PadicCtx(p, N)``
+checks p and N, then returns that instance, so 5.0 never finds p = 5.
+It keeps its Teichmuller table and beta for the life of the process, a
+memory bounded by the (p, N) pairs in use.  Mixing elements of two
+contexts raises RingMismatch.
 """
 
 from __future__ import annotations
@@ -82,23 +88,18 @@ class PadicCtx:
     """Fixed odd prime p and absolute precision N (work mod p^N)."""
 
     __slots__ = ("p", "N", "modulus", "_teich", "_beta")
+    _instances = {}
 
-    def __init__(self, p: int, N: int):
-        self.p = check_odd_prime(p)
-        self.N = check_int(N, "precision", 1)
-        self.modulus = p ** N
-        self._teich = {}
-        self._beta = None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PadicCtx)
-            and self.p == other.p
-            and self.N == other.N
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.N))
+    def __new__(cls, p: int, N: int):
+        key = (check_odd_prime(p), check_int(N, "precision", 1))
+        self = cls._instances.get(key)
+        if self is None:
+            self = cls._instances[key] = object.__new__(cls)
+            self.p, self.N = key
+            self.modulus = p ** N
+            self._teich = {}
+            self._beta = None
+        return self
 
     def __repr__(self):
         return f"PadicCtx(p={self.p}, N={self.N})"
@@ -106,8 +107,7 @@ class PadicCtx:
     def of(self, value, prec: int | None = None) -> "PadicInt":
         """An int, or a PadicInt of this context: as it is, or at prec
         when that is lower."""
-        if isinstance(value, PadicInt) and (value.ctx is self
-                                            or value.ctx == self):
+        if isinstance(value, PadicInt) and value.ctx is self:
             return value if prec is None else value.reduce_to(prec)
         return PadicInt(self, value, prec)
 
@@ -172,7 +172,7 @@ class PadicInt:
 
     def _coerce(self, other):
         if isinstance(other, PadicInt):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx:
                 raise RingMismatch("mixed p-adic contexts")
             return other
         if isinstance(other, int):

@@ -427,6 +427,39 @@ def test_eigen_valuation_returns_fraction():
     assert isinstance(v, Fraction)
 
 
+@pytest.mark.parametrize("p, N, w", [(5, 4, None), (5, 3, 6), (7, 4, 10)])
+def test_one_ring_per_key(p, N, w):
+    ring0 = cyc_ring(p, 0, N, w)
+    assert CycRing(PadicCtx(p, N), 0, w) is ring0
+    assert cyc_ring(p, 1, N, w).base_ring() is ring0
+    assert norm_down(cyc_ring(p, 1, N, w).zeta()).ring is ring0
+
+
+def test_ring_arguments_are_read_before_the_lookup():
+    # a cache keyed on the raw arguments once handed cyc_ring(5.0, 0) and
+    # cyc_ring(5, 0.0) the ring of cyc_ring(5, 0), once that was built
+    cyc_ring(5, 0)
+    with pytest.raises(UsageError, match="^5.0 is not an odd prime$"):
+        cyc_ring(5.0, 0)
+    with pytest.raises(UsageError, match=r"^level must be in 0\.\.1, got 0\.0$"):
+        cyc_ring(5, 0.0)
+
+
+def test_mixed_rings_raise_ring_mismatch():
+    x = cyc_ring(5, 0, 4).zeta()
+    ring1 = cyc_ring(5, 1, 4)
+    # another context, and the same context at another window
+    for other in (cyc_ring(5, 0, 3), cyc_ring(5, 0, 4, 6)):
+        with pytest.raises(RingMismatch, match="^mixed cyclotomic rings$"):
+            x + other.one()
+        with pytest.raises(RingMismatch, match="^rings are not aligned$"):
+            embed_up(other.one(), ring1)
+    # the default window spelled out is the same ring
+    assert cyc_ring(5, 0) is cyc_ring(5, 0, 4, 8)
+    assert x * cyc_ring(5, 0, 4, 8).one() == cyc_ring(5, 0).zeta()
+    assert embed_up(cyc_ring(5, 0, 4, 8).one(), ring1) == ring1.one()
+
+
 def test_bad_ring_arguments_are_usage_errors():
     with pytest.raises(UsageError):
         CycRing(PadicCtx(5, 4), 2)

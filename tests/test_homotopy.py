@@ -38,7 +38,7 @@ from eigensplit.homotopy import (
     shift,
     verify_main_duality,
 )
-from eigensplit.lfunctions import lp_value
+from eigensplit.lfunctions import bernoulli, lp_value
 from eigensplit.padic import vp
 
 Zp = free()
@@ -736,6 +736,54 @@ def test_assemble_rank_count_per_period():
     # eigenpieces in each window [0, 2(p-1))
     M = assemble("KZ", 5, (0, 7))
     assert sum(M.entry(n).rank for n in range(0, 8)) == 2
+
+
+def _kz_oracle(p, n):
+    """(rank, v_p of the torsion order) of K_n(Z) (x) Z_p for n >= 0, by
+    Quillen-Lichtenbaum (Weibel, The K-book, VI.10), with K_(4k) = 0 under
+    Kummer-Vandiver."""
+    k = (n + 2) // 4
+    if n == 0 or (n % 4 == 1 and n >= 5):
+        return 1, 0
+    if n % 4 == 3:
+        return 0, 1 + vp(k, p) if 2 * k % (p - 1) == 0 else 0
+    if n % 4 == 2:
+        return 0, vp((bernoulli(2 * k) / k).numerator, p)
+    return 0, 0
+
+
+def _tcz_oracle(p, n):
+    """(rank, v_p of the torsion order) of pi_n TC(Z)_p: j v Sigma j v
+    Sigma^3 ku_p in degrees >= 0 (Bokstedt-Madsen, Asterisque 226), and
+    the Z_p of z(0) in degree -1."""
+    if n < -1:
+        return 0, 0
+    rank = (n <= 1) + (n >= 3 and n % 2 == 1)
+    # j has Z/p^(1 + v_p(m)) in degree 2m(p-1) - 1, and Sigma j one above
+    torsion = sum(1 + vp(d // (2 * (p - 1)), p) for d in (n, n + 1)
+                  if d > 0 and d % (2 * (p - 1)) == 0)
+    return rank, torsion
+
+
+def _ranks_and_torsion(M):
+    return {n: (M.entry(n).rank, M.entry(n).torsion_exponent_sum())
+            for n in range(M.lo, M.hi + 1)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 37, 101])
+def test_assemble_kz_matches_quillen_lichtenbaum(p):
+    # kv_assume opens the irregular primes 37 and 101
+    M = assemble("KZ", p, (0, 6 * (p - 1)), kv_assume=True)
+    assert _ranks_and_torsion(M) == {n: _kz_oracle(p, n)
+                                     for n in range(M.lo, M.hi + 1)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 101, 157])
+def test_assemble_tcz_matches_bokstedt_madsen(p):
+    bound = max(6 * (p - 1), 40)  # the full guard window
+    M = assemble("TCZ", p, (-bound, bound), kv_assume=True)
+    assert _ranks_and_torsion(M) == {n: _tcz_oracle(p, n)
+                                     for n in range(M.lo, M.hi + 1)}
 
 
 def test_duality_passes_regular():

@@ -144,7 +144,7 @@ def test_of_returns_a_padic_int_of_its_context_as_it_is():
     assert CTX.of(a) is a
     assert CTX.of(a, 3) == a and CTX.of(a, 3).prec == 2
     assert CTX.of(CTX.of(7), 1).prec == 1
-    assert PadicCtx(5, 4).of(a) is a  # an equal context
+    assert PadicCtx(5, 4).of(a) is a  # the same context
 
 
 def test_check_int_messages():

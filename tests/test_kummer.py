@@ -366,3 +366,16 @@ def test_kummer_phi_of_cyclotomic_units_is_bernoulli(p):
             want = (a ** i - 1) * b / i
             assert kummer_phi(i, u) == \
                 want.numerator * pow(want.denominator, -1, p) % p, (a, i)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+def test_surrogate_phi_is_bernoulli_over_i(p):
+    # Kummer: phi_i of the twisted product of the cyclotomic units is
+    # B_i / i mod p, for every even i in 2..p-3; 81 cases
+    from eigensplit.lfunctions import bernoulli
+
+    ring = cyc_ring(p, 0)
+    for i in range(2, p - 2, 2):
+        want = bernoulli(i) / i
+        assert bernoulli_criterion_surrogate(ring, i)["phi"] == \
+            want.numerator * pow(want.denominator, -1, p) % p, i

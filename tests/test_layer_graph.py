@@ -2,7 +2,8 @@
 listed before it in `eigensplit._EXPORTS`, the imports inside function
 bodies are the two known upward edges, a few edges that the design
 rules out stay absent, argument checks are defined only in the known
-places, and the homotopy layer reads its input only where it enters."""
+places, the homotopy layer reads its input only where it enters, and
+contexts and rings compare by identity."""
 
 import ast
 import os
@@ -65,6 +66,9 @@ def direct_sum(*mods):
             out.add_at(n, m)
     return out
 """
+
+# one instance per key, so identity is equality: (layer, class)
+_CANONICAL = {("padic", "PadicCtx"), ("cyclotomic", "CycRing")}
 
 
 def _tree(layer):
@@ -171,3 +175,37 @@ def test_homotopy_reads_its_input_where_it_enters():
 def test_the_boundary_rule_sees_a_piecewise_layer():
     breaches = sorted(_boundary_breaches(ast.parse(_PIECEWISE_LAYER)))
     assert breaches == [("_assemble", "SpectrumId"), ("direct_sum", "add_at")]
+
+
+def _value_comparisons(tree):
+    """Each == or != with a .ctx, a .ring or a base_ring() on one side."""
+    def canonical(e):
+        if isinstance(e, ast.Call):
+            return isinstance(e.func, ast.Attribute) and e.func.attr == "base_ring"
+        return isinstance(e, ast.Attribute) and e.attr in ("ctx", "ring")
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(map(canonical, [node.left, *node.comparators]))):
+            yield ast.unparse(node)
+
+
+def test_contexts_and_rings_compare_by_identity():
+    for layer, cls in _CANONICAL:
+        (body,) = [node.body for node in _tree(layer).body
+                   if isinstance(node, ast.ClassDef) and node.name == cls]
+        defined = {node.name for node in body
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"__eq__", "__hash__"}, cls
+    found = [(name, expr) for name in sorted(os.listdir(PACKAGE))
+             if name.endswith(".py")
+             for expr in _value_comparisons(_tree(name[:-3]))]
+    assert found == []
+
+
+def test_the_identity_rule_sees_a_value_comparison():
+    tree = ast.parse("a.ring != b.ring\nr.base_ring() == x.ring\n"
+                     "u.ring.level != 1\nx.ctx is not y.ctx\n")
+    assert list(_value_comparisons(tree)) == [
+        "a.ring != b.ring", "r.base_ring() == x.ring"]

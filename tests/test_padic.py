@@ -67,6 +67,15 @@ def test_vp():
         vp(0, 5)
 
 
+def test_one_context_per_key():
+    assert PadicCtx(5, 4) is PadicCtx(5, 4)
+    assert PadicCtx(5, 4) is not PadicCtx(5, 3)
+    # a context keeps its Teichmuller table and beta: a second context
+    # built for the same key hands back the same lifts
+    assert PadicCtx(7, 4).teichmuller(3) is PadicCtx(7, 4).teichmuller(3)
+    assert PadicCtx(7, 4).beta() is PadicCtx(7, 4).beta()
+
+
 def test_mixed_contexts_raise_ring_mismatch():
     with pytest.raises(RingMismatch):
         PadicCtx(5, 3).of(1) + PadicCtx(5, 4).of(1)
