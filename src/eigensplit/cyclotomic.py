@@ -43,6 +43,7 @@ from .errors import (
     UsageError,
     ZeroResidue,
     check_int,
+    check_type,
 )
 from .padic import PadicCtx, PadicInt, power_product, primitive_root
 from .series import pack_digits, taylor_shift, unpack_digits
@@ -57,6 +58,7 @@ class CycRing:
     _instances = {}
 
     def __new__(cls, ctx: PadicCtx, level: int, pi_prec: int | None = None):
+        check_type(PadicCtx, ctx)
         check_int(level, "level", 0, 1)
         p = ctx.p
         if ctx.N < level + 1:
@@ -136,6 +138,16 @@ def cyc_ring(p: int, level: int, prec: int = 4, pi_prec: int | None = None) -> C
     cyc_ring(5, 0, 4, 8).  Rings and contexts compare by identity, and
     mixing elements of two rings raises RingMismatch."""
     return CycRing(PadicCtx(p, prec), level, pi_prec)
+
+
+def check_level(cls, x, level: int | None = None):
+    """x if it is a cls (CycRing or CycElt) at the level (any if None)."""
+    check_type(cls, x)
+    have = (x if cls is CycRing else x.ring).level
+    if level is not None and have != level:
+        raise UsageError(
+            f"needs a level-{level} {cls.__name__}, got level {have}")
+    return x
 
 
 # -- the two changes of basis ------------------------------------------------
@@ -319,7 +331,7 @@ def galois_apply(a: int, x: CycElt) -> CycElt:
     at level n it sends zeta^k to zeta^(ak mod p^(n+1)), a permutation of
     the stored coefficients, and the image keeps x's prec.  It reads a
     mod p^(n+1), so a PadicInt a needs n+1 digits."""
-    ring = x.ring
+    ring = check_level(CycElt, x).ring
     P = ring.order
     a = ring.ctx.of(a).residue(ring.level + 1)
     if a % ring.ctx.p == 0:
@@ -366,9 +378,7 @@ def norm_down(x: CycElt) -> CycElt:
     commutative and associative in (Z/p^prec)[zeta], and each sigma_a is
     a ring map there, so the digits and prec are those of the
     conjugate-by-conjugate product."""
-    ring = x.ring
-    if ring.level != 1:
-        raise UsageError("norm_down starts at level 1")
+    ring = check_level(CycElt, x, 1).ring
     p = ring.ctx.p
     acc = _orbit_product(x, 1 + p, p)
     out = _on_zeta(ring.base_ring(), acc.zeta_coeffs[::p], acc.prec)
@@ -380,9 +390,8 @@ def norm_down(x: CycElt) -> CycElt:
 def embed_up(x: CycElt, ring1: CycRing) -> CycElt:
     """Include level 0 into level 1 via zeta_0 -> zeta_1^p: the
     coefficient of zeta_0^k moves to position p k."""
-    if x.ring.level != 0 or ring1.level != 1:
-        raise UsageError("embed_up goes from level 0 to level 1")
-    if ring1.base_ring() is not x.ring:
+    check_level(CycElt, x, 0)
+    if check_level(CycRing, ring1, 1).base_ring() is not x.ring:
         raise RingMismatch("rings are not aligned")
     coeffs = [0] * ring1.order
     coeffs[::ring1.ctx.p] = x.zeta_coeffs
@@ -399,7 +408,7 @@ def norm_to_qp(x: CycElt) -> PadicInt:
     commutative and associative in (Z/p^prec)[zeta], and each sigma_a is
     a ring map there, so the digits and prec are those of the
     conjugate-by-conjugate product."""
-    ring = x.ring
+    ring = check_level(CycElt, x).ring
     if ring.level == 1:
         return norm_to_qp(norm_down(x))
     acc = _orbit_product(x, primitive_root(ring.ctx.p), ring.ctx.p - 1)
@@ -439,14 +448,13 @@ def unit_pow_product(bases, exponents) -> CycElt:
     `padic.power_product`; products are exact in (Z/p^prec)[zeta], so
     their order changes no digit.
     """
-    ring = bases[0].ring
     reduced = []
     for u, c in zip(bases, exponents):
-        if not u.is_one_unit():
+        if not check_level(CycElt, u).is_one_unit():
             raise NotOneUnit("Z_p-powers need a 1-unit base")
-        reduced.append(ring.ctx.of(c).residue(_exponent_digits(u)))
+        reduced.append(u.ring.ctx.of(c).residue(_exponent_digits(u)))
     acc = power_product(mul, bases, reduced)
-    return ring.one() if acc is None else acc
+    return bases[0].ring.one() if acc is None else acc
 
 
 def unit_pow_zp(u: CycElt, c) -> CycElt:
@@ -463,7 +471,7 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
     sigma_a is an isometry (see eigen_valuation).  Those digits are at
     most N, all the exponents hold, since each p-power step adds at least
     p - 1 to v(u - 1) >= 1 and pi_prec <= N (p - 1)."""
-    if not u.is_one_unit():
+    if not check_level(CycElt, u).is_one_unit():
         raise NotOneUnit("eigenprojection acts on 1-units")
     ctx = u.ring.ctx
     p = ctx.p
@@ -487,7 +495,7 @@ def eigen_valuation(u: CycElt) -> Fraction:
     p^prec O onto itself, so it is an isometry of O/p^prec.  Every
     conjugate has the valuation of u, and is indistinguishable from zero
     exactly when u is."""
-    return Fraction(u.pi_valuation())
+    return Fraction(check_level(CycElt, u).pi_valuation())
 
 
 # -- the omega^1 non-torsion certificate -----------------------------------
@@ -508,7 +516,7 @@ def as_mu_element(ctx: PadicCtx, lam) -> PadicInt:
 
 def eps1_intermediate_congruence(ring: CycRing, lam) -> bool:
     """(1 - pi/(lambda-1))^p = 1 - p pi/(lambda-1) mod pi^{p+1}."""
-    ctx = ring.ctx
+    ctx = check_level(CycRing, ring).ctx
     p = ctx.p
     lam = as_mu_element(ctx, lam)
     w = (lam - 1).invert()
@@ -526,7 +534,7 @@ def unit_is_p_torsion(u: CycElt) -> bool:
     pi^{2p-1} or deeper, so the test is satisfied by plenty of units of
     infinite order; see nontorsion_certified for a sound criterion.
     """
-    p = u.ring.ctx.p
+    p = check_level(CycElt, u).ring.ctx.p
     if u.ring.pi_prec < p + 2:
         raise PrecisionExhausted(
             f"need pi_prec >= {p + 2} to certify mod pi^{p + 1}"
@@ -549,7 +557,7 @@ def nontorsion_certified(u: CycElt) -> bool:
     other k, u - zeta^k has pi-valuation 1, which its digits show at any
     prec >= 1.
     """
-    ring = u.ring
+    ring = check_level(CycElt, u).ring
     p, P = ring.ctx.p, ring.order
     r = u._residue()
     if r == 0:
@@ -586,8 +594,8 @@ class NormCompatiblePair:
     __slots__ = ("u1", "u0")
 
     def __init__(self, u1: CycElt, u0: CycElt):
-        if u1.ring.level != 1 or u0.ring.level != 0:
-            raise UsageError("pair wants (level 1, level 0)")
+        check_level(CycElt, u1, 1)
+        check_level(CycElt, u0, 0)
         if norm_down(u1) != u0:
             raise NotInSubfield("norm_down(u1) differs from u0")
         self.u1 = u1

@@ -186,6 +186,8 @@ def cw_tower_x(ring):
     the powers of zeta, which `from_zeta` folds by zeta^P = 1 and reduces
     mod p^N.  No ring product is taken, and the arithmetic is exact in
     (Z/p^N)[zeta], so the digits are those of the term-by-term Horner.
+    The one unit entry that reads its ring unchecked: `check_level` is in
+    `cyclotomic`, a layer up, and the public caller `kummer.cw_unit` reads it.
     """
     p, N = ring.ctx.p, ring.ctx.N
     top = ring.degree * N - 1

@@ -32,6 +32,7 @@ from .errors import (
     UsageError,
     WindowInsufficient,
     check_int,
+    check_type,
 )
 from .lfunctions import bernoulli, lp_value, regularity_certificate
 from .padic import check_odd_prime, vp
@@ -45,7 +46,11 @@ class FgZpModule:
 
     def __init__(self, rank: int = 0, torsion=()):
         self.rank = check_int(rank, "rank", 0)
-        torsion = tuple(torsion)  # checked before sorting compares them
+        try:
+            torsion = tuple(torsion)  # checked before sorting compares them
+        except TypeError:
+            raise UsageError(f"torsion must be an iterable of exponents, "
+                             f"got {torsion!r}") from None
         for e in torsion:
             check_int(e, "torsion exponent", 1)
         self.torsion = tuple(sorted(torsion, reverse=True))
@@ -107,6 +112,7 @@ class GradedModule:
         self.hi = hi
         self.entries = {}
         if entries:
+            check_type(dict, entries)
             for n, m in entries.items():
                 self.set(n, m)
 
@@ -150,14 +156,8 @@ class GradedModule:
         return f"GradedModule[{self.lo}..{self.hi}]{{{body}}}"
 
 
-def _check_type(cls, *args):
-    for a in args:
-        if not isinstance(a, cls):
-            raise UsageError(f"expected a {cls.__name__}, got {a!r}")
-
-
 def shift(M: GradedModule, k: int) -> GradedModule:
-    _check_type(GradedModule, M)
+    check_type(GradedModule, M)
     out = GradedModule(M.lo + check_int(k, "shift k"), M.hi + k)
     out.entries = {n + k: m for n, m in M.entries.items()}
     return out
@@ -165,7 +165,7 @@ def shift(M: GradedModule, k: int) -> GradedModule:
 
 def connected_cover(M: GradedModule, c) -> GradedModule:
     """Zero out all degrees <= c; the window is unchanged."""
-    _check_type(GradedModule, M)
+    check_type(GradedModule, M)
     check_int(c, "cover degree c")
     out = GradedModule(M.lo, M.hi)
     out.entries = {n: m for n, m in M.entries.items() if n > c}
@@ -175,7 +175,7 @@ def connected_cover(M: GradedModule, c) -> GradedModule:
 def direct_sum(*mods: GradedModule) -> GradedModule:
     if not mods:
         raise UsageError("empty direct sum")
-    _check_type(GradedModule, *mods)
+    check_type(GradedModule, *mods)
     lo, hi = mods[0].lo, mods[0].hi
     for M in mods[1:]:
         if (M.lo, M.hi) != (lo, hi):
@@ -190,7 +190,7 @@ def direct_sum(*mods: GradedModule) -> GradedModule:
 def anderson_dual(M: GradedModule) -> GradedModule:
     """Degreewise dual: rank from the mirror degree, torsion from one
     below it; determined on [-hi, -lo-1] and undefined outside."""
-    _check_type(GradedModule, M)
+    check_type(GradedModule, M)
     out = GradedModule(-M.hi, -M.lo - 1)
     get = M.entries.get
     # a stored degree d feeds only the free part of -d and the torsion
@@ -238,6 +238,7 @@ class SpectrumId:
         """Accepts 'J', 'ell', 'KZ', or indexed forms like 'y(12)': a tag,
         then an optional '-' and ASCII digits in parentheses, with
         whitespace only around the whole name."""
+        check_type(str, text)
         text = text.strip()
         tag, paren, rest = text.partition("(")
         if not paren:
@@ -310,20 +311,19 @@ def check_window(p: int, window) -> tuple:
     return lo, hi
 
 
-def _pattern(lo: int, hi: int, p: int, offset: int,
+def _pattern(M: GradedModule, start: int, p: int, offset: int,
              module_of) -> GradedModule:
-    """module_of(n) in each degree n = offset mod 2(p-1) of [lo, hi].
+    """M with module_of(n) at each n = offset mod 2(p-1) of [start, M.hi].
 
     The fiber of multiplication by c on the Z_p in degree n+1 is
     Z/p^{v(c)} in degree n, so the fiber of a degreewise scalar is the
     pattern one degree below its source."""
-    out = GradedModule(lo, hi)
     period = 2 * (p - 1)
-    for n in range(lo + (offset - lo) % period, hi + 1, period):
+    for n in range(start + (offset - start) % period, M.hi + 1, period):
         m = module_of(n)
         if not m.is_zero():
-            out.entries[n] = m
-    return out
+            M.entries[n] = m
+    return M
 
 
 def _free_at(n: int) -> FgZpModule:
@@ -345,7 +345,7 @@ def _gate(sid: SpectrumId, window) -> tuple:
 
 def homotopy_of(sid: SpectrumId, window) -> GradedModule:
     """The graded homotopy model of the named spectrum on the window."""
-    _check_type(SpectrumId, sid)
+    check_type(SpectrumId, sid)
     return _build(sid.p, sid.tag, sid.index, *_gate(sid, window))
 
 
@@ -369,36 +369,34 @@ def _build(p: int, tag: str, i: int | None, lo: int,
     # or two past the checked window
     if tag in ("KZ", "TCZ", "FibTau"):
         return _assemble(p, tag, lo, hi)
+    # a cover's pattern starts at the first degree it keeps
+    M, start = GradedModule(lo, hi), lo
     cover = _COVER.get(tag)
     if cover is not None:
         tag = cover[0]
+        start = max(lo, (cover[2] if i == 0 else cover[1]) + 1)
 
     if tag == "L":
-        M = _pattern(lo, hi, p, 0, _free_at)
-    elif tag in ("J", "Jprime"):
+        return _pattern(M, start, p, 0, _free_at)
+    if tag in ("J", "Jprime"):
         # the fiber of psi^l - 1 on L, which acts by l^{m(p-1)} - 1 on the
         # Z_p in degree 2m(p-1): zero at m = 0, so Z_p in degrees 0 and -1
-        M = _pattern(lo, hi, p, -1, lambda n: free() if n == -1 else
-                     cyclic(_j_exponent(p, (n + 1) // (2 * (p - 1)))))
-        if lo <= 0 <= hi:
+        if start <= 0 <= hi:
             M.entries[0] = free()
-    elif (tag, i) in (("Y", 0), ("X", 1)):
-        M = GradedModule(lo, hi)
-    elif tag == "Z" or (tag == "Y" and i % 2 == 1):
-        M = _pattern(lo, hi, p, 2 * i - 1, _free_at)
-    elif tag == "Y":
-        M = _pattern(lo, hi, p, 2 * i - 2,
-                     lambda n: cyclic(_lvalue_exponent(p, i, -(n // 2))))
-    elif i % 2 == 0:
-        # X by the dual route: mirror of the free odd-index pattern
-        M = _pattern(lo, hi, p, 2 * i - 2, _free_at)
-    else:
-        M = _pattern(lo, hi, p, 2 * i - 2,
-                     lambda n: cyclic(_lvalue_exponent(p, p - i, n // 2 + 1)))
-
-    if cover is None:
+        return _pattern(M, start, p, -1, lambda n: free() if n == -1 else
+                        cyclic(_j_exponent(p, (n + 1) // (2 * (p - 1)))))
+    if (tag, i) in (("Y", 0), ("X", 1)):
         return M
-    return connected_cover(M, cover[2] if i == 0 else cover[1])
+    if tag == "Z" or (tag == "Y" and i % 2 == 1):
+        return _pattern(M, start, p, 2 * i - 1, _free_at)
+    if tag == "Y":
+        return _pattern(M, start, p, 2 * i - 2,
+                        lambda n: cyclic(_lvalue_exponent(p, i, -(n // 2))))
+    if i % 2 == 0:
+        # X by the dual route: mirror of the free odd-index pattern
+        return _pattern(M, start, p, 2 * i - 2, _free_at)
+    return _pattern(M, start, p, 2 * i - 2,
+                    lambda n: cyclic(_lvalue_exponent(p, p - i, n // 2 + 1)))
 
 
 def _assemble(p: int, tag: str, lo: int, hi: int) -> GradedModule:
@@ -558,7 +556,7 @@ def les_consistency(X: GradedModule, Y: GradedModule,
     a segment is a run of nonzero slots, so only the stored degrees are
     visited: a gap between two of their slot positions closes a segment.
     """
-    _check_type(GradedModule, X, Y, Z)
+    check_type(GradedModule, X, Y, Z)
     if not (X.lo == Y.lo == Z.lo and X.hi == Y.hi == Z.hi):
         raise UsageError("les_consistency needs a common window")
     last = 3 * (X.hi - X.lo) + 2

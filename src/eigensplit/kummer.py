@@ -13,6 +13,7 @@ from .cyclotomic import (
     CycRing,
     NormCompatiblePair,
     as_mu_element,
+    check_level,
     eigen_unit,
     nontorsion_certified,
     unit_pow_product,
@@ -24,13 +25,14 @@ from .padic import PadicInt
 
 def kummer_phis(u: CycElt) -> list:
     """[phi_1(u), ..., phi_{p-2}(u)] from one logarithm of f_u."""
-    return _phis_up_to(u.ring.ctx.p - 2, u)
+    return _phis_up_to(check_level(CycElt, u, 0).ring.ctx.p - 2, u)
 
 
 def kummer_phi(i: int, u: CycElt) -> int:
     """D^i(log f_u) at X = 0, mod p, with D = (1+X) d/dX; the logarithm
     is taken mod X^(i+1) only (see _phis_up_to)."""
-    i = check_int(i, "phi index i", 1, u.ring.ctx.p - 2)
+    p = check_level(CycElt, u, 0).ring.ctx.p
+    i = check_int(i, "phi index i", 1, p - 2)
     return _phis_up_to(i, u)[-1]
 
 
@@ -50,8 +52,6 @@ def _phis_up_to(top: int, u: CycElt) -> list:
     coefficient keeps the precision of u, and the residues mod p are
     exact.
     """
-    if u.ring.level != 0:
-        raise UsageError("representatives live at level 0")
     if not u.is_one_unit():
         raise NotOneUnit("not congruent to 1 mod pi")
     ctx = u.ring.ctx
@@ -95,9 +95,7 @@ def _log(g: list) -> list:
 
 def lang_unit(ring: CycRing, lam) -> CycElt:
     """u_0(lambda) = omega(lambda-1)^{-1} (lambda - zeta), a 1-unit."""
-    if ring.level != 0:
-        raise UsageError("Lang units live at level 0")
-    ctx = ring.ctx
+    ctx = check_level(CycRing, ring, 0).ctx
     lam = as_mu_element(ctx, lam)
     scalar = ctx.teichmuller(lam.value - 1).invert()
     u = (ring.from_scalar(lam) - ring.zeta()) * scalar
@@ -107,7 +105,7 @@ def lang_unit(ring: CycRing, lam) -> CycElt:
 
 def cw_unit(ring: CycRing) -> CycElt:
     """beta - theta(zeta - 1), the Coates-Wiles unit at the ring's level."""
-    beta = ring.ctx.beta()
+    beta = check_level(CycRing, ring).ctx.beta()
     u = ring.from_scalar(beta) - cw_tower_x(ring)
     assert u.is_one_unit()
     return u
@@ -116,15 +114,14 @@ def cw_unit(ring: CycRing) -> CycElt:
 def cw_unit_pair(ring1: CycRing) -> NormCompatiblePair:
     """The levels 0 and 1 Coates-Wiles units as a norm-compatible pair;
     the norm relation is checked on construction."""
-    if ring1.level != 1:
-        raise UsageError("pair construction starts at level 1")
+    check_level(CycRing, ring1, 1)
     return NormCompatiblePair(cw_unit(ring1), cw_unit(ring1.base_ring()))
 
 
 def lang_generator_search(ring: CycRing, i: int) -> PadicInt:
     """Least lambda (by Teichmuller preimage 2..p-1) whose Lang unit has
     nonvanishing phi_i."""
-    p = ring.ctx.p
+    p = check_level(CycRing, ring, 0).ctx.p
     for a in range(2, p):
         lam = ring.ctx.teichmuller(a)
         if kummer_phi(i, lang_unit(ring, lam)) != 0:
@@ -154,10 +151,8 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
     """
     from .lfunctions import bernoulli
 
-    ctx = ring.ctx
+    ctx = check_level(CycRing, ring, 0).ctx
     p = ctx.p
-    if ring.level != 0:
-        raise UsageError("surrogate is a level-0 computation")
     if check_int(i, "criterion index i", 2, p - 3) % 2:
         raise UsageError(f"criterion applies to even i in 2..{p - 3}")
     inv_order = ctx.of(p - 1).invert()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigensplit import homotopy
+from eigensplit import homotopy, lfunctions
 from eigensplit.errors import (
     KummerVandiverRequired,
     PrecisionExhausted,
@@ -108,12 +108,39 @@ def test_a_graded_entry_must_be_a_module(build, m):
     (lambda: les_consistency(GradedModule(0, 3), GradedModule(0, 3), 5),
      "GradedModule", 5),
     (lambda: homotopy_of("KZ", (0, 4)), "SpectrumId", "KZ"),
+    (lambda: SpectrumId.parse(5, 37), "str", 5),
+    (lambda: GradedModule(0, 3, [1]), "dict", [1]),
 ], ids=["shift", "connected_cover", "direct_sum", "anderson_dual",
-        "les_consistency", "homotopy_of"])
+        "les_consistency", "homotopy_of", "SpectrumId.parse",
+        "GradedModule"])
 def test_graded_routes_refuse_what_is_not_a_model(call, kind, bad):
     with pytest.raises(UsageError, match=rf"^expected a {kind}, "
                        rf"got {re.escape(repr(bad))}$"):
         call()
+
+
+def test_torsion_must_be_iterable():
+    # tuple(5) once ended in a TypeError
+    with pytest.raises(UsageError, match="^torsion must be an iterable of "
+                       "exponents, got 5$"):
+        FgZpModule(0, 5)
+
+
+@pytest.mark.parametrize("p, fibtau_calls", [(37, 3), (101, 3), (157, 6)])
+def test_covers_compute_only_the_degrees_they_keep(monkeypatch, p,
+                                                   fibtau_calls):
+    # KZ's y(i) read L-values only in negative degrees, which their cover
+    # zeroes; FibTau's x(i) read them in the degrees >= 2 they keep
+    calls = []
+    lp_sum = lfunctions._lp_sum
+    monkeypatch.setattr(lfunctions, "_lp_sum",
+                        lambda *a: calls.append(a) or lp_sum(*a))
+    bound = 6 * (p - 1)
+    for tag, expected in (("KZ", 0), ("FibTau", fibtau_calls)):
+        _lvalue_exponent.cache_clear()
+        calls.clear()
+        assemble(tag, p, (-bound, bound), kv_assume=True)
+        assert len(calls) == expected
 
 
 def test_module_sum_needs_a_module():

@@ -139,6 +139,18 @@ def test_padic_int_reads_only_ints():
         PadicInt(CTX, 3, 0)
 
 
+def test_bools_are_not_ints():
+    # True once built the canonical (5, 1) context with N = True and the
+    # level-1 ring with level = True, and bernoulli(True) returned B_1
+    for call, name in [(lambda: PadicCtx(5, True), "precision"),
+                       (lambda: cyc_ring(7, True), "level"),
+                       (lambda: bernoulli(True), "Bernoulli index n")]:
+        with pytest.raises(UsageError, match=f"^{name} must be .*, got True$"):
+            call()
+    assert type(PadicCtx(5, 1).N) is int
+    assert type(cyc_ring(7, 1).level) is int
+
+
 def test_of_returns_a_padic_int_of_its_context_as_it_is():
     a = CTX.of(3, 2)
     assert CTX.of(a) is a

@@ -5,17 +5,27 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigensplit import kummer
 from eigensplit.cyclotomic import (
+    CycRing,
     NormCompatiblePair,
+    check_eps1_nontorsion,
     cyc_ring,
     eigen_unit,
+    eigen_valuation,
+    embed_up,
+    eps1_intermediate_congruence,
     galois_apply,
+    nontorsion_certified,
     norm_down,
+    norm_to_qp,
+    unit_is_p_torsion,
     unit_pow_zp,
 )
 from eigensplit.errors import NotOneUnit, UsageError
@@ -379,3 +389,77 @@ def test_surrogate_phi_is_bernoulli_over_i(p):
         want = bernoulli(i) / i
         assert bernoulli_criterion_surrogate(ring, i)["phi"] == \
             want.numerator * pow(want.denominator, -1, p) % p, i
+
+
+# -- ring and element arguments -------------------------------------------
+
+R0, R1 = cyc_ring(5, 0), cyc_ring(5, 1)
+
+# (id, the call with x in the argument's place, the class it reads)
+_RING_ENTRIES = [
+    ("CycRing", lambda x: CycRing(x, 0), "PadicCtx"),
+    ("galois_apply", lambda x: galois_apply(2, x), "CycElt"),
+    ("norm_down", norm_down, "CycElt"),
+    ("embed_up-x", lambda x: embed_up(x, R1), "CycElt"),
+    ("embed_up-ring", lambda x: embed_up(R0.one(), x), "CycRing"),
+    ("norm_to_qp", norm_to_qp, "CycElt"),
+    ("unit_pow_zp", lambda x: unit_pow_zp(x, 3), "CycElt"),
+    ("eigen_unit", lambda x: eigen_unit(1, x), "CycElt"),
+    ("eigen_valuation", eigen_valuation, "CycElt"),
+    ("nontorsion_certified", nontorsion_certified, "CycElt"),
+    ("check_eps1_nontorsion", lambda x: check_eps1_nontorsion(x, 2),
+     "CycRing"),
+    ("eps1_intermediate_congruence",
+     lambda x: eps1_intermediate_congruence(x, 2), "CycRing"),
+    ("unit_is_p_torsion", unit_is_p_torsion, "CycElt"),
+    ("NormCompatiblePair-u1", lambda x: NormCompatiblePair(x, R0.one()),
+     "CycElt"),
+    ("NormCompatiblePair-u0", lambda x: NormCompatiblePair(R1.one(), x),
+     "CycElt"),
+    ("kummer_phi", lambda x: kummer_phi(1, x), "CycElt"),
+    ("kummer_phis", kummer_phis, "CycElt"),
+    ("lang_unit", lambda x: lang_unit(x, 2), "CycRing"),
+    ("cw_unit", cw_unit, "CycRing"),
+    ("cw_unit_pair", cw_unit_pair, "CycRing"),
+    ("lang_generator_search", lambda x: lang_generator_search(x, 1),
+     "CycRing"),
+    ("generator_certificate", lambda x: generator_certificate(1, x),
+     "CycElt"),
+    ("bernoulli_criterion_surrogate",
+     lambda x: bernoulli_criterion_surrogate(x, 2), "CycRing"),
+]
+
+
+# each of these once ended in an AttributeError on .ring, .ctx, .level or
+# (for a ring's context) .p
+@pytest.mark.parametrize("bad", ["x", "other kind"])
+@pytest.mark.parametrize("call, kind", [e[1:] for e in _RING_ENTRIES],
+                         ids=[e[0] for e in _RING_ENTRIES])
+def test_unit_entries_refuse_what_is_not_a_ring_or_element(call, kind, bad):
+    if bad == "other kind":  # a ring for an element and the other way
+        bad = R0 if kind == "CycElt" else R0.one()
+    with pytest.raises(UsageError, match=rf"^expected a {kind}, "
+                       rf"got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, need, got", [
+    (lambda: kummer_phis(R1.one()), "level-0 CycElt", 1),
+    (lambda: kummer_phi(1, R1.one()), "level-0 CycElt", 1),
+    (lambda: cw_unit_pair(R0), "level-1 CycRing", 0),
+    (lambda: norm_down(R0.one()), "level-1 CycElt", 0),
+    (lambda: embed_up(R1.one(), R1), "level-0 CycElt", 1),
+    (lambda: embed_up(R0.one(), R0), "level-1 CycRing", 0),
+    (lambda: NormCompatiblePair(R0.one(), R0.one()), "level-1 CycElt", 0),
+    (lambda: NormCompatiblePair(R1.one(), R1.one()), "level-0 CycElt", 1),
+    (lambda: lang_unit(R1, 3), "level-0 CycRing", 1),
+    (lambda: lang_generator_search(R1, 1), "level-0 CycRing", 1),
+    (lambda: bernoulli_criterion_surrogate(cyc_ring(7, 1), 2),
+     "level-0 CycRing", 1),
+], ids=["kummer_phis", "kummer_phi", "cw_unit_pair", "norm_down",
+        "embed_up-x", "embed_up-ring", "NormCompatiblePair-u1",
+        "NormCompatiblePair-u0", "lang_unit", "lang_generator_search",
+        "bernoulli_criterion_surrogate"])
+def test_unit_entries_refuse_the_wrong_level(call, need, got):
+    with pytest.raises(UsageError, match=f"^needs a {need}, got level {got}$"):
+        call()

@@ -34,14 +34,16 @@ _UPWARD = {
 
 
 # the functions that check arguments, each where its policy lives: every
-# int is read by errors.check_int, and every module or spectrum argument of
-# a graded route by homotopy._check_type; check_eps1_nontorsion is the
+# int is read by errors.check_int, every argument of one class (a module,
+# a spectrum) by errors.check_type, and every cyclotomic ring or element,
+# with its level, by cyclotomic.check_level; check_eps1_nontorsion is the
 # paper's eps_1 criterion, a certificate and not an argument check
 _CHECKERS = {
     ("padic", "check_odd_prime"),
     ("errors", "check_int"),
+    ("errors", "check_type"),
     ("homotopy", "check_window"),
-    ("homotopy", "_check_type"),
+    ("cyclotomic", "check_level"),
     ("cyclotomic", "check_eps1_nontorsion"),
 }
 
