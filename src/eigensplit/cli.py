@@ -299,6 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argv was read under the int-to-str digit limit; answers print whole
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.11 and 3.10.7
+        sys.set_int_max_str_digits(0)
     cache = args.cache_dir or os.environ.get("EIGENSPLIT_CACHE")
     try:
         if cache and args.command in _READS_BERNOULLI:

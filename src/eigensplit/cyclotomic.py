@@ -106,16 +106,10 @@ class CycRing:
         return _on_zeta(self, [0, 1] + [0] * (self.order - 2), self.ctx.N)
 
     def from_coeffs(self, coeffs) -> "CycElt":
-        """Pi-adic digits, each read by `PadicCtx.of`; a PadicInt known
-        to fewer p-adic digits lowers the element's prec to its own."""
-        coeffs = [self.ctx.of(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            raise UsageError("too many digits")
-        prec = min((c.prec for c in coeffs), default=self.ctx.N)
-        q = self.ctx.p ** prec
-        digits = [c.value % q for c in coeffs]
-        digits += [0] * (self.degree - len(digits))
-        return CycElt(self, digits, prec)
+        """The leading pi-adic digits, the rest 0 (read as in `CycElt`)."""
+        coeffs = list(coeffs)
+        return CycElt(self, coeffs + [0] * (self.degree - len(coeffs)),
+                      self.ctx.N)
 
     def from_zeta(self, coeffs) -> "CycElt":
         """sum_k coeffs[k] zeta^k for int coeffs, folded by zeta^P = 1 and
@@ -184,13 +178,22 @@ class CycElt:
     __slots__ = ("ring", "zeta_coeffs", "prec", "_digits")
 
     def __init__(self, ring: CycRing, digits: list, prec: int):
-        """``digits``: the ``ring.degree`` pi-adic digits, already reduced
-        mod p^prec, converted once to the zeta-power basis."""
-        assert len(digits) == ring.degree
-        self.ring = ring
+        """The ``ring.degree`` pi-adic digits, each read by `PadicCtx.of`, at
+        ``prec`` in 1..N, lowered to that of a PadicInt digit known to fewer;
+        reduced mod p^prec and converted once to the zeta-power basis."""
+        ctx = check_level(CycRing, ring).ctx
+        prec, values = check_int(prec, "precision", 1, ctx.N), []
+        for c in digits:
+            if type(c) is not int:  # an int is read without a PadicInt
+                c = ctx.of(c)
+                prec, c = min(prec, c.prec), c.value
+            values.append(c)
+        if len(values) != ring.degree:
+            raise UsageError(f"needs {ring.degree} digits, got {len(values)}")
+        q = ctx.p ** prec
+        digits = [c % q for c in values]
+        self.ring, self.prec, self._digits = ring, prec, digits
         self.zeta_coeffs = _pi_to_zeta(ring, digits, prec)
-        self.prec = prec
-        self._digits = digits
 
     @property
     def digits(self) -> list:

@@ -8,9 +8,9 @@ each checked against von Staudt-Clausen when read).  The irregular pairs
 is regular is decided, never guessed.  `lp_value` is the one L-value
 entry and reads its arguments once: L_p(1-n, omega^i) at interpolation
 points is the exact rational -(1 - p^{n-1}) B_n / n; elsewhere the value
-is produced by the finite Euler-MacLaurin style sum mod p^K, which agrees
-with the rational interpolation at every admissible point (tested, not
-assumed).
+is Washington's finite sum (Introduction to Cyclotomic Fields, Thm 5.11)
+over a = 1..p-1, reduced mod p^K, which agrees with the rational
+interpolation at every admissible point (tested, not assumed).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import accumulate
 
 from .errors import (
     IndistinguishableFromZero,
@@ -258,14 +258,6 @@ class LValue:
         )
 
 
-def _binom(x: int, j: int) -> int:
-    """C(x, j) for any integer x (falling factorial over j!)."""
-    num = 1
-    for t in range(j):
-        num *= x - t
-    return num // factorial(j)
-
-
 def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
     """L_p(s, omega^i) mod p^M at any integer s except the excluded s = 1.
 
@@ -297,9 +289,11 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
 def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
     """L_p(s, omega^i) mod p^M for even i in 2..p-3 and s != 1.
 
-    Evaluated by the classical finite sum over a = 1..p-1 of
-    omega^i(a) <a>^{1-s} sum_j C(1-s, j) (p/a)^j B_j, divided by p(s-1);
-    the j-th term has valuation >= j-1, so the tail past j = K+1 is
+    Washington's finite sum (Introduction to Cyclotomic Fields, Thm 5.11)
+    over a = 1..p-1 of omega^i(a) <a>^{1-s} sum_j r_j (p/a)^j, divided by
+    p(s-1), with the row r_j = C(1-s, j) B_j built once per value; each
+    inner sum is a Horner in p/a over exact Fractions, reduced once mod
+    p^K.  The j-th term has valuation >= j-1, so the tail past j = K+1 is
     invisible mod p^K.  With K = M + 2 + v_p(s-1), the two divisions
     leave M + 1 digits, of which the value keeps M.  Since <a> =
     a / omega(a) and omega(a)^(p-1) = 1, the unit factor is
@@ -313,15 +307,17 @@ def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
     e = (i + s - 1) % (p - 1)
     total = 0
     bernoulli(K + 1)  # extends the table, and writes the cache, once
-    bs = [bernoulli(j) for j in range(K + 2)]
+    # C(1-s, j+1) = C(1-s, j) (1-s-j) / (j+1), exact in ints
+    binoms = accumulate(range(K + 1), lambda c, j: c * (1 - s - j) // (j + 1),
+                        initial=1)
+    row = [c * bernoulli(j) for j, c in enumerate(binoms)][::-1]  # Horner
     g = primitive_root(p)
     step = pow(ctx.teichmuller(g).value, e, ctx.modulus)
     a, w = 1, 1  # a = g^k mod p and w = omega(a)^e mod p^K
     for _ in range(p - 1):
-        inner = Fraction(0)
-        for j, b in enumerate(bs):
-            if b:
-                inner += _binom(1 - s, j) * Fraction(p, a) ** j * b
+        x, inner = Fraction(p, a), Fraction(0)
+        for r in row:
+            inner = inner * x + r
         unit = w * pow(a, 1 - s, ctx.modulus)
         total += unit * ctx.from_rational(inner).value
         a, w = a * g % p, w * step % ctx.modulus

@@ -114,6 +114,24 @@ def test_lvalues_exact_branch_honours_precision(capsys):
     assert data["value"] == PadicCtx(5, 8).from_rational(Fraction(1, 3)).lift()
 
 
+def test_lvalues_prints_deep_rationals_in_full(capsys):
+    # s = -1081 is the interpolation point n = 1082 at (157, 146), whose
+    # rational runs past the interpreter's 4,300-digit limit on int-to-str
+    # conversion; every format prints it whole
+    want = lfunctions.lp_value(157, 146, -1081).rational
+    argv = ("lvalues", "--prime", "157", "--char", "146", "--at", "-1081")
+    rc, out = _run(capsys, *argv)
+    assert rc == 0
+    printed = json.loads(out)["rational"]
+    assert len(printed) > 4300 and Fraction(printed) == want
+    rc, out = _run(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    assert out.splitlines()[-1] == f"rational,{want}"
+    rc, out = _run(capsys, *argv, "--format", "text")
+    assert rc == 0
+    assert out.endswith(f"rational {want})\n")
+
+
 def test_lvalues_odd_character_is_usage_error(capsys):
     rc, _ = _run(capsys, "lvalues", "--prime", "5", "--char", "3",
                  "--at", "2")

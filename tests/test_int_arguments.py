@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigensplit.cyclotomic import cyc_ring, eigen_unit
+from eigensplit.cyclotomic import CycElt, cyc_ring, eigen_unit
 from eigensplit.errors import (PrecisionExhausted, RingMismatch,
                                UsageError, check_int)
 from eigensplit.formal_groups import lubin_tate_exp, lubin_tate_log, theta
@@ -45,6 +45,8 @@ _ENTRIES = [
     ("lubin_tate_exp", lambda x: lubin_tate_exp(5, x), "truncation"),
     ("CycRing-level", lambda x: cyc_ring(5, x), "level"),
     ("CycRing-pi_prec", lambda x: cyc_ring(5, 0, 4, x), "pi_prec"),
+    ("CycElt-prec", lambda x: CycElt(RING, [1, 0, 0, 0], x), "precision"),
+    ("CycElt-digit", lambda x: CycElt(RING, [1, x, 0, 0], 4), "cannot read"),
     ("CycElt-pow", lambda x: U ** x, "exponent"),
     ("vanishes_mod_pi", lambda x: U.vanishes_mod_pi(x), "pi-power M"),
     ("eigen_unit", lambda x: eigen_unit(x, U), "character index i"),
@@ -137,6 +139,32 @@ def test_padic_int_reads_only_ints():
     assert PadicInt(CTX, 5 ** 6 + 7, 2).value == 7
     with pytest.raises(PrecisionExhausted):
         PadicInt(CTX, 3, 0)
+
+
+def test_cyc_elt_reads_its_arguments():
+    # each of these once ended in an AttributeError or a bare assert, or
+    # built an element that failed at its first product
+    for call, message in [
+        (lambda: CycElt("x", [1], 4), "expected a CycRing, got 'x'"),
+        (lambda: CycElt(RING, [1], 4), "needs 4 digits, got 1"),
+        (lambda: CycElt(RING, [1, 0, 0, 0, 0], 4), "needs 4 digits, got 5"),
+        (lambda: CycElt(RING, [1, 0, 0, 0], "4"),
+         "precision must be in 1..4, got '4'"),
+        (lambda: CycElt(RING, [1, 0, 0, 0], 0),
+         "precision must be in 1..4, got 0"),
+        (lambda: CycElt(RING, [1, 0, 0, 0], 5),
+         "precision must be in 1..4, got 5"),
+        (lambda: CycElt(RING, [PadicCtx(7, 4).of(1), 0, 0, 0], 4),
+         "cannot read "),
+        (lambda: RING.from_coeffs([1] * 5), "needs 4 digits, got 5"),
+    ]:
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}"):
+            call()
+    # a digit known to fewer p-adic digits lowers the prec, as in
+    # from_coeffs, and every digit is reduced mod p^prec
+    x = CycElt(RING, [CTX.of(3, 2), 5 ** 4 + 7, 0, 0], 4)
+    assert (x.digits, x.prec) == ([3, 7, 0, 0], 2)
+    assert RING.from_coeffs([CTX.of(3, 2)]).prec == 2
 
 
 def test_bools_are_not_ints():

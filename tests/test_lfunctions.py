@@ -1,7 +1,7 @@
 """Bernoulli numbers and p-adic L-values, checked against independent routes."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -250,9 +250,15 @@ def test_certified_valuation_precision_contract():
     assert deeper.certified_valuation() == 1
 
 
+def _binomial(x, j):
+    """C(x, j) for any integer x: the falling factorial over j!."""
+    return prod(range(x, x - j, -1)) // factorial(j)
+
+
 def _lp_at_term_chain(p, i, s, M):
     """Oracle: the finite sum as it was, each term a PadicInt product of
-    omega(a)^i, <a>^(1-s) with <a> = a omega(a)^(-1), and the inner sum."""
+    omega(a)^i, <a>^(1-s) with <a> = a omega(a)^(-1), and the inner sum,
+    whose terms are each built from the binomial and a power of p/a."""
     K = M + 2 + vp(s - 1, p)
     ctx = PadicCtx(p, K)
     e_red = (1 - s) % (p ** (K - 1) * (p - 1))
@@ -262,7 +268,7 @@ def _lp_at_term_chain(p, i, s, M):
         for j in range(K + 2):
             b = bernoulli(j)
             if b:
-                inner += lfunctions._binom(1 - s, j) * Fraction(p, a) ** j * b
+                inner += _binomial(1 - s, j) * Fraction(p, a) ** j * b
         bracket = ctx.of(a) * ctx.teichmuller(a).invert()
         term = ctx.teichmuller(a) ** i
         term = term * ctx.of(pow(bracket.lift(), e_red, ctx.modulus))
@@ -286,6 +292,10 @@ def _lp_at_points(draw):
 @example((37, 32, 5, 1))  # vanishes mod 37
 @example((5, 2, 26, 4))  # v_5(s - 1) = 2 costs two more digits
 @example((157, 110, -200, 9))
+@example((5, 2, 3, 4))  # B_(p-1), with p in its denominator, enters the row
+@example((7, 4, 2, 6))  # the same, at s = 2
+@example((23, 10, 0, 6))  # C(1, j) = 0 for j >= 2
+@example((29, 12, 2, 8))  # C(-1, j) = (-1)^j
 def test_lp_at_matches_the_term_chain(point):
     # the unit factor omega(a)^((i+s-1) mod (p-1)) a^(1-s) in ints equals
     # omega^i(a) <a>^(1-s) term by term
@@ -302,6 +312,18 @@ def test_lp_sum_lifts_one_primitive_root(monkeypatch):
                         lambda ctx, a: lifted.append(a) or lift(ctx, a))
     lfunctions._lp_sum(157, 110, -200, 9)
     assert lifted == [primitive_root(157)]
+
+
+def test_lp_sum_raises_no_fraction_to_a_power(monkeypatch):
+    # the row C(1-s, j) B_j is built once, and each inner sum is a Horner
+    # in p/a, so no (p/a)^j is formed
+    bernoulli(20)
+    powers = []
+    power = Fraction.__pow__
+    monkeypatch.setattr(Fraction, "__pow__",
+                        lambda x, n: powers.append(n) or power(x, n))
+    lfunctions._lp_sum(37, 32, 5, 9)
+    assert powers == []
 
 
 def test_unit_lvalue_has_valuation_zero():
