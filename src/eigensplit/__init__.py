@@ -27,15 +27,16 @@ _EXPORTS = {
     "series": ("TruncSeries",),
     "formal_groups": ("cw_tower_x", "lubin_tate_exp", "lubin_tate_log",
                       "theta"),
-    "cyclotomic": ("CycElt", "CycRing", "NormCompatiblePair",
-                   "check_eps1_nontorsion", "cyc_ring", "eigen_unit",
-                   "eigen_valuation", "galois_apply", "nontorsion_certified",
-                   "norm_down", "norm_to_qp", "unit_pow_zp"),
-    "kummer": ("bernoulli_criterion_surrogate", "cw_unit", "cw_unit_pair",
-               "generator_certificate", "kummer_phi", "kummer_phis",
-               "lang_generator_search", "lang_unit"),
-    "lfunctions": ("LValue", "bernoulli", "configure_cache",
-                   "irregular_pairs", "lp_value", "regularity_certificate"),
+    "cyclotomic": ("CycElt", "CycRing", "NormCompatiblePair", "cyc_ring",
+                   "eigen_unit", "eigen_valuation", "galois_apply",
+                   "nontorsion_certified", "norm_down", "norm_to_qp",
+                   "unit_pow_zp"),
+    "kummer": ("bernoulli_criterion_surrogate", "check_eps1_nontorsion",
+               "cw_unit", "cw_unit_pair", "generator_certificate",
+               "kummer_phi", "kummer_phis", "lang_generator_search",
+               "lang_unit"),
+    "lfunctions": ("LValue", "bernoulli", "configure_cache", "irregular_pairs",
+                   "lp_valuation", "lp_value", "regularity_certificate"),
     "homotopy": ("DualityReport", "FgZpModule", "GradedModule", "LesReport",
                  "SpectrumId", "anderson_dual", "assemble", "homotopy_of",
                  "les_consistency", "verify_main_duality"),

@@ -160,7 +160,7 @@ def _cmd_lvalues(args) -> tuple:
         v = None
     payload = {
         "prime": p,
-        "char": args.char % (p - 1),
+        "char": val.character_exponent,
         "s": args.at,
         "value": val.value.lift(),
         "modulus": p ** val.value.prec,
@@ -229,19 +229,18 @@ def _cmd_duality(args) -> tuple:
 
 def _cmd_les(args) -> tuple:
     p = args.prime
-    i = args.char % (p - 1)
     window = (args.lo, args.hi)
-    report = homotopy.les_consistency(*(
-        homotopy.homotopy_of(homotopy.SpectrumId(v, p, i, args.kv_assume),
-                             window)
-        for v in "xyz"))
-    payload = {"prime": p, "char": i, "window": list(window)}
+    sids = [homotopy.SpectrumId(v, p, args.char, args.kv_assume)
+            for v in "xyz"]
+    report = homotopy.les_consistency(
+        *(homotopy.homotopy_of(sid, window) for sid in sids))
+    payload = {"prime": p, "char": sids[0].index, "window": list(window)}
     payload.update(report.to_dict())
     rows = [
         [k, seg["status"], " ".join(seg["slots"])]
         for k, seg in enumerate(report.segments)
     ]
-    lines = [f"fiber sequence check p={p} i={i}"]
+    lines = [f"fiber sequence check p={p} i={payload['char']}"]
     for seg in report.segments:
         lines.append(f"  [{' '.join(seg['slots'])}] {seg['status']}")
     lines.append("PASS" if report.passed else "FAIL")

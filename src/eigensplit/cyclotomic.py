@@ -575,22 +575,6 @@ def nontorsion_certified(u: CycElt) -> bool:
     return True
 
 
-def check_eps1_nontorsion(ring: CycRing, lam) -> bool:
-    """The pi^{p+1} criterion on eigen_unit(1, u_0(lambda)), taken
-    literally: true iff the p-th power differs from 1 mod pi^{p+1}.
-
-    As the unit_is_p_torsion note explains, the p-th power of the
-    projected unit is always 1 to this depth, so the criterion cannot
-    come out true; the sound replacement is nontorsion_certified on
-    eigen_unit(1, lang_unit(ring, lam)), which certifies every
-    lambda except -1 (where the projection is exactly a primitive
-    p-th root of unity)."""
-    from .kummer import lang_unit
-
-    u = lang_unit(ring, lam)
-    return not unit_is_p_torsion(eigen_unit(1, u))
-
-
 class NormCompatiblePair:
     """A level-1 unit with its norm at level 0, checked on construction."""
 

@@ -9,7 +9,7 @@ or p-adic L-values (for the eigenpieces); a fiber of multiplication by c
 on Z_p contributes Z/p^{v(c)} one degree down and kills the free summand.
 The connective spectra are covers of the periodic models.  By Kummer's
 congruence such an L-value is a unit unless (p, i) is an irregular pair,
-so it is computed only at irregular pairs.
+and `lfunctions.lp_valuation` computes it only there.
 
 Degreewise, the Anderson dual has free part dual to the free part in the
 mirror degree and torsion pulled from one degree below the mirror, and
@@ -24,17 +24,15 @@ the entries of checked models.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .errors import (
     KummerVandiverRequired,
-    PrecisionExhausted,
     UsageError,
     WindowInsufficient,
     check_int,
     check_type,
 )
-from .lfunctions import bernoulli, lp_value, regularity_certificate
+from .lfunctions import lp_valuation, regularity_certificate
 from .padic import check_odd_prime, vp
 
 
@@ -269,32 +267,6 @@ def _j_exponent(p: int, m: int) -> int:
     return 1 + vp(m, p)
 
 
-_PREC_LADDER = (3, 5, 7, 9)
-
-
-@lru_cache(maxsize=None)
-def _lvalue_exponent(p: int, i: int, s: int) -> int:
-    """v_p of L_p(s, omega^i) for even i in 2..p-3.
-
-    At a regular pair (p does not divide the numerator of B_i) this is 0
-    by Kummer's congruence: L_p(s, omega^i) is a power series over Z_p in
-    (1+p)^s - 1, which is 0 mod p, so for every s it is congruent mod p
-    to L_p(1-i, omega^i) = -(1 - p^{i-1}) B_i / i.  Here i and
-    1 - p^{i-1} are units and B_i is p-integral (von Staudt: p-1 does
-    not divide i), so the value is a unit exactly when p does not divide
-    the numerator of B_i.  Only at an irregular pair is the value
-    computed, at the first precision of the ladder that certifies it.
-    """
-    if bernoulli(i).numerator % p:
-        return 0
-    for M in _PREC_LADDER[:-1]:
-        try:
-            return lp_value(p, i, s, M).certified_valuation()
-        except PrecisionExhausted:
-            pass
-    return lp_value(p, i, s, _PREC_LADDER[-1]).certified_valuation()
-
-
 def check_window(p: int, window) -> tuple:
     # keeps Bernoulli/L-value demands desk-scale; the floor of 40 admits
     # small-prime windows a few periods wide
@@ -391,12 +363,12 @@ def _build(p: int, tag: str, i: int | None, lo: int,
         return _pattern(M, start, p, 2 * i - 1, _free_at)
     if tag == "Y":
         return _pattern(M, start, p, 2 * i - 2,
-                        lambda n: cyclic(_lvalue_exponent(p, i, -(n // 2))))
+                        lambda n: cyclic(lp_valuation(p, i, -(n // 2))))
     if i % 2 == 0:
         # X by the dual route: mirror of the free odd-index pattern
         return _pattern(M, start, p, 2 * i - 2, _free_at)
     return _pattern(M, start, p, 2 * i - 2,
-                    lambda n: cyclic(_lvalue_exponent(p, p - i, n // 2 + 1)))
+                    lambda n: cyclic(lp_valuation(p, p - i, n // 2 + 1)))
 
 
 def _assemble(p: int, tag: str, lo: int, hi: int) -> GradedModule:

@@ -16,6 +16,7 @@ from .cyclotomic import (
     check_level,
     eigen_unit,
     nontorsion_certified,
+    unit_is_p_torsion,
     unit_pow_product,
 )
 from .errors import NoneFound, NotOneUnit, UsageError, check_int
@@ -103,6 +104,17 @@ def lang_unit(ring: CycRing, lam) -> CycElt:
     return u
 
 
+def check_eps1_nontorsion(ring: CycRing, lam) -> bool:
+    """The pi^{p+1} criterion on eigen_unit(1, u_0(lambda)), taken
+    literally: true iff the p-th power differs from 1 mod pi^{p+1}.
+
+    It cannot come out true: the p-th power of the projected unit is
+    always 1 to this depth (see `cyclotomic.unit_is_p_torsion`).  The
+    sound test is nontorsion_certified on the same unit, which certifies
+    every lambda except -1 (where it is a primitive p-th root of unity)."""
+    return not unit_is_p_torsion(eigen_unit(1, lang_unit(ring, lam)))
+
+
 def cw_unit(ring: CycRing) -> CycElt:
     """beta - theta(zeta - 1), the Coates-Wiles unit at the ring's level."""
     beta = check_level(CycRing, ring).ctx.beta()
@@ -149,7 +161,7 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
     result vanishes mod p exactly when p divides the Bernoulli number
     B_i; the comparison is reported, not asserted.
     """
-    from .lfunctions import bernoulli
+    from .lfunctions import irregular_pairs
 
     ctx = check_level(CycRing, ring, 0).ctx
     p = ctx.p
@@ -166,8 +178,7 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
         exponents.append(w_inv ** i * inv_order)
     acc = unit_pow_product(units, exponents)
     phi = kummer_phi(i, acc)
-    b = bernoulli(i)
-    coprime = b.numerator % p != 0
+    coprime = i not in irregular_pairs(p)
     return {
         "i": i,
         "phi": phi,

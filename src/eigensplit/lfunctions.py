@@ -4,13 +4,14 @@ Bernoulli numbers follow t/(e^t - 1).  The even ones come from the integer
 tangent numbers of Brent and Harvey, with one exact division per index, and
 are cached (optionally on disk, one `n<TAB>num<TAB>den` record per line,
 each checked against von Staudt-Clausen when read).  The irregular pairs
-(p, k) come from a scan of every even k <= p-3 in that table, so whether p
-is regular is decided, never guessed.  `lp_value` is the one L-value
-entry and reads its arguments once: L_p(1-n, omega^i) at interpolation
-points is the exact rational -(1 - p^{n-1}) B_n / n; elsewhere the value
-is Washington's finite sum (Introduction to Cyclotomic Fields, Thm 5.11)
-over a = 1..p-1, reduced mod p^K, which agrees with the rational
-interpolation at every admissible point (tested, not assumed).
+(p, k) come from one cached scan of every even k <= p-3 in that table, so
+whether p is regular, and whether `lp_valuation` needs an L-value at all,
+is decided, never guessed.  `lp_value` is the one L-value entry and reads
+its arguments once: L_p(1-n, omega^i) at interpolation points is the exact
+rational -(1 - p^{n-1}) B_n / n; elsewhere the value is Washington's
+finite sum (Introduction to Cyclotomic Fields, Thm 5.11) over a = 1..p-1,
+reduced mod p^K, which agrees with the rational interpolation at every
+admissible point (tested, not assumed).
 """
 
 from __future__ import annotations
@@ -327,18 +328,50 @@ def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
 
 def irregular_pairs(p: int, k_max: int | None = None) -> list:
     """Even k in 2..p-3 with p dividing numerator(B_k), from the exact
-    table: the whole range, or k <= k_max when that narrows it."""
+    table: the whole range, or k <= k_max when that narrows it (then no
+    B_k past k_max is read).  Each call returns a new list."""
     check_odd_prime(p)
     top = p - 3 if k_max is None else min(p - 3, check_int(k_max, "k_max"))
-    if top < 2:
-        return []
-    bernoulli(top)
-    return [k for k in range(2, top + 1, 2)
-            if bernoulli(k).numerator % p == 0]
+    return list(_irregular_up_to(p, top)) if top >= 2 else []
 
 
 @lru_cache(maxsize=None)
+def _irregular_up_to(p: int, top: int) -> tuple:
+    """The one test of p | numerator(B_k), at the even k in 2..top."""
+    bernoulli(top)  # extends the table, and writes the cache, once
+    return tuple(k for k in range(2, top + 1, 2)
+                 if bernoulli(k).numerator % p == 0)
+
+
 def regularity_certificate(p: int) -> bool:
     """Whether p is regular: no even k <= p-3 has p | B_k (Kummer's
     criterion), decided by the full scan."""
     return not irregular_pairs(p)
+
+
+_PREC_LADDER = (3, 5, 7, 9)
+
+
+@lru_cache(maxsize=None, typed=True)
+def lp_valuation(p: int, i: int, s: int) -> int:
+    """v_p(L_p(s, omega^i)) for even i in 2..p-3, the eigenpieces' torsion
+    exponent, at the first precision of the ladder that certifies it
+    (PrecisionExhausted past the last).
+
+    By Kummer's congruence it is 0 at a regular pair, read with no L-value:
+    L_p(s, omega^i) is a power series over Z_p in (1+p)^s - 1 = 0 mod p,
+    so mod p it is L_p(1-i, omega^i) = -(1 - p^{i-1}) B_i / i for every s,
+    a unit iff p does not divide numerator(B_i) (i and 1 - p^{i-1} are
+    units, and B_i is p-integral by von Staudt-Clausen)."""
+    check_odd_prime(p)
+    check_int(s, "s")
+    if check_int(i, "character exponent i", 2, p - 3) % 2:
+        raise UsageError(f"odd character exponent {i} has no L-values here")
+    if i not in _irregular_up_to(p, p - 3):
+        return 0
+    for M in _PREC_LADDER[:-1]:
+        try:
+            return lp_value(p, i, s, M).certified_valuation()
+        except PrecisionExhausted:
+            pass
+    return lp_value(p, i, s, _PREC_LADDER[-1]).certified_valuation()

@@ -13,7 +13,6 @@ from math import factorial
 
 from eigensplit import cli
 from eigensplit.cyclotomic import (
-    check_eps1_nontorsion,
     cyc_ring,
     eigen_unit,
     eigen_valuation,
@@ -32,6 +31,7 @@ from eigensplit.homotopy import (
     verify_main_duality,
 )
 from eigensplit.kummer import (
+    check_eps1_nontorsion,
     cw_unit,
     kummer_phi,
     lang_generator_search,

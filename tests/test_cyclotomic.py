@@ -18,7 +18,6 @@ from eigensplit.cyclotomic import (
     NormCompatiblePair,
     _stable_exponent_prec,
     as_mu_element,
-    check_eps1_nontorsion,
     cyc_ring,
     eigen_unit,
     eigen_valuation,
@@ -45,7 +44,8 @@ from eigensplit.errors import (
     UsageError,
     ZeroResidue,
 )
-from eigensplit.kummer import cw_unit, cw_unit_pair, lang_unit
+from eigensplit.kummer import (check_eps1_nontorsion, cw_unit, cw_unit_pair,
+                               lang_unit)
 from eigensplit.padic import PadicCtx, PadicInt, power_product
 from eigensplit.series import pack_digits, unpack_digits
 

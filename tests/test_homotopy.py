@@ -21,10 +21,8 @@ from eigensplit.homotopy import (
     _COVER,
     _FAMILY_TAGS,
     _PLAIN_TAGS,
-    _PREC_LADDER,
     _build,
     _j_exponent,
-    _lvalue_exponent,
     _module_cell,
     _segment_status,
     anderson_dual,
@@ -38,7 +36,12 @@ from eigensplit.homotopy import (
     shift,
     verify_main_duality,
 )
-from eigensplit.lfunctions import bernoulli, lp_value
+from eigensplit.lfunctions import (
+    _PREC_LADDER,
+    bernoulli,
+    lp_valuation,
+    lp_value,
+)
 from eigensplit.padic import vp
 
 Zp = free()
@@ -137,7 +140,7 @@ def test_covers_compute_only_the_degrees_they_keep(monkeypatch, p,
                         lambda *a: calls.append(a) or lp_sum(*a))
     bound = 6 * (p - 1)
     for tag, expected in (("KZ", 0), ("FibTau", fibtau_calls)):
-        _lvalue_exponent.cache_clear()
+        lp_valuation.cache_clear()
         calls.clear()
         assemble(tag, p, (-bound, bound), kv_assume=True)
         assert len(calls) == expected
@@ -590,7 +593,7 @@ def _oracle_build(sid, lo, hi):
         else:
             M = _oracle_scalar_fiber_pattern(
                 lo, hi, p, 2 * i - 1,
-                lambda src: homotopy._lvalue_exponent(
+                lambda src: homotopy.lp_valuation(
                     p, i, -((src - 1) // 2)))
         return connected_cover(M, 1) if tag == "y" else M
     if tag in ("Z", "z"):
@@ -605,7 +608,7 @@ def _oracle_build(sid, lo, hi):
     else:
         M = _oracle_scalar_fiber_pattern(
             lo, hi, p, 2 * i - 1,
-            lambda src: homotopy._lvalue_exponent(p, p - i, (src + 1) // 2))
+            lambda src: homotopy.lp_valuation(p, p - i, (src + 1) // 2))
     return M if tag == "X" else connected_cover(M, -3 if i == 0 else 1)
 
 
@@ -619,7 +622,7 @@ def test_build_matches_the_per_tag_oracle(p, exponents, monkeypatch):
     # sweep runs again with an exponent that differs at every (i, s), to
     # check which L-value each degree of the fiber patterns reads.
     if exponents == "distinct":
-        monkeypatch.setattr(homotopy, "_lvalue_exponent",
+        monkeypatch.setattr(homotopy, "lp_valuation",
                             lambda p, i, s: 1 + (3 * i + s) % 5)
     b = max(6 * (p - 1), 40)
     windows = [(-b, b), (-b, -1), (0, b), (-9, 9), (1, 17), (-b + 3, b - 5)]
@@ -646,7 +649,7 @@ def test_lvalue_exponent_climbs_the_precision_ladder():
     with pytest.raises(PrecisionExhausted):
         lp_value(37, 32, 13, 3).certified_valuation()
     assert lp_value(37, 32, 13, 5).certified_valuation() == 2
-    assert _lvalue_exponent(37, 32, 13) == 2
+    assert lp_valuation(37, 32, 13) == 2
 
 
 def _ladder_exponent(p, i, s):
@@ -691,7 +694,7 @@ def _with_irregular_examples(test):
 @given(_lvalue_points())
 @_with_irregular_examples
 def test_lvalue_exponent_matches_the_ladder(point):
-    assert _outcome(_lvalue_exponent, *point) == _outcome(
+    assert _outcome(lp_valuation, *point) == _outcome(
         _ladder_exponent, *point)
 
 
@@ -702,8 +705,8 @@ def test_regular_pairs_never_reach_lp_value(monkeypatch):
     def refuse(p, i, s, M=3):
         raise Reached((p, i, s))
 
-    monkeypatch.setattr(homotopy, "lp_value", refuse)
-    uncached = _lvalue_exponent.__wrapped__
+    monkeypatch.setattr(lfunctions, "lp_value", refuse)
+    uncached = lp_valuation.__wrapped__
     for p in (5, 7, 11, 13, 37, 101):
         for i in range(2, p - 2, 2):
             if (p, i) not in _IRREGULAR_BELOW_160:
@@ -720,8 +723,8 @@ def test_duality_reads_lvalues_only_at_irregular_pairs(monkeypatch):
         seen.add((p, i))
         return lp_value(p, i, s, M)
 
-    monkeypatch.setattr(homotopy, "lp_value", record)
-    _lvalue_exponent.cache_clear()
+    monkeypatch.setattr(lfunctions, "lp_value", record)
+    lp_valuation.cache_clear()
     assert verify_main_duality(37, (-60, 60), kv_assume=True).passed
     assert verify_main_duality(101, (-200, 180), kv_assume=True).passed
     assert seen == {(37, 32), (101, 68)}

@@ -16,7 +16,8 @@ from eigensplit.homotopy import (FgZpModule, GradedModule, SpectrumId,
 from eigensplit.kummer import (bernoulli_criterion_surrogate, cw_unit,
                                generator_certificate, kummer_phi,
                                lang_generator_search)
-from eigensplit.lfunctions import bernoulli, irregular_pairs, lp_value
+from eigensplit.lfunctions import (bernoulli, irregular_pairs, lp_valuation,
+                                   lp_value)
 from eigensplit.padic import PadicCtx, PadicInt, is_prime
 from eigensplit.series import TruncSeries, log_one_plus_x, taylor_shift
 
@@ -62,6 +63,9 @@ _ENTRIES = [
     ("lp_value-i", lambda x: lp_value(5, x, 3, 3), "character exponent i"),
     ("lp_value-s", lambda x: lp_value(5, 2, x, 3), "s"),
     ("lp_value-M", lambda x: lp_value(5, 2, 3, x), "precision"),
+    ("lp_valuation-i", lambda x: lp_valuation(37, x, 3),
+     "character exponent i"),
+    ("lp_valuation-s", lambda x: lp_valuation(37, 2, x), "s"),
     ("SpectrumId", lambda x: SpectrumId("y", 5, x), "spectrum index"),
     ("FgZpModule-rank", lambda x: FgZpModule(x), "rank"),
     ("FgZpModule-torsion", lambda x: FgZpModule(0, (2, x)),
@@ -126,6 +130,16 @@ def test_non_int_arguments_are_refused_by_name(call, name, x):
 def test_integral_looking_floats_are_refused(call, name):
     with pytest.raises(UsageError, match=f"^{name}"):
         call()
+
+
+def test_a_cached_lp_valuation_does_not_serve_an_equal_float():
+    # lru_cache keys 32.0 like 32 unless it is typed
+    assert lp_valuation(37, 32, 13) == 2
+    with pytest.raises(UsageError, match="^character exponent i must be "):
+        lp_valuation(37, 32.0, 13)
+    assert lp_valuation(5, 2, 3) == 0
+    with pytest.raises(UsageError, match="^s must be an int, got 3.0$"):
+        lp_valuation(5, 2, 3.0)
 
 
 def test_padic_int_reads_only_ints():

@@ -15,7 +15,6 @@ from eigensplit import kummer
 from eigensplit.cyclotomic import (
     CycRing,
     NormCompatiblePair,
-    check_eps1_nontorsion,
     cyc_ring,
     eigen_unit,
     eigen_valuation,
@@ -33,6 +32,7 @@ from eigensplit.formal_groups import _theta_digits
 from eigensplit.series import TruncSeries
 from eigensplit.kummer import (
     bernoulli_criterion_surrogate,
+    check_eps1_nontorsion,
     cw_unit,
     cw_unit_pair,
     generator_certificate,

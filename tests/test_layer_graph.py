@@ -1,9 +1,10 @@
 """The layer graph: each layer's module-level imports reach only layers
-listed before it in `eigensplit._EXPORTS`, the imports inside function
-bodies are the two known upward edges, a few edges that the design
-rules out stay absent, argument checks are defined only in the known
-places, the homotopy layer reads its input only where it enters, and
-contexts and rings compare by identity."""
+listed before it in `eigensplit._EXPORTS`, the one import inside a
+function body is the known upward edge, a few edges that the design
+rules out stay absent, homotopy reads lfunctions through two entries,
+argument checks are defined only in the known places, the homotopy layer
+reads its input only where it enters, and contexts and rings compare by
+identity."""
 
 import ast
 import os
@@ -28,23 +29,26 @@ _KERNEL_USERS = ("cyclotomic", "formal_groups")
 # (layer, function, layer it imports): the only imports inside function
 # bodies, each of a later layer that the function alone reads
 _UPWARD = {
-    ("cyclotomic", "check_eps1_nontorsion", "kummer"),
     ("kummer", "bernoulli_criterion_surrogate", "lfunctions"),
 }
+
+# homotopy reads the L-side through two entries only: the torsion exponent
+# of an eigenpiece and the regularity of p, which gates Kummer-Vandiver
+_HOMOTOPY_FROM_LFUNCTIONS = {"lp_valuation", "regularity_certificate"}
 
 
 # the functions that check arguments, each where its policy lives: every
 # int is read by errors.check_int, every argument of one class (a module,
 # a spectrum) by errors.check_type, and every cyclotomic ring or element,
-# with its level, by cyclotomic.check_level; check_eps1_nontorsion is the
-# paper's eps_1 criterion, a certificate and not an argument check
+# with its level, by cyclotomic.check_level; kummer.check_eps1_nontorsion
+# is the paper's eps_1 criterion, a certificate and not an argument check
 _CHECKERS = {
     ("padic", "check_odd_prime"),
     ("errors", "check_int"),
     ("errors", "check_type"),
     ("homotopy", "check_window"),
     ("cyclotomic", "check_level"),
-    ("cyclotomic", "check_eps1_nontorsion"),
+    ("kummer", "check_eps1_nontorsion"),
 }
 
 # in homotopy, a SpectrumId is built only from a caller's text or by a
@@ -131,6 +135,30 @@ def test_function_level_imports_are_the_known_upward_edges():
                 found.update((layer, node.name, imported) for imported
                              in _layers_imported(ast.walk(node)))
     assert found == _UPWARD
+
+
+def _lfunctions_names(tree):
+    """The names imported from lfunctions anywhere in ``tree``, function
+    bodies included; importing the module itself adds "lfunctions"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.name for alias in node.names}
+            if node.module == "lfunctions":
+                yield from names
+            elif node.module is None and "lfunctions" in names:
+                yield "lfunctions"
+
+
+def test_homotopy_reads_lfunctions_through_two_entries():
+    assert set(_lfunctions_names(_tree("homotopy"))) == \
+        _HOMOTOPY_FROM_LFUNCTIONS
+
+
+def test_the_lfunctions_rule_sees_other_names():
+    tree = ast.parse("from .lfunctions import bernoulli, lp_value\n"
+                     "def f():\n    from . import lfunctions, padic\n")
+    assert set(_lfunctions_names(tree)) == {"bernoulli", "lp_value",
+                                            "lfunctions"}
 
 
 def test_argument_checks_live_in_the_known_places():

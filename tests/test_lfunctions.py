@@ -18,6 +18,7 @@ from eigensplit.lfunctions import (
     bernoulli,
     configure_cache,
     irregular_pairs,
+    lp_valuation,
     lp_value,
     regularity_certificate,
 )
@@ -104,6 +105,48 @@ def test_irregular_pairs():
     # below the first even index there is nothing to scan
     for k_max in (1, 0, -10):
         assert irregular_pairs(37, k_max=k_max) == []
+
+
+def _spy_on_bernoulli(monkeypatch) -> list:
+    """The indices lfunctions reads through `bernoulli` from now on."""
+    read, real = [], lfunctions.bernoulli
+    monkeypatch.setattr(lfunctions, "bernoulli",
+                        lambda n: read.append(n) or real(n))
+    return read
+
+
+def test_a_small_k_max_reads_no_bernoulli_past_it(monkeypatch):
+    # k_max narrows the cost of the scan as well as its answer
+    lfunctions._irregular_up_to.cache_clear()
+    read = _spy_on_bernoulli(monkeypatch)
+    assert irregular_pairs(691, k_max=30) == [12]
+    assert read and max(read) == 30
+
+
+def test_irregular_pairs_returns_a_new_list():
+    for args in ((37,), (691,), (691, 100)):
+        first = irregular_pairs(*args)
+        expected = list(first)
+        first.append(99)
+        assert irregular_pairs(*args) == expected
+        assert irregular_pairs(*args) is not irregular_pairs(*args)
+
+
+def test_lp_valuation_reads_the_cached_scan(monkeypatch):
+    # a regular pair is decided by the scan alone, with no Bernoulli read
+    irregular_pairs(101)
+    read = _spy_on_bernoulli(monkeypatch)
+    for i in range(2, 99, 2):
+        if i != 68:
+            assert lp_valuation.__wrapped__(101, i, -3) == 0
+    assert read == []
+    assert lp_valuation.__wrapped__(101, 68, 0) == 1 and read
+
+
+@pytest.mark.parametrize("p, i", [(3, 2), (5, 0), (5, 4), (7, 3), (7, 6)])
+def test_lp_valuation_needs_an_even_i_in_range(p, i):
+    with pytest.raises(UsageError, match="character exponent"):
+        lp_valuation(p, i, 0)
 
 
 def _power_sum_pairs(p: int) -> list:
