@@ -71,17 +71,20 @@ def _phis_up_to(top: int, u: CycElt) -> list:
 
 
 def _log(g: list) -> list:
-    """log g mod X^T, T = len(g), for PadicInt coefficients with g(0) = 1:
-    the power sum h - h^2/2 + ... - (-h)^(T-1)/(T-1) with h = g - 1, the
-    powers by schoolbook products that skip zero coefficients."""
+    """log g mod X^T, T = len(g) <= p-1, for PadicInt coefficients with
+    g(0) = 1: h - h^2/2 + ... - (-h)^(T-1)/(T-1) with h = g - 1, the powers
+    by schoolbook products that skip zeros.  h^k is zero below X^k, and
+    k <= p-2 is a unit, so h^k/k is h^k from X^k up times one inverse of k
+    mod p^N; each product keeps its coefficient's precision: no digit lost."""
     zero = g[0] - 1
     h = [zero] + g[1:]
     T = len(h)
     out = [zero] * T
     power = h
     for k in range(1, T):
-        for j in range(T):
-            term = power[j].div_int(k)
+        inv = zero.ctx.of(k).invert()
+        for j in range(k, T):
+            term = power[j] * inv
             out[j] = out[j] + term if k % 2 else out[j] - term
         if k < T - 1:
             prod = [zero] * T

@@ -30,6 +30,8 @@ from .errors import (
 )
 from .padic import PadicCtx, PadicInt, check_odd_prime, primitive_root, vp
 
+LP_BERNOULLI_DEPTH = 2000  # lp_value reads no B_n past B_2000 (0.33 s cold)
+
 
 def _tangent_numbers():
     """Yield (k, T_k) for k = 1, 2, ..., where tan x = sum T_k x^(2k-1)/(2k-1)!.
@@ -260,7 +262,7 @@ class LValue:
 
 
 def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
-    """L_p(s, omega^i) mod p^M at any integer s except the excluded s = 1.
+    """L_p(s, omega^i) mod p^M for int s != 1, s >= 1 - LP_BERNOULLI_DEPTH.
 
     At s = 1-n with n >= 1 and n = i mod p-1 the value is the exact
     rational -(1 - p^{n-1}) B_n / n; every other s goes to `_lp_sum`.
@@ -274,7 +276,7 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
     if i % 2 != 0:
         raise UsageError(f"odd character exponent {i} has no L-values here")
     check_int(M, "precision", 1)
-    n = 1 - check_int(s, "s")
+    n = 1 - check_int(s, "s", 1 - LP_BERNOULLI_DEPTH)
     if n >= 1 and (n - i) % (p - 1) == 0:
         # The exact value costs nothing to expand, so keep the floor of 4
         # digits these points always had: stored answers (perfbench's

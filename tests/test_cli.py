@@ -132,6 +132,17 @@ def test_lvalues_prints_deep_rationals_in_full(capsys):
     assert out.endswith(f"rational {want})\n")
 
 
+def test_lvalues_refuses_s_below_the_bernoulli_depth(capsys):
+    # s = -4001 is the interpolation point n = 4002 at (5, 2), whose exact
+    # value would read B_4002 (about 6 s); lp_value stops at B_2000
+    rc = cli.main(["lvalues", "--prime", "5", "--char", "2", "--at", "-4001"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "eigensplit: error: s must be >= -1999, got -4001"]
+
+
 def test_lvalues_odd_character_is_usage_error(capsys):
     rc, _ = _run(capsys, "lvalues", "--prime", "5", "--char", "3",
                  "--at", "2")

@@ -29,6 +29,7 @@ from eigensplit.cyclotomic import (
 )
 from eigensplit.errors import NotOneUnit, UsageError
 from eigensplit.formal_groups import _theta_digits
+from eigensplit.padic import PadicCtx, PadicInt
 from eigensplit.series import TruncSeries
 from eigensplit.kummer import (
     bernoulli_criterion_surrogate,
@@ -122,6 +123,71 @@ def test_phi_i_takes_the_log_of_i_plus_one_terms(monkeypatch, p):
     seen.clear()
     kummer_phis(u)
     assert seen == [p - 1]
+
+
+def _assert_log_is_exact(g):
+    # every coefficient of the walk's logarithm against the exact rational
+    # log of the lifted digits (g(0) lifts to exactly 1), reduced mod p^prec
+    # at the precision the walk reports; a division that lost a digit
+    # fails here, not only mod p
+    p = g[0].ctx.p
+    got = kummer._log(g)
+    want = TruncSeries([c.lift() for c in g]).log().coeffs
+    assert len(got) == len(want)
+    for c, q in zip(got, want):
+        pk = p ** c.prec
+        assert c.value == q.numerator * pow(q.denominator, -1, pk) % pk
+    return got
+
+
+def _normalised_digits(u, T):
+    # the walk's input: the first T pi-digits of u over its constant term
+    f = [PadicInt(u.ring.ctx, c, u.prec) for c in u.digits[:T]]
+    w = f[0].invert()
+    return [w * c for c in f]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_level0_one_units(), st.data())
+def test_log_is_the_exact_logarithm_at_full_precision(u, data):
+    T = data.draw(st.integers(1, u.ring.ctx.p - 1))
+    got = _assert_log_is_exact(_normalised_digits(u, T))
+    assert [c.prec for c in got] == [u.prec] * T
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_log_is_exact_at_mixed_precisions(p):
+    # each coefficient at its own precision: the walk's coefficient j lies
+    # between the least precision of g_0..g_j and that of g_0 and g_j
+    rng = random.Random(3500 + p)
+    for _ in range(40):
+        N = rng.randrange(1, 7)
+        ctx = PadicCtx(p, N)
+        T = rng.randrange(1, p)
+        precs = [rng.randrange(1, N + 1) for _ in range(T)]
+        f = [PadicInt(ctx, rng.randrange(1, p) + p * rng.randrange(p ** N),
+                      precs[0])]
+        f += [PadicInt(ctx, rng.randrange(p ** N), q) for q in precs[1:]]
+        w = f[0].invert()
+        g = [c * w for c in f]
+        got = _assert_log_is_exact(g)
+        for j, c in enumerate(got):
+            assert min(precs[:j + 1]) <= c.prec <= min(precs[0], precs[j])
+
+
+@pytest.mark.parametrize("N", [2, 4])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_phis_of_eigenprojections_pick_out_one_index(p, N):
+    # Galois equivariance: e_j projects onto the omega^j eigenspace, where
+    # phi_i vanishes unless i = j, so phi_i(e_j(u)) is phi_i(u) at i = j
+    # and 0 otherwise, mod p; on the Coates-Wiles and Lang units
+    ring = cyc_ring(p, 0, N)
+    for u in (cw_unit(ring),) + tuple(lang_unit(ring, a)
+                                      for a in range(2, p)):
+        phis = kummer_phis(u)
+        for j in range(p - 1):
+            assert kummer_phis(eigen_unit(j, u)) == [
+                phi if i == j else 0 for i, phi in enumerate(phis, 1)], j
 
 
 def _raised(f, *args):

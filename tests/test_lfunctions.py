@@ -257,6 +257,25 @@ def test_lp_value_dispatch():
         assert v.value == v.value.ctx.from_rational(v.rational)
 
 
+def test_lp_value_reads_no_bernoulli_number_past_its_depth(monkeypatch):
+    # s = 1 - LP_BERNOULLI_DEPTH is the last admitted s; at (7, 2) it is
+    # the interpolation point n = 2000, which reads B_2000 and nothing
+    # deeper.  One s further is refused before any Bernoulli number is
+    # read, and the refusal names the bound
+    assert lfunctions.LP_BERNOULLI_DEPTH == 2000
+    read = _spy_on_bernoulli(monkeypatch)
+    for p, i, s in ((5, 2, -4001), (7, 2, -2000), (7, 2, -2005)):
+        with pytest.raises(UsageError,
+                           match=rf"^s must be >= -1999, got {s}$"):
+            lp_value(p, i, s)
+    assert read == []
+    v = lp_value(7, 2, -1999)
+    assert v.rational is not None and max(read) == 2000
+    read.clear()
+    assert lp_value(5, 2, -1999).rational is None  # 2000 = 0 mod 4: a sum
+    assert max(read) < 10
+
+
 def test_kummer_congruence_spot_checks():
     # (1 - p^{m-1}) B_m/m = (1 - p^{n-1}) B_n/n mod p^{k+1}
     # for m = n mod p^k (p-1), m, n not 0 mod p-1
