@@ -355,7 +355,9 @@ def _orbit_product(x: CycElt, g: int, n: int) -> CycElt:
     doubles, P_2m = P_m sigma_(g^m)(P_m), and a set bit then steps,
     P_(m+1) = x sigma_g(P_m): (bit_length(n) - 1) + (popcount(n) - 1)
     conjugates and as many products, where the plain loop pays n - 1 of
-    each."""
+    each.  No digit is lost: products are exact, commutative and
+    associative in (Z/p^prec)[zeta], and each sigma_a is a ring map there,
+    so the digits and prec are those of the conjugate-by-conjugate product."""
     q = x.ring.ctx.p ** (x.ring.level + 1)
     acc, m = x, 1
     for bit in bin(n)[3:]:
@@ -377,10 +379,7 @@ def norm_down(x: CycElt) -> CycElt:
 
     Since (1+p)^k = 1 + kp mod p^2, that product is the orbit product of
     sigma_(1+p) over p steps, taken by doubling in O(log p) conjugates and
-    products (_orbit_product).  No digit is lost: products are exact,
-    commutative and associative in (Z/p^prec)[zeta], and each sigma_a is
-    a ring map there, so the digits and prec are those of the
-    conjugate-by-conjugate product."""
+    products (_orbit_product), which loses no digit."""
     ring = check_level(CycElt, x, 1).ring
     p = ring.ctx.p
     acc = _orbit_product(x, 1 + p, p)
@@ -407,10 +406,7 @@ def norm_to_qp(x: CycElt) -> PadicInt:
     At level 0 the Galois group is cyclic, generated by sigma_g for the
     least primitive root g mod p, so the norm is the orbit product of
     sigma_g over p-1 steps, taken by doubling in O(log p) conjugates and
-    products (_orbit_product).  No digit is lost: products are exact,
-    commutative and associative in (Z/p^prec)[zeta], and each sigma_a is
-    a ring map there, so the digits and prec are those of the
-    conjugate-by-conjugate product."""
+    products (_orbit_product), which loses no digit."""
     ring = check_level(CycElt, x).ring
     if ring.level == 1:
         return norm_to_qp(norm_down(x))
@@ -423,46 +419,31 @@ def norm_to_qp(x: CycElt) -> PadicInt:
 
 # -- Z_p-powers of one-units and the eigenprojection -----------------------
 
-def _stable_exponent_prec(ring: CycRing, v0: int) -> int:
-    # raising a one-unit with v(u-1) = v to the p-th power moves v to
-    # min(degree + v, p v); find how many p-power steps reach pi_prec
-    v, k = v0, 0
+def _exponent_digits(u: CycElt) -> int:
+    """The p-adic digits of a Z_p exponent c that fix u^c: the k p-power
+    steps that carry v = v(u - 1) past pi_prec, each of which moves v to
+    min(degree + v, p v), or 0 (u stands for 1) when u - 1 is
+    indistinguishable from zero."""
+    try:
+        v = (u - 1).pi_valuation()
+    except IndistinguishableFromZero:
+        return 0
+    ring, k = u.ring, 0
     while v < ring.pi_prec:
         v = min(ring.degree + v, ring.ctx.p * v)
         k += 1
     return k
 
 
-def _exponent_digits(u: CycElt) -> int:
-    """The p-adic digits of a Z_p exponent c that fix u^c: the k p-power
-    steps that carry v(u - 1) past pi_prec, or 0 (u stands for 1) when
-    u - 1 is indistinguishable from zero."""
-    try:
-        return _stable_exponent_prec(u.ring, (u - 1).pi_valuation())
-    except IndistinguishableFromZero:
-        return 0
-
-
-def unit_pow_product(bases, exponents) -> CycElt:
-    """prod_k u_k^(c_k) for 1-units u_k and Z_p exponents c_k.
+def unit_pow_zp(u: CycElt, c) -> CycElt:
+    """u^c for a 1-unit u and a Z_p exponent c.
 
     u^c depends only on c mod p^k, k = _exponent_digits(u), so a PadicInt
-    c needs k digits.  The reduced exponents share one squaring chain,
-    `padic.power_product`; products are exact in (Z/p^prec)[zeta], so
-    their order changes no digit.
+    c needs k digits, and the power is one squaring chain on that residue.
     """
-    reduced = []
-    for u, c in zip(bases, exponents):
-        if not check_level(CycElt, u).is_one_unit():
-            raise NotOneUnit("Z_p-powers need a 1-unit base")
-        reduced.append(u.ring.ctx.of(c).residue(_exponent_digits(u)))
-    acc = power_product(mul, bases, reduced)
-    return bases[0].ring.one() if acc is None else acc
-
-
-def unit_pow_zp(u: CycElt, c) -> CycElt:
-    """u^c for a Z_p exponent c, on one-units only."""
-    return unit_pow_product([u], [c])
+    if not check_level(CycElt, u).is_one_unit():
+        raise NotOneUnit("Z_p-powers need a 1-unit base")
+    return u ** u.ring.ctx.of(c).residue(_exponent_digits(u))
 
 
 def eigen_unit(i: int, u: CycElt) -> CycElt:
@@ -473,7 +454,8 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
     reduced by u's _exponent_digits: sigma_a(u) - 1 = sigma_a(u - 1) and
     sigma_a is an isometry (see eigen_valuation).  Those digits are at
     most N, all the exponents hold, since each p-power step adds at least
-    p - 1 to v(u - 1) >= 1 and pi_prec <= N (p - 1)."""
+    p - 1 to v(u - 1) >= 1 and pi_prec <= N (p - 1).  The Bernoulli
+    surrogate of `kummer` is this projection of one unit, to a power."""
     if not check_level(CycElt, u).is_one_unit():
         raise NotOneUnit("eigenprojection acts on 1-units")
     ctx = u.ring.ctx

@@ -32,7 +32,8 @@ from .errors import (
     check_int,
     check_type,
 )
-from .lfunctions import lp_valuation, regularity_certificate
+from .lfunctions import (LP_BERNOULLI_DEPTH, lp_valuation,
+                         regularity_certificate)
 from .padic import check_odd_prime, vp
 
 
@@ -269,7 +270,8 @@ def _j_exponent(p: int, m: int) -> int:
 
 def check_window(p: int, window) -> tuple:
     # keeps Bernoulli/L-value demands desk-scale; the floor of 40 admits
-    # small-prime windows a few periods wide
+    # small-prime windows a few periods wide; past p = 667 the gate bounds
+    # it further by LP_BERNOULLI_DEPTH where an irregular p reads L-values
     if not (isinstance(window, (tuple, list)) and len(window) == 2):
         raise UsageError(f"a window is two ints (lo, hi), got {window!r}")
     lo, hi = (check_int(n, "window end") for n in window)
@@ -302,9 +304,12 @@ def _free_at(n: int) -> FgZpModule:
     return free()
 
 
-def _gate(sid: SpectrumId, window) -> tuple:
+def _gate(sid: SpectrumId, window, dual: bool = False) -> tuple:
     """The window guard and then the Kummer-Vandiver gate of every public
-    entry; returns the window."""
+    entry; returns the window.  At an irregular p the L-values read must
+    lie at s >= 1 - LP_BERNOULLI_DEPTH: a Y degree n reads s = -(n // 2),
+    an X degree n (always even) that of the Y degree -n - 2, and the
+    duality (``dual``) reads Y on [-hi - 2, -lo - 1]."""
     lo, hi = check_window(sid.p, window)
     if sid.needs_kv() and not sid.kv_assume:
         raise KummerVandiverRequired(
@@ -312,6 +317,15 @@ def _gate(sid: SpectrumId, window) -> tuple:
             "irregular, so pass kv_assume to proceed under the "
             "Kummer-Vandiver hypothesis"
         )
+    tag, i = sid.tag, sid.index
+    top = (-lo - 1 if dual
+           else hi if tag == "KZ" or (tag in ("Y", "y") and i % 2 == 0)
+           else -lo - 2 if tag == "X" and i % 2 else 0)
+    if top >= 2 * LP_BERNOULLI_DEPTH and sid.needs_kv():
+        raise UsageError(
+            f"window [{lo}, {hi}] at irregular p = {sid.p} spans L-values "
+            f"down to s = {-(top // 2)}, past the Bernoulli depth bound "
+            f"s >= {1 - LP_BERNOULLI_DEPTH}")
     return lo, hi
 
 
@@ -435,7 +449,8 @@ def verify_main_duality(p: int, window,
     prose reading, and the degrees where the readings differ are
     reported as informational flags.
     """
-    lo, hi = _gate(SpectrumId("FibTau", p, kv_assume=kv_assume), window)
+    lo, hi = _gate(SpectrumId("FibTau", p, kv_assume=kv_assume), window,
+                   dual=True)
     report = DualityReport(p, lo, hi)
     period = 2 * (p - 1)
     for i in range(p - 1):

@@ -17,11 +17,11 @@ from .cyclotomic import (
     eigen_unit,
     nontorsion_certified,
     unit_is_p_torsion,
-    unit_pow_product,
+    unit_pow_zp,
 )
 from .errors import NoneFound, NotOneUnit, UsageError, check_int
 from .formal_groups import cw_tower_x
-from .padic import PadicInt
+from .padic import PadicInt, primitive_root
 
 
 def kummer_phis(u: CycElt) -> list:
@@ -73,7 +73,7 @@ def _phis_up_to(top: int, u: CycElt) -> list:
 def _log(g: list) -> list:
     """log g mod X^T, T = len(g) <= p-1, for PadicInt coefficients with
     g(0) = 1: h - h^2/2 + ... - (-h)^(T-1)/(T-1) with h = g - 1, the powers
-    by schoolbook products that skip zeros.  h^k is zero below X^k, and
+    by schoolbook products from X^k up.  h^k is zero below X^k, and
     k <= p-2 is a unit, so h^k/k is h^k from X^k up times one inverse of k
     mod p^N; each product keeps its coefficient's precision: no digit lost."""
     zero = g[0] - 1
@@ -87,11 +87,13 @@ def _log(g: list) -> list:
             term = power[j] * inv
             out[j] = out[j] + term if k % 2 else out[j] - term
         if k < T - 1:
+            # h^k starts at X^k and h at X; a zero known to g(0)'s precision,
+            # which caps each sum, adds nothing, and one known to less is kept
             prod = [zero] * T
-            for i, a in enumerate(power):
-                if a:
-                    for j in range(T - i):
-                        if h[j]:
+            for i, a in enumerate(power[k:T - 1], start=k):
+                if a or a.prec < zero.prec:
+                    for j in range(1, T - i):
+                        if h[j] or h[j].prec < zero.prec:
                             prod[i + j] = prod[i + j] + a * h[j]
             power = prod
     return out
@@ -158,11 +160,15 @@ def generator_certificate(i: int, u) -> bool:
 def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
     """phi_i of the omega^i projection of the uniformizer class.
 
-    sigma_a(pi)/pi splits as omega(a) times a 1-unit t_a; the projection
-    of (pi) onto the omega^i eigenspace is, modulo torsion, the product
-    of t_a^{omega(a)^{-i}/(p-1)}.  The classical criterion predicts the
-    result vanishes mod p exactly when p divides the Bernoulli number
-    B_i; the comparison is reported, not asserted.
+    sigma_a(pi)/pi is omega(a) times a 1-unit t_a, and the projection of
+    (pi) is, modulo torsion, S_i = prod_a t_a^(omega(a)^-i/(p-1)).  As
+    sigma_b(t_a) = t_ab / t_b (Washington, Introduction to Cyclotomic
+    Fields, ch. 8), putting a = bg for the least primitive root g turns
+    eigen_unit(i, t_g) = prod_b (t_bg / t_b)^(omega(b)^-i/(p-1)) into
+    S_i^(omega(g)^i) / S_i.  omega(g)^i - 1 is a Z_p-unit, as g^i != 1
+    mod p for i in 2..p-3, so S_i = eigen_unit(i, t_g)^(1/(omega(g)^i - 1)).
+    The classical criterion predicts phi_i(S_i) = 0 mod p exactly when p
+    divides B_i; the comparison is reported, not asserted.
     """
     from .lfunctions import irregular_pairs
 
@@ -170,16 +176,11 @@ def bernoulli_criterion_surrogate(ring: CycRing, i: int) -> dict:
     p = ctx.p
     if check_int(i, "criterion index i", 2, p - 3) % 2:
         raise UsageError(f"criterion applies to even i in 2..{p - 3}")
-    inv_order = ctx.of(p - 1).invert()
-    units, exponents = [], []
-    for a in range(1, p):
-        # sigma_a(pi)/pi = (zeta^a - 1)/(zeta - 1) = sum_{k<a} zeta^k, a
-        # unit with residue a; twisting by omega(a)^{-1} makes it a 1-unit
-        r = ring.from_zeta([1] * a)
-        w_inv = ctx.teichmuller(pow(a, -1, p))
-        units.append(r * w_inv)
-        exponents.append(w_inv ** i * inv_order)
-    acc = unit_pow_product(units, exponents)
+    g = primitive_root(p)
+    w = ctx.teichmuller(g)
+    # sigma_g(pi)/pi = (zeta^g - 1)/(zeta - 1) = sum_{k<g} zeta^k = g mod pi
+    t_g = ring.from_zeta([1] * g) * w.invert()
+    acc = unit_pow_zp(eigen_unit(i, t_g), (w ** i - 1).invert())
     phi = kummer_phi(i, acc)
     coprime = i not in irregular_pairs(p)
     return {

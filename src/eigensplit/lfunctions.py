@@ -298,7 +298,8 @@ def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
     inner sum is a Horner in p/a over exact Fractions, reduced once mod
     p^K.  The j-th term has valuation >= j-1, so the tail past j = K+1 is
     invisible mod p^K.  With K = M + 2 + v_p(s-1), the two divisions
-    leave M + 1 digits, of which the value keeps M.  Since <a> =
+    leave M + 1 digits, of which the value keeps M, in the exact branch's
+    PadicCtx(p, max(M, 4)): one context per (p, M).  Since <a> =
     a / omega(a) and omega(a)^(p-1) = 1, the unit factor is
     omega(a)^((i+s-1) mod (p-1)) a^(1-s) mod p^K.  omega is a character,
     so the sum visits a = g^k mod p for the least primitive root g and
@@ -325,7 +326,7 @@ def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
         total += unit * ctx.from_rational(inner).value
         a, w = a * g % p, w * step % ctx.modulus
     value = ctx.of(total).div_int(p).div_int(s - 1)
-    return LValue(value.reduce_to(M), s, i)
+    return LValue(PadicCtx(p, max(M, 4)).of(value.value, M), s, i)
 
 
 def irregular_pairs(p: int, k_max: int | None = None) -> list:

@@ -16,7 +16,6 @@ from eigensplit.cyclotomic import (
     CycElt,
     CycRing,
     NormCompatiblePair,
-    _stable_exponent_prec,
     as_mu_element,
     cyc_ring,
     eigen_unit,
@@ -28,7 +27,6 @@ from eigensplit.cyclotomic import (
     norm_down,
     norm_to_qp,
     unit_is_p_torsion,
-    unit_pow_product,
     unit_pow_zp,
 )
 from eigensplit.errors import (
@@ -671,6 +669,16 @@ def test_norm_down_and_embed_up_match_pi0_powers(data):
 # -- the shared squaring chain and the one-conjugate reads against the
 # per-base paths they replaced -------------------------------------------------
 
+def _stable_exponent_prec(ring, v0):
+    """The p-power steps that carry v(u - 1) = v0 past pi_prec: a p-th
+    power moves v to min(degree + v, p v)."""
+    v, k = v0, 0
+    while v < ring.pi_prec:
+        v = min(ring.degree + v, ring.ctx.p * v)
+        k += 1
+    return k
+
+
 def _per_base_pow_zp(u, c):
     """unit_pow_zp as it was: its own 1-unit check and valuation, then a
     square-and-multiply chain for this base alone."""
@@ -804,12 +812,23 @@ def test_galois_keeps_pi_valuation(data):
         _outcome(CycElt.pi_valuation, x)
 
 
-def test_unit_pow_product_checks_every_base():
-    ring = cyc_ring(5, 0)
-    u = cw_unit(ring)
-    for bases in ([u, ring.from_scalar(2)], [u, u, ring.zeta() * 2]):
-        with pytest.raises(NotOneUnit, match="Z_p-powers need a 1-unit base"):
-            unit_pow_product(bases, [1] * len(bases))
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_unit_pow_zp_matches_the_per_base_chain(p):
+    # Coates-Wiles and Lang units, with int exponents and PadicInt ones
+    # known to each number of digits (too few for a deep unit is refused)
+    rng = random.Random(3600 + p)
+    for N in (1, 2, 4):
+        ring = cyc_ring(p, 0, N)
+        for u in [cw_unit(ring)] + [lang_unit(ring, a) for a in range(2, p)]:
+            q = p ** N
+            exponents = [0, 1, -1, p, rng.randrange(q)] + [
+                ring.ctx.of(rng.randrange(q), k) for k in range(1, N + 1)]
+            for c in exponents:
+                assert _outcome(unit_pow_zp, u, c) == \
+                    _outcome(_per_base_pow_zp, u, c), (N, c)
+            with pytest.raises(NotOneUnit,
+                               match="^Z_p-powers need a 1-unit base$"):
+                unit_pow_zp(u * 2, 1)
 
 
 # -- the predicates that read pi_valuation against the digit loops they

@@ -41,6 +41,7 @@ from eigensplit.lfunctions import (
     bernoulli,
     lp_valuation,
     lp_value,
+    regularity_certificate,
 )
 from eigensplit.padic import vp
 
@@ -434,6 +435,61 @@ def test_duality_reads_the_model_gate():
         verify_main_duality(37, (3, 2))
     with pytest.raises(UsageError, match="guard"):
         verify_main_duality(37, (-300, 0))
+
+
+def test_gate_bounds_lvalue_reads_by_the_bernoulli_depth():
+    # from p = 757 the +-6(p-1) guard admits Y degrees past
+    # 2 LP_BERNOULLI_DEPTH - 1 = 3999, whose L-values lp_value refuses; the
+    # gate refuses such a window and names it with the bound
+    bound = r"past the Bernoulli depth bound s >= -1999$"
+    with pytest.raises(UsageError, match=r"^window \[0, 4536\] at irregular "
+                       r"p = 757 spans L-values down to s = -2268, " + bound):
+        assemble("KZ", 757, (0, 4536), kv_assume=True)
+    with pytest.raises(UsageError, match=r"^window \[-4534, 4534\] at "
+                       r"irregular p = 757 spans L-values down to s = -2266, "
+                       + bound):
+        verify_main_duality(757, (-4534, 4534), kv_assume=True)
+    # the widest windows it admits answer; X(243) reads L_p(s, omega^514)
+    # at s = n // 2 + 1 from its even degrees n
+    assert assemble("KZ", 757, (0, 3999), kv_assume=True).entries
+    assert verify_main_duality(757, (-4000, 4536), kv_assume=True).passed
+    sid = SpectrumId("X", 757, 243, kv_assume=True)
+    assert homotopy_of(sid, (-4001, 0)).entries
+    with pytest.raises(UsageError, match=bound):
+        homotopy_of(sid, (-4002, 0))
+    # no L-value is read at a regular prime, nor by TCZ, FibTau or Y(odd)
+    assert regularity_certificate(769)
+    assert assemble("KZ", 769, (-4608, 4608)).entries
+    for sid in (SpectrumId("TCZ", 757, kv_assume=True),
+                SpectrumId("FibTau", 757, kv_assume=True),
+                SpectrumId("Y", 757, 3, kv_assume=True)):
+        assert homotopy_of(sid, (-4536, 4536)).entries
+
+
+@pytest.mark.parametrize("entry, admitted, refused", [
+    (lambda w: assemble("KZ", 37, (0, w), kv_assume=True), 199, 200),
+    (lambda w: homotopy_of(SpectrumId("y", 37, 32, kv_assume=True), (0, w)),
+     199, 200),
+    (lambda w: homotopy_of(SpectrumId("X", 37, 5, kv_assume=True), (-w, 0)),
+     201, 202),
+    (lambda w: verify_main_duality(37, (-w, 0), kv_assume=True), 200, 201),
+], ids=["KZ", "y", "X", "duality"])
+def test_gate_follows_the_bernoulli_depth(monkeypatch, entry, admitted,
+                                          refused):
+    # with the depth cut to 100, lp_value reads s >= -99, the Y degrees up
+    # to 199, and the gate moves with it: the widest window it admits
+    # answers, one degree more is refused by the gate, and without the
+    # gate the model would have read an L-value past the depth
+    monkeypatch.setattr(lfunctions, "LP_BERNOULLI_DEPTH", 100)
+    monkeypatch.setattr(homotopy, "LP_BERNOULLI_DEPTH", 100)
+    lp_valuation.cache_clear()  # so that _build below reads lp_value
+    entry(admitted)
+    with pytest.raises(UsageError, match=r"^window .* at irregular p = 37 "
+                       r"spans L-values down to s = -100, past the Bernoulli "
+                       r"depth bound s >= -99$"):
+        entry(refused)
+    with pytest.raises(UsageError, match=r"^s must be >= -99, got -103$"):
+        _build(37, "Y", 32, 0, 216)
 
 
 def test_window_guard():
@@ -953,6 +1009,27 @@ def test_les_consistency_all_triples():
             z = homotopy_of(SpectrumId("z", p, i), window)
             report = les_consistency(x, y, z)
             assert report.passed, (p, i, report.to_dict())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 101])
+def test_les_of_the_assembled_sequence(p):
+    # FibTau -> KZ -> TCZ over the full guard window: every segment is an
+    # exact run; one extra Z_p in degree -1 of the fiber breaks the run
+    # through degrees 1..-1
+    bound = max(6 * (p - 1), 40)
+    window = (-bound, bound)
+    kv = not regularity_certificate(p)
+    fib, kz, tcz = (assemble(tag, p, window, kv_assume=kv)
+                    for tag in ("FibTau", "KZ", "TCZ"))
+    report = les_consistency(fib, kz, tcz)
+    assert report.passed
+    assert {seg["status"] for seg in report.segments} == {"ok"}
+    extra = direct_sum(fib, GradedModule(*window, {-1: free()}))
+    broken = les_consistency(extra, kz, tcz)
+    assert not broken.passed
+    assert [seg["slots"] for seg in broken.segments
+            if seg["status"] == "FAIL"] == [
+        ["Z_1", "X_0", "Y_0", "Z_0", "X_-1"]]
 
 
 def test_les_detects_breakage():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 import re
 
@@ -15,6 +16,7 @@ from eigensplit import kummer
 from eigensplit.cyclotomic import (
     CycRing,
     NormCompatiblePair,
+    _exponent_digits,
     cyc_ring,
     eigen_unit,
     eigen_valuation,
@@ -29,7 +31,8 @@ from eigensplit.cyclotomic import (
 )
 from eigensplit.errors import NotOneUnit, UsageError
 from eigensplit.formal_groups import _theta_digits
-from eigensplit.padic import PadicCtx, PadicInt
+from eigensplit.padic import (PadicCtx, PadicInt, power_product,
+                              primitive_root)
 from eigensplit.series import TruncSeries
 from eigensplit.kummer import (
     bernoulli_criterion_surrogate,
@@ -173,6 +176,41 @@ def test_log_is_exact_at_mixed_precisions(p):
         got = _assert_log_is_exact(g)
         for j, c in enumerate(got):
             assert min(precs[:j + 1]) <= c.prec <= min(precs[0], precs[j])
+
+
+def test_log_keeps_the_precision_of_a_zero_coefficient():
+    # g = 1 + O(7) X + 3 X^2 + 5 X^3 at N = 4: the X coefficient is 0 to one
+    # digit only, and it enters every later coefficient of log g, so each
+    # of them is known to one digit; skipping it as a zero gave 7^4
+    ctx = PadicCtx(7, 4)
+    got = _assert_log_is_exact([ctx.of(1), ctx.of(0, 1), ctx.of(3),
+                                ctx.of(5)])
+    assert [repr(c) for c in got] == [
+        "0 + O(7^4)", "0 + O(7^1)", "3 + O(7^1)", "5 + O(7^1)"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_log_holds_for_every_lift_of_its_digits(p):
+    # a digit known to q digits stands for each of its lifts c + p^q r, and
+    # every coefficient of the walk's logarithm agrees, to the precision it
+    # claims, with the exact log of each such lift; half the digits are zero
+    # to their own precision, which a walk that skips zeros by value alone
+    # overclaims
+    rng = random.Random(3600 + p)
+    for _ in range(40):
+        N = rng.randrange(1, 7)
+        ctx = PadicCtx(p, N)
+        T = rng.randrange(1, p)
+        g = [PadicInt(ctx, 1, rng.randrange(1, N + 1))]
+        g += [PadicInt(ctx, rng.randrange(p ** N) * rng.randrange(2),
+                       rng.randrange(1, N + 1)) for _ in range(T - 1)]
+        got = kummer._log(g)
+        for _ in range(3):
+            lift = [1] + [c.value + p ** c.prec * rng.randrange(p ** N)
+                          for c in g[1:]]
+            for c, q in zip(got, TruncSeries(lift).log().coeffs):
+                pk = p ** c.prec
+                assert c.value == q.numerator * pow(q.denominator, -1, pk) % pk
 
 
 @pytest.mark.parametrize("N", [2, 4])
@@ -418,6 +456,52 @@ def test_surrogate_matches_separate_powers():
         for i in range(2, p - 2, 2):
             assert bernoulli_criterion_surrogate(ring, i) == \
                 _surrogate_by_separate_powers(ring, i)
+
+
+def _twisted_product(ring, i):
+    """Oracle for the surrogate's unit with no eigenprojection: S_i =
+    prod_a t_a^(omega(a)^-i/(p-1)) over the p-1 one-units t_a =
+    sigma_a(pi)/(pi omega(a)), on one squaring chain with each exponent
+    reduced by its own base."""
+    ctx = ring.ctx
+    p = ctx.p
+    inv_order = ctx.of(p - 1).invert()
+    units, exponents = [], []
+    for a in range(1, p):
+        w_inv = ctx.teichmuller(pow(a, -1, p))
+        t_a = ring.from_zeta([1] * a) * w_inv
+        units.append(t_a)
+        c = w_inv ** i * inv_order
+        exponents.append(c.residue(_exponent_digits(t_a)))
+    acc = power_product(mul, units, exponents)
+    return ring.one() if acc is None else acc
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+def test_surrogate_unit_is_the_twisted_product(p, monkeypatch):
+    # eigen_unit(i, t_g) = S_i^(omega(g)^i - 1) for every i with g^i != 1
+    # mod p, i.e. every i in 1..p-2; compared with ==, mod pi^pi_prec, as
+    # the digits past pi_prec differ
+    g = primitive_root(p)
+    seen, phi = {}, kummer.kummer_phi
+
+    def spy(i, u):
+        seen[i] = u
+        return phi(i, u)
+
+    monkeypatch.setattr(kummer, "kummer_phi", spy)
+    for N in (1, 2, 4, 6):
+        ring = cyc_ring(p, 0, N)
+        w = ring.ctx.teichmuller(g)
+        t_g = ring.from_zeta([1] * g) * w.invert()
+        for i in range(1, p - 1):
+            want = _twisted_product(ring, i)
+            got = unit_pow_zp(eigen_unit(i, t_g), (w ** i - 1).invert())
+            assert got == want, (N, i)
+            if i % 2 == 0 and i <= p - 3:
+                # and it is the unit whose phi_i the surrogate reads
+                bernoulli_criterion_surrogate(ring, i)
+                assert seen[i] == want, (N, i)
 
 
 def test_search_rejects_bad_index():

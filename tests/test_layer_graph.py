@@ -1,7 +1,8 @@
 """The layer graph: each layer's module-level imports reach only layers
 listed before it in `eigensplit._EXPORTS`, the one import inside a
 function body is the known upward edge, a few edges that the design
-rules out stay absent, homotopy reads lfunctions through two entries,
+rules out stay absent, homotopy reads lfunctions through two entries and
+its depth, one function alone raises several bases in one squaring chain,
 argument checks are defined only in the known places, the homotopy layer
 reads its input only where it enters, and contexts and rings compare by
 identity."""
@@ -33,8 +34,14 @@ _UPWARD = {
 }
 
 # homotopy reads the L-side through two entries only: the torsion exponent
-# of an eigenpiece and the regularity of p, which gates Kummer-Vandiver
-_HOMOTOPY_FROM_LFUNCTIONS = {"lp_valuation", "regularity_certificate"}
+# of an eigenpiece and the regularity of p, which gates Kummer-Vandiver;
+# and it bounds its windows by the depth lp_value reads to
+_HOMOTOPY_FROM_LFUNCTIONS = {"lp_valuation", "regularity_certificate",
+                             "LP_BERNOULLI_DEPTH"}
+
+# the one twisted product over the Galois orbit, the omega^i idempotent:
+# every other padic.power_product call raises one base, (layer, function)
+_MULTI_BASE_POWER_PRODUCTS = {("cyclotomic", "eigen_unit")}
 
 
 # the functions that check arguments, each where its policy lives: every
@@ -205,6 +212,36 @@ def test_homotopy_reads_its_input_where_it_enters():
 def test_the_boundary_rule_sees_a_piecewise_layer():
     breaches = sorted(_boundary_breaches(ast.parse(_PIECEWISE_LAYER)))
     assert breaches == [("_assemble", "SpectrumId"), ("direct_sum", "add_at")]
+
+
+def _multi_base_power_products(layer, tree):
+    """(layer, function) for each power_product call under ``tree`` whose
+    bases are not a one-element list display."""
+    for _, func, call in _scoped_calls(tree):
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name == "power_product":
+            bases = call.args[1] if len(call.args) > 1 else None
+            if not (isinstance(bases, ast.List) and len(bases.elts) == 1):
+                yield layer, func
+
+
+def test_only_the_idempotent_raises_several_bases():
+    found = {hit for layer in LAYERS
+             for hit in _multi_base_power_products(layer, _tree(layer))}
+    assert found == _MULTI_BASE_POWER_PRODUCTS
+
+
+def test_the_power_product_rule_sees_a_second_orbit_product():
+    tree = ast.parse(
+        "def surrogate(units, exps):\n"
+        "    return power_product(mul, units, exps)\n"
+        "def twisted(u, v):\n"
+        "    return padic.power_product(mul, [u, v], [1, 2])\n"
+        "def single(u):\n"
+        "    return power_product(mul, [u], [3])\n")
+    assert sorted(_multi_base_power_products("kummer", tree)) == [
+        ("kummer", "surrogate"), ("kummer", "twisted")]
 
 
 def _value_comparisons(tree):

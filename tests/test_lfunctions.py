@@ -257,6 +257,29 @@ def test_lp_value_dispatch():
         assert v.value == v.value.ctx.from_rational(v.rational)
 
 
+def test_lvalues_of_one_precision_share_one_context():
+    # both branches answer in the exact branch's PadicCtx(p, max(M, 4)),
+    # the sum at the M digits it certifies, so the L-values of one (p, M)
+    # add; (value, prec, exact?) as each branch gave them before
+    want = {
+        3: {3: (47, 3, False), 6: (32, 3, False), -1: (417, 4, True),
+            -3: (2, 3, False), 2: (102, 3, False)},
+        5: {3: (2172, 5, False), 6: (1657, 5, False), -1: (1042, 5, True),
+            -3: (2, 5, False), 2: (1852, 5, False)},
+    }
+    for M, points in want.items():
+        ctx = PadicCtx(5, max(M, 4))
+        vals = {s: lp_value(5, 2, s, M) for s in points}
+        assert {s: (v.value.value, v.value.prec, v.rational is not None)
+                for s, v in vals.items()} == points
+        assert all(v.value.ctx is ctx for v in vals.values())
+        assert all(v.certified_valuation() == 0 for v in vals.values())
+        total = sum((v.value for v in vals.values()), ctx.of(0))
+        assert total.prec == M
+        assert total.value == sum(v.value.value for v in vals.values()) \
+            % 5 ** M
+
+
 def test_lp_value_reads_no_bernoulli_number_past_its_depth(monkeypatch):
     # s = 1 - LP_BERNOULLI_DEPTH is the last admitted s; at (7, 2) it is
     # the interpolation point n = 2000, which reads B_2000 and nothing
