@@ -124,9 +124,5 @@ class PoleAtZeroCharacter(UsageError):
 
 # graded modules
 
-class WindowInsufficient(UsageError):
-    pass
-
-
 class KummerVandiverRequired(UsageError):
     pass

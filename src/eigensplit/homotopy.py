@@ -28,7 +28,6 @@ import re
 from .errors import (
     KummerVandiverRequired,
     UsageError,
-    WindowInsufficient,
     check_int,
     check_type,
 )
@@ -131,15 +130,6 @@ class GradedModule:
 
     def degrees(self):
         return sorted(self.entries)
-
-    def restrict(self, lo: int, hi: int) -> "GradedModule":
-        out = GradedModule(lo, hi)
-        if lo < self.lo or hi > self.hi:
-            raise WindowInsufficient(
-                f"[{lo}, {hi}] not contained in [{self.lo}, {self.hi}]"
-            )
-        out.entries = {n: m for n, m in self.entries.items() if lo <= n <= hi}
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedModule):
@@ -268,20 +258,25 @@ def _j_exponent(p: int, m: int) -> int:
     return 1 + vp(m, p)
 
 
-def check_window(p: int, window) -> tuple:
-    # keeps Bernoulli/L-value demands desk-scale; the floor of 40 admits
-    # small-prime windows a few periods wide; past p = 667 the gate bounds
-    # it further by LP_BERNOULLI_DEPTH where an irregular p reads L-values
+def check_window(window) -> tuple:
+    # one bound B = 2 LP_BERNOULLI_DEPTH - 1 at every p, read when called:
+    # the only costly input of a model is its L-value torsion, and
+    # lp_value reads s >= 1 - LP_BERNOULLI_DEPTH.  Y and X degrees at an
+    # irregular index are even, so a Y degree n <= B - 1 reads
+    # s = -(n // 2) >= 1 - LP_BERNOULLI_DEPTH, an X degree n >= 1 - B reads
+    # s = n/2 + 1 >= 2 - LP_BERNOULLI_DEPTH, and the duality's dual route,
+    # Y on [-hi - 2, -lo - 1], tops out at B - 1: no public entry reaches
+    # lp_value's own refusal
     if not (isinstance(window, (tuple, list)) and len(window) == 2):
         raise UsageError(f"a window is two ints (lo, hi), got {window!r}")
     lo, hi = (check_int(n, "window end") for n in window)
     if lo > hi:
         raise UsageError(f"empty window [{lo}, {hi}]")
-    bound = max(6 * (p - 1), 40)
+    bound = 2 * LP_BERNOULLI_DEPTH - 1
     if lo < -bound or hi > bound:
         raise UsageError(
-            f"window [{lo}, {hi}] exceeds the +-{bound} guard for p = {p}"
-        )
+            f"window [{lo}, {hi}] exceeds the +-{bound} guard of the "
+            f"Bernoulli depth {LP_BERNOULLI_DEPTH}")
     return lo, hi
 
 
@@ -304,28 +299,16 @@ def _free_at(n: int) -> FgZpModule:
     return free()
 
 
-def _gate(sid: SpectrumId, window, dual: bool = False) -> tuple:
+def _gate(sid: SpectrumId, window) -> tuple:
     """The window guard and then the Kummer-Vandiver gate of every public
-    entry; returns the window.  At an irregular p the L-values read must
-    lie at s >= 1 - LP_BERNOULLI_DEPTH: a Y degree n reads s = -(n // 2),
-    an X degree n (always even) that of the Y degree -n - 2, and the
-    duality (``dual``) reads Y on [-hi - 2, -lo - 1]."""
-    lo, hi = check_window(sid.p, window)
+    entry; returns the window."""
+    lo, hi = check_window(window)
     if sid.needs_kv() and not sid.kv_assume:
         raise KummerVandiverRequired(
             f"{sid!r} depends on the L-value description; p = {sid.p} is "
             "irregular, so pass kv_assume to proceed under the "
             "Kummer-Vandiver hypothesis"
         )
-    tag, i = sid.tag, sid.index
-    top = (-lo - 1 if dual
-           else hi if tag == "KZ" or (tag in ("Y", "y") and i % 2 == 0)
-           else -lo - 2 if tag == "X" and i % 2 else 0)
-    if top >= 2 * LP_BERNOULLI_DEPTH and sid.needs_kv():
-        raise UsageError(
-            f"window [{lo}, {hi}] at irregular p = {sid.p} spans L-values "
-            f"down to s = {-(top // 2)}, past the Bernoulli depth bound "
-            f"s >= {1 - LP_BERNOULLI_DEPTH}")
     return lo, hi
 
 
@@ -449,8 +432,7 @@ def verify_main_duality(p: int, window,
     prose reading, and the degrees where the readings differ are
     reported as informational flags.
     """
-    lo, hi = _gate(SpectrumId("FibTau", p, kv_assume=kv_assume), window,
-                   dual=True)
+    lo, hi = _gate(SpectrumId("FibTau", p, kv_assume=kv_assume), window)
     report = DualityReport(p, lo, hi)
     period = 2 * (p - 1)
     for i in range(p - 1):

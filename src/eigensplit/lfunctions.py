@@ -265,7 +265,8 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
     """L_p(s, omega^i) mod p^M for int s != 1, s >= 1 - LP_BERNOULLI_DEPTH.
 
     At s = 1-n with n >= 1 and n = i mod p-1 the value is the exact
-    rational -(1 - p^{n-1}) B_n / n; every other s goes to `_lp_sum`.
+    rational -(1 - p^{n-1}) B_n / n; every other s goes to `_lp_sum`,
+    which refuses an M whose sum would read past B_LP_BERNOULLI_DEPTH.
     """
     check_odd_prime(p)
     i = check_int(i, "character exponent i") % (p - 1)
@@ -307,6 +308,10 @@ def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
     call.  The total is an exact int sum, so the order changes no digit.
     """
     K = M + 2 + vp(s - 1, p)
+    if K + 1 > LP_BERNOULLI_DEPTH:
+        raise UsageError(
+            f"precision {M} at s = {s} reads B_{K + 1}, past the Bernoulli "
+            f"depth bound B_{LP_BERNOULLI_DEPTH}")
     ctx = PadicCtx(p, K)
     e = (i + s - 1) % (p - 1)
     total = 0

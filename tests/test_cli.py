@@ -143,6 +143,19 @@ def test_lvalues_refuses_s_below_the_bernoulli_depth(capsys):
         "eigensplit: error: s must be >= -1999, got -4001"]
 
 
+def test_lvalues_refuses_a_precision_past_the_bernoulli_depth(capsys):
+    # --precision 4000 at s = 3 once read B_4003 (about 8 s); the sum
+    # reads no Bernoulli number past B_2000
+    rc = cli.main(["lvalues", "--prime", "5", "--char", "2", "--at", "3",
+                   "--precision", "4000"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "eigensplit: error: precision 4000 at s = 3 reads B_4003, past the "
+        "Bernoulli depth bound B_2000"]
+
+
 def test_lvalues_odd_character_is_usage_error(capsys):
     rc, _ = _run(capsys, "lvalues", "--prime", "5", "--char", "3",
                  "--at", "2")
@@ -223,8 +236,11 @@ def test_homotopy_needs_window(capsys):
 
 def test_homotopy_window_guard_is_strict(capsys):
     rc, _ = _run(capsys, "homotopy", "J", "--prime", "5",
-                 "--from", "-41", "--to", "40")
-    assert rc == 1  # the library's max(6(p-1), 40) bound
+                 "--from", "-4000", "--to", "3999")
+    assert rc == 1  # the library's +-(2 LP_BERNOULLI_DEPTH - 1) bound
+    rc, _ = _run(capsys, "homotopy", "J", "--prime", "5",
+                 "--from", "-3999", "--to", "3999")
+    assert rc == 0
 
 
 def test_homotopy_window_matches_library_guard(capsys):
@@ -277,9 +293,9 @@ def test_duality_full_guard_window(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("duality", "--prime", "11", "--from", "-61", "--to", "60"),
-    ("homotopy", "TCZ", "--prime", "11", "--from", "-60", "--to", "61"),
-    ("les", "--prime", "11", "--char", "2", "--from", "-61", "--to", "60"),
+    ("duality", "--prime", "11", "--from", "-4000", "--to", "3999"),
+    ("homotopy", "TCZ", "--prime", "11", "--from", "-3999", "--to", "4000"),
+    ("les", "--prime", "11", "--char", "2", "--from", "-4000", "--to", "3999"),
     ("duality", "--prime", "11", "--from", "3", "--to", "2"),
     ("homotopy", "J", "--prime", "11", "--from", "3", "--to", "2"),
     ("les", "--prime", "11", "--char", "2", "--from", "3", "--to", "2"),

@@ -22,7 +22,10 @@ CASES = (
     ("homotopy", "TCZ", "--prime", "5", "--from", "-4", "--to", "12"),
     ("duality", "--prime", "5", "--from", "-8", "--to", "16"),
     ("les", "--prime", "5", "--char", "2", "--from", "-2", "--to", "20"),
+    # refused under the old +-max(6(p-1), 40) guard; the +-3999 guard
+    # admits it and refuses one degree past its own bound
     ("homotopy", "J", "--prime", "5", "--from", "-41", "--to", "40"),
+    ("homotopy", "J", "--prime", "5", "--from", "-4000", "--to", "3999"),
     ("units", "--prime", "5", "--unit", "lang"),
     ("irregular", "--prime", "233"),
     ("irregular", "--prime", "691"),
@@ -152,10 +155,16 @@ GOLDEN = {
     "les --prime 5 --char 2 --from -2 --to 20 --format text":
         (0, "15670a668a4c943a20c4658403425fc57b4f1bb6072825a24e80f2390f8ce5bc"),
     "homotopy J --prime 5 --from -41 --to 40 --format json":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "2b1065eb85fe0530bdcb60a5b6c600fb4a0b41a8bb15996babaa00a2fcebfa90"),
     "homotopy J --prime 5 --from -41 --to 40 --format csv":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "fc2ad1f87beb4ace96e32a2904c09bd21fb91dace2e9571b313d47168d8f76ce"),
     "homotopy J --prime 5 --from -41 --to 40 --format text":
+        (0, "cc6c0890c94d115234b9f33d305961e2f2cf77b6ddf724d266d2034773340067"),
+    "homotopy J --prime 5 --from -4000 --to 3999 --format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "homotopy J --prime 5 --from -4000 --to 3999 --format csv":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "homotopy J --prime 5 --from -4000 --to 3999 --format text":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "units --prime 5 --unit lang --format json":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -12,7 +12,6 @@ from eigensplit.errors import (
     KummerVandiverRequired,
     PrecisionExhausted,
     UsageError,
-    WindowInsufficient,
 )
 from eigensplit.homotopy import (
     FgZpModule,
@@ -161,9 +160,6 @@ def test_graded_window_guards():
     assert M.entry(3).is_zero()
     with pytest.raises(UsageError):
         M.entry(5)
-    with pytest.raises(WindowInsufficient):
-        M.restrict(-3, 2)
-    assert M.restrict(-1, 2).degrees() == [0]
 
 
 def test_direct_sum_and_shift():
@@ -314,22 +310,11 @@ def test_direct_sum_matches_the_dense_walk(data):
     assert direct_sum(M) == M
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_restrict_matches_the_dense_walk(data):
-    M = data.draw(_graded_modules())
-    lo = data.draw(st.integers(M.lo, M.hi))
-    hi = data.draw(st.integers(lo, M.hi))
-    R = M.restrict(lo, hi)
-    assert R == _dense_restrict(M, lo, hi)
-    assert _no_stored_zero(R)
-
-
 def test_routes_leave_their_input_unchanged():
     M = GradedModule(-4, 4, {-3: cyclic(1), 0: free(), 2: FgZpModule(1, (2,))})
     before = dict(M.entries)
     S = direct_sum(M, M)
-    for out in (shift(M, 0), connected_cover(M, -5), M.restrict(-4, 4), S):
+    for out in (shift(M, 0), connected_cover(M, -5), S):
         out.entries.clear()
     assert M.entries == before
 
@@ -339,7 +324,7 @@ def test_anderson_double_dual_is_identity():
     for _ in range(25):
         M = _random_module(rng, -8, 8)
         dd = anderson_dual(anderson_dual(M))
-        assert dd == M.restrict(dd.lo, dd.hi)
+        assert dd == _dense_restrict(M, dd.lo, dd.hi)
 
 
 def test_anderson_dual_commutes_with_shift():
@@ -434,70 +419,74 @@ def test_duality_reads_the_model_gate():
     with pytest.raises(UsageError, match="^empty window"):
         verify_main_duality(37, (3, 2))
     with pytest.raises(UsageError, match="guard"):
-        verify_main_duality(37, (-300, 0))
+        verify_main_duality(37, (-4000, 0))
+
+
+_GUARD = r"exceeds the \+-3999 guard of the Bernoulli depth 2000$"
 
 
 def test_gate_bounds_lvalue_reads_by_the_bernoulli_depth():
-    # from p = 757 the +-6(p-1) guard admits Y degrees past
-    # 2 LP_BERNOULLI_DEPTH - 1 = 3999, whose L-values lp_value refuses; the
-    # gate refuses such a window and names it with the bound
-    bound = r"past the Bernoulli depth bound s >= -1999$"
-    with pytest.raises(UsageError, match=r"^window \[0, 4536\] at irregular "
-                       r"p = 757 spans L-values down to s = -2268, " + bound):
-        assemble("KZ", 757, (0, 4536), kv_assume=True)
-    with pytest.raises(UsageError, match=r"^window \[-4534, 4534\] at "
-                       r"irregular p = 757 spans L-values down to s = -2266, "
-                       + bound):
-        verify_main_duality(757, (-4534, 4534), kv_assume=True)
-    # the widest windows it admits answer; X(243) reads L_p(s, omega^514)
-    # at s = n // 2 + 1 from its even degrees n
+    # lp_value reads s >= -1999, so Y degrees up to 3998, and the guard
+    # +-3999 admits no more at any prime; from p = 757 the old +-6(p-1)
+    # guard admitted Y degrees whose L-values lp_value refuses.  The
+    # widest window answers; X(243) reads L_p(s, omega^514) at
+    # s = n // 2 + 1 from its even degrees n
+    with pytest.raises(UsageError, match=r"^window \[0, 4000\] " + _GUARD):
+        assemble("KZ", 757, (0, 4000), kv_assume=True)
     assert assemble("KZ", 757, (0, 3999), kv_assume=True).entries
-    assert verify_main_duality(757, (-4000, 4536), kv_assume=True).passed
+    with pytest.raises(UsageError, match=_GUARD):
+        verify_main_duality(757, (-4000, 3999), kv_assume=True)
+    assert verify_main_duality(757, (-3999, 3999), kv_assume=True).passed
     sid = SpectrumId("X", 757, 243, kv_assume=True)
-    assert homotopy_of(sid, (-4001, 0)).entries
-    with pytest.raises(UsageError, match=bound):
-        homotopy_of(sid, (-4002, 0))
-    # no L-value is read at a regular prime, nor by TCZ, FibTau or Y(odd)
+    assert homotopy_of(sid, (-3999, 0)).entries
+    with pytest.raises(UsageError, match=_GUARD):
+        homotopy_of(sid, (-4000, 0))
+    # the same bound where no L-value is read: at a regular prime, and by
+    # TCZ, FibTau and Y(odd)
     assert regularity_certificate(769)
-    assert assemble("KZ", 769, (-4608, 4608)).entries
-    for sid in (SpectrumId("TCZ", 757, kv_assume=True),
+    with pytest.raises(UsageError, match=_GUARD):
+        assemble("KZ", 769, (-4608, 4608))
+    for sid in (SpectrumId("KZ", 769),
+                SpectrumId("TCZ", 757, kv_assume=True),
                 SpectrumId("FibTau", 757, kv_assume=True),
                 SpectrumId("Y", 757, 3, kv_assume=True)):
-        assert homotopy_of(sid, (-4536, 4536)).entries
+        assert homotopy_of(sid, (-3999, 3999)).entries
+        for window in ((-4000, 0), (0, 4000)):
+            with pytest.raises(UsageError, match=_GUARD):
+                homotopy_of(sid, window)
 
 
-@pytest.mark.parametrize("entry, admitted, refused", [
-    (lambda w: assemble("KZ", 37, (0, w), kv_assume=True), 199, 200),
-    (lambda w: homotopy_of(SpectrumId("y", 37, 32, kv_assume=True), (0, w)),
-     199, 200),
-    (lambda w: homotopy_of(SpectrumId("X", 37, 5, kv_assume=True), (-w, 0)),
-     201, 202),
-    (lambda w: verify_main_duality(37, (-w, 0), kv_assume=True), 200, 201),
+@pytest.mark.parametrize("entry", [
+    lambda w: assemble("KZ", 37, (0, w), kv_assume=True),
+    lambda w: homotopy_of(SpectrumId("y", 37, 32, kv_assume=True), (0, w)),
+    lambda w: homotopy_of(SpectrumId("X", 37, 5, kv_assume=True), (-w, 0)),
+    lambda w: verify_main_duality(37, (-w, 0), kv_assume=True),
 ], ids=["KZ", "y", "X", "duality"])
-def test_gate_follows_the_bernoulli_depth(monkeypatch, entry, admitted,
-                                          refused):
+def test_gate_follows_the_bernoulli_depth(monkeypatch, entry):
     # with the depth cut to 100, lp_value reads s >= -99, the Y degrees up
-    # to 199, and the gate moves with it: the widest window it admits
-    # answers, one degree more is refused by the gate, and without the
-    # gate the model would have read an L-value past the depth
+    # to 198, and the guard moves with it to +-199: the widest window it
+    # admits answers, one degree more is refused by the guard, and without
+    # the guard the model would have read an L-value past the depth
     monkeypatch.setattr(lfunctions, "LP_BERNOULLI_DEPTH", 100)
     monkeypatch.setattr(homotopy, "LP_BERNOULLI_DEPTH", 100)
     lp_valuation.cache_clear()  # so that _build below reads lp_value
-    entry(admitted)
-    with pytest.raises(UsageError, match=r"^window .* at irregular p = 37 "
-                       r"spans L-values down to s = -100, past the Bernoulli "
-                       r"depth bound s >= -99$"):
-        entry(refused)
+    entry(199)
+    with pytest.raises(UsageError, match=r"^window .* exceeds the \+-199 "
+                       r"guard of the Bernoulli depth 100$"):
+        entry(200)
     with pytest.raises(UsageError, match=r"^s must be >= -99, got -103$"):
         _build(37, "Y", 32, 0, 216)
 
 
 def test_window_guard():
-    with pytest.raises(UsageError):
-        homotopy_of(SpectrumId("J", 5), (-100, 4))
-    with pytest.raises(UsageError):
-        homotopy_of(SpectrumId("J", 5), (0, 41))
-    homotopy_of(SpectrumId("J", 5), (-40, 40))
+    # the same bound at every prime; J reads no irregularity scan, so the
+    # guard alone decides
+    for p in (3, 5, 37, 769, 10007):
+        sid = SpectrumId("J", p)
+        assert homotopy_of(sid, (-3999, 3999)).entries
+        for window in ((-4000, 4), (0, 4000), (-4000, 4000)):
+            with pytest.raises(UsageError, match=_GUARD):
+                homotopy_of(sid, window)
 
 
 def _order(a, m):
@@ -856,17 +845,29 @@ def _ranks_and_torsion(M):
             for n in range(M.lo, M.hi + 1)}
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 37, 101])
-def test_assemble_kz_matches_quillen_lichtenbaum(p):
+# the guard +-(2 LP_BERNOULLI_DEPTH - 1), up to which the published
+# tables are checked too
+_BOUND = 3999
+_TO_THE_GUARD = [pytest.param(p, _BOUND, id=f"{p}-guard")
+                 for p in (3, 5, 37, 101)]
+
+
+@pytest.mark.parametrize("p, hi", [
+    pytest.param(p, 6 * (p - 1), id=str(p)) for p in (3, 5, 7, 11, 37, 101)
+] + _TO_THE_GUARD)
+def test_assemble_kz_matches_quillen_lichtenbaum(p, hi):
     # kv_assume opens the irregular primes 37 and 101
-    M = assemble("KZ", p, (0, 6 * (p - 1)), kv_assume=True)
+    M = assemble("KZ", p, (0, hi), kv_assume=True)
     assert _ranks_and_torsion(M) == {n: _kz_oracle(p, n)
                                      for n in range(M.lo, M.hi + 1)}
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 101, 157])
-def test_assemble_tcz_matches_bokstedt_madsen(p):
-    bound = max(6 * (p - 1), 40)  # the full guard window
+@pytest.mark.parametrize("p, bound", [
+    # the old full guard window
+    pytest.param(p, max(6 * (p - 1), 40), id=str(p))
+    for p in (3, 5, 7, 11, 13, 37, 101, 157)
+] + _TO_THE_GUARD)
+def test_assemble_tcz_matches_bokstedt_madsen(p, bound):
     M = assemble("TCZ", p, (-bound, bound), kv_assume=True)
     assert _ranks_and_torsion(M) == {n: _tcz_oracle(p, n)
                                      for n in range(M.lo, M.hi + 1)}
@@ -888,8 +889,8 @@ def test_duality_full_guard_window():
     assert report.cells
 
 
-@pytest.mark.parametrize("window", [(-61, 60), (-60, 61), (3, 2), (0,),
-                                    (0, 3, 5), (-2.5, 3), (0, "3"), 5])
+@pytest.mark.parametrize("window", [(-4000, 3999), (-3999, 4000), (3, 2),
+                                    (0,), (0, 3, 5), (-2.5, 3), (0, "3"), 5])
 @pytest.mark.parametrize("entry", [
     lambda w: homotopy_of(SpectrumId("J", 11), w),
     lambda w: assemble("TCZ", 11, w, kv_assume=True),
@@ -1011,19 +1012,27 @@ def test_les_consistency_all_triples():
             assert report.passed, (p, i, report.to_dict())
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 101])
-def test_les_of_the_assembled_sequence(p):
-    # FibTau -> KZ -> TCZ over the full guard window: every segment is an
-    # exact run; one extra Z_p in degree -1 of the fiber breaks the run
-    # through degrees 1..-1
-    bound = max(6 * (p - 1), 40)
+@pytest.mark.parametrize("p, bound, statuses", [
+    pytest.param(p, max(6 * (p - 1), 40), {"ok"}, id=str(p))
+    for p in (3, 5, 7, 11, 13, 37, 101)
+] + [
+    # at p = 3, 5 and 101 the top run starts at X_3999, the window's
+    # edge, and is skipped
+    pytest.param(p, _BOUND, statuses, id=f"{p}-guard")
+    for p, statuses in ((3, {"ok", "edge-skipped"}),
+                        (5, {"ok", "edge-skipped"}), (37, {"ok"}),
+                        (101, {"ok", "edge-skipped"}))
+])
+def test_les_of_the_assembled_sequence(p, bound, statuses):
+    # FibTau -> KZ -> TCZ: every segment is an exact run; one extra Z_p
+    # in degree -1 of the fiber breaks the run through degrees 1..-1
     window = (-bound, bound)
     kv = not regularity_certificate(p)
     fib, kz, tcz = (assemble(tag, p, window, kv_assume=kv)
                     for tag in ("FibTau", "KZ", "TCZ"))
     report = les_consistency(fib, kz, tcz)
     assert report.passed
-    assert {seg["status"] for seg in report.segments} == {"ok"}
+    assert {seg["status"] for seg in report.segments} == statuses
     extra = direct_sum(fib, GradedModule(*window, {-1: free()}))
     broken = les_consistency(extra, kz, tcz)
     assert not broken.passed

@@ -75,7 +75,6 @@ _ENTRIES = [
     ("GradedModule-hi", lambda x: GradedModule(0, x), "hi"),
     ("GradedModule-entry", lambda x: M.entry(x), "degree"),
     ("GradedModule-set", lambda x: M.set(x, FgZpModule(1)), "degree"),
-    ("restrict", lambda x: M.restrict(x, 2), "lo"),
     ("shift", lambda x: shift(M, x), "shift k"),
     ("connected_cover", lambda x: connected_cover(M, x), "cover degree c"),
     ("window", lambda x: homotopy_of(SpectrumId("J", 11), (0, x)),

@@ -3,9 +3,9 @@ listed before it in `eigensplit._EXPORTS`, the one import inside a
 function body is the known upward edge, a few edges that the design
 rules out stay absent, homotopy reads lfunctions through two entries and
 its depth, one function alone raises several bases in one squaring chain,
-argument checks are defined only in the known places, the homotopy layer
-reads its input only where it enters, and contexts and rings compare by
-identity."""
+argument checks are defined only in the known places, the window guard
+reads the window alone, the homotopy layer reads its input only where it
+enters, and contexts and rings compare by identity."""
 
 import ast
 import os
@@ -175,6 +175,24 @@ def test_argument_checks_live_in_the_known_places():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name.startswith(("check_", "_check"))}
     assert found == _CHECKERS
+
+
+def _window_guard_parameters(tree):
+    """The parameters of each check_window defined at the top of
+    ``tree``, as written."""
+    return [ast.unparse(node.args) for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "check_window"]
+
+
+def test_the_window_guard_reads_only_the_window():
+    # one bound at every prime: a guard that took p could depend on it
+    assert _window_guard_parameters(_tree("homotopy")) == ["window"]
+
+
+def test_the_window_guard_rule_sees_a_second_parameter():
+    tree = ast.parse("def check_window(p: int, window):\n    pass\n")
+    assert _window_guard_parameters(tree) == ["p: int, window"]
 
 
 def _scoped_calls(node, cls=None, func=None):

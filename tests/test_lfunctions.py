@@ -299,6 +299,28 @@ def test_lp_value_reads_no_bernoulli_number_past_its_depth(monkeypatch):
     assert max(read) < 10
 
 
+def test_lp_value_precision_reads_no_bernoulli_number_past_its_depth(
+        monkeypatch):
+    # the sum at s reads B_0..B_(M + 3 + v_p(s - 1)), so an M that would
+    # read past the depth is refused before any Bernoulli number is read
+    # (M = 4000 at s = 3 once read B_4003, for about 7 s)
+    read = _spy_on_bernoulli(monkeypatch)
+    for s, M, top in ((3, 4000, 4003), (3, 1998, 2001), (26, 1996, 2001)):
+        with pytest.raises(UsageError, match=rf"^precision {M} at s = {s} "
+                           rf"reads B_{top}, past the Bernoulli depth bound "
+                           r"B_2000$"):
+            lp_value(5, 2, s, M)
+    assert read == []
+    # the bound follows the depth: cut to 20, the last admitted M reads
+    # B_20 and one more is refused
+    monkeypatch.setattr(lfunctions, "LP_BERNOULLI_DEPTH", 20)
+    assert lp_value(5, 2, 3, 17).value.prec == 17
+    assert max(read) == 20
+    with pytest.raises(UsageError, match=r"^precision 18 at s = 3 reads "
+                       r"B_21, past the Bernoulli depth bound B_20$"):
+        lp_value(5, 2, 3, 18)
+
+
 def test_kummer_congruence_spot_checks():
     # (1 - p^{m-1}) B_m/m = (1 - p^{n-1}) B_n/n mod p^{k+1}
     # for m = n mod p^k (p-1), m, n not 0 mod p-1
