@@ -1,13 +1,15 @@
 """Desk-scale arithmetic of cyclotomic units, p-adic L-values, and the
 graded homotopy bookkeeping they control.
 
-The layers build upward: exact p-adic and truncated power series
-arithmetic, the formal group with multiplication X^p + pX and its
-strict isomorphism to the multiplicative group, cyclotomic rings with
-Galois action and eigenprojection, the logarithmic-derivative
-homomorphisms on units, Bernoulli numbers and p-adic L-values, and a
-finitely generated graded model of the resulting spectra together with
-the duality it is supposed to satisfy.
+The layers build upward: exact p-adic arithmetic and one packed integer
+kernel for truncated polynomials, the strict isomorphism theta from the
+formal group with multiplication X^p + pX to the multiplicative group,
+mod p^N, and the tower points it gives, cyclotomic rings with Galois
+action and eigenprojection, the logarithmic-derivative homomorphisms on
+units, Bernoulli numbers and p-adic L-values, and a finitely generated
+graded model of the resulting spectra together with the duality it is
+supposed to satisfy.  The series and formal-group layers export nothing:
+the rings and units read them.
 
 Each layer loads on first use.  Importing the package puts every
 `eigensplit.<layer>` module in `sys.modules`, but a layer's code runs only
@@ -19,14 +21,13 @@ compiles only the layers its subcommand reaches.
 import importlib.util
 import sys
 
-# the public names, by the layer that defines them, in dependency order
+# every layer in dependency order, with the public names it defines
 _EXPORTS = {
     "errors": ("EigensplitError", "PrecisionError", "UsageError",
                "VerificationError"),
     "padic": ("PadicCtx", "PadicInt", "is_prime"),
-    "series": ("TruncSeries",),
-    "formal_groups": ("cw_tower_x", "lubin_tate_exp", "lubin_tate_log",
-                      "theta"),
+    "series": (),
+    "formal_groups": (),
     "cyclotomic": ("CycElt", "CycRing", "NormCompatiblePair", "cyc_ring",
                    "eigen_unit", "eigen_valuation", "galois_apply",
                    "nontorsion_certified", "norm_down", "norm_to_qp",

@@ -1,79 +1,22 @@
 """The height-1 Lubin-Tate group with multiplication-by-p series X^p + pX.
 
-The logarithm and the exponential are exact, solved degree by degree over
-the rationals from log([p]X) = p log(X) and exp(pY) = [p](exp(Y)).
-``theta()``, the strict isomorphism exp_G(log(1+X)) to the multiplicative
-group, is exact too: the explicit API and the tests' reference.  The tower
-points x_n = theta(zeta_n - 1) need theta only mod p^N, solved degree by
-degree in Z/p^K from theta((1+X)^p - 1) = theta^p + p theta on packed ints,
-with K = N + ``_theta_loss``; each degree's exact division by p is the
+Its strict isomorphism theta = exp_G(log(1+X)) to the multiplicative group
+carries zeta_n - 1 to the tower points x_n = theta(zeta_n - 1) (Lubin and
+Tate, 1965), from which `kummer` builds the Coates-Wiles units (Coates and
+Wiles, 1977).  The tower needs theta only mod p^N, solved degree by degree
+in Z/p^K from theta((1+X)^p - 1) = theta^p + p theta on packed ints, with
+K = N + ``_theta_loss``; each degree's exact division by p is the
 p-integrality witness.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import NonIntegralCoefficient, check_int
-from .padic import check_odd_prime, power_product
-from .series import (TruncSeries, log_one_plus_x, pack_digits, taylor_shift,
-                     unpack_digits)
-
-
-def default_trunc(p: int) -> int:
-    """Enough to see X^{p^2}: covers the tower recursion and the mod X^p
-    congruence with slack."""
-    return p * p + 1
-
-
-@lru_cache(maxsize=None)
-def _log_coeffs(p: int, T: int) -> tuple:
-    # log([p]X) = p log X, solved upward from c_1 = 1;
-    # [X^m]((X^p + pX)^n) = C(n,j) p^{n-j} at j = (m-n)/(p-1)
-    c = [Fraction(0)] * T
-    if T > 1:
-        c[1] = Fraction(1)
-    for m in range(2, T):
-        acc = Fraction(0)
-        for n in range(1, m):
-            d, r = divmod(m - n, p - 1)
-            if r == 0 and d <= n:
-                acc += c[n] * comb(n, d) * Fraction(p) ** (n - d)
-        c[m] = -acc / (Fraction(p) ** m - p)
-    return tuple(c)
-
-
-def lubin_tate_log(p: int, T: int | None = None) -> TruncSeries:
-    """log_G mod X^T; its support lies in exponents = 1 mod (p-1)."""
-    check_odd_prime(p)
-    T = check_int(default_trunc(p) if T is None else T, "truncation", 2)
-    return TruncSeries(list(_log_coeffs(p, T)))
-
-
-@lru_cache(maxsize=None)
-def _exp_support(p: int, T: int) -> tuple:
-    # h with exp_G(Y) = Y h(Y^(p-1)) mod Y^T.  exp(pY) = exp(Y)^p + p exp(Y)
-    # reads (p^m - p) e_m = [Y^m] exp^p, and at m = 1 + n(p-1) that is
-    # (p^m - p) h_n = [Z^(n-1)] h^p, which the power recurrence for g = h^p,
-    # n g_n = sum_{k=1..n} ((p+1)k - n) h_k g_(n-k), gets from h_0..h_(n-1)
-    h, g = [Fraction(1)], [Fraction(1)]
-    for n in range(1, (T - 2) // (p - 1) + 1):
-        h.append(g[n - 1] / (Fraction(p) ** (1 + n * (p - 1)) - p))
-        g.append(sum(((p + 1) * k - n) * h[k] * g[n - k]
-                     for k in range(1, n + 1)) / n)
-    return tuple(h)
-
-
-def lubin_tate_exp(p: int, T: int | None = None) -> TruncSeries:
-    """exp_G mod Y^T, the compositional inverse of log_G; its support lies
-    in exponents = 1 mod (p-1)."""
-    check_odd_prime(p)
-    T = check_int(default_trunc(p) if T is None else T, "truncation", 2)
-    e = [Fraction(0)] * T
-    e[1::p - 1] = _exp_support(p, T)
-    return TruncSeries(e)
+from .errors import NonIntegralCoefficient
+from .padic import power_product
+from .series import pack_digits, taylor_shift, unpack_digits
 
 
 def _theta_loss(p: int, T: int) -> int:
@@ -142,31 +85,6 @@ def _theta_digits(p: int, T: int, N: int) -> tuple:
     return tuple(x % m for x in _theta_mod(p, T, N + _theta_loss(p, T)))
 
 
-@lru_cache(maxsize=None)
-def _exact_theta(p: int, T: int) -> tuple:
-    # exp_G(Y) = Y h(Y^(p-1)), so theta = L h(L^(p-1)) with L = log(1+X):
-    # Horner over the coefficients of h only
-    L = log_one_plus_x(T)
-    Lp = power_product(TruncSeries.__mul__, [L], [p - 1])
-    acc = TruncSeries([Fraction(0)] * T)
-    for hn in reversed(_exp_support(p, T)):
-        acc = acc * Lp + hn
-    th = acc * L
-    for k, ck in enumerate(th.coeffs):
-        if ck.denominator % p == 0:
-            raise NonIntegralCoefficient(
-                f"theta coefficient of X^{k} = {ck} is not p-integral"
-            )
-    return tuple(th.coeffs)
-
-
-def theta(p: int, T: int | None = None) -> TruncSeries:
-    """The strict isomorphism theta = exp_G(log(1+X)), exact and p-integral."""
-    check_odd_prime(p)
-    T = check_int(default_trunc(p) if T is None else T, "truncation", 2)
-    return TruncSeries(list(_exact_theta(p, T)))
-
-
 def cw_tower_x(ring):
     """x_n = theta(zeta_n - 1) in the level-n cyclotomic ring; the tower
     satisfies x_0^p + p x_0 = 0 and x_{n+1}^p + p x_{n+1} = x_n.
@@ -178,16 +96,14 @@ def cw_tower_x(ring):
     level 1 down to level 0, which shares pi_prec, and pi_0 has
     pi_1-valuation p, so a unit built from x_1 must be right to depth
     p pi_prec for its norm to be right mod pi_0^pi_prec.  The floor p^2
-    is `default_trunc` - 1.  Past that depth the level-1 digits are not
-    certified, although the element claims N digits.
+    keeps theta through X^(p^2) at every window.  Past that depth the
+    level-1 digits are not certified, although the element claims N digits.
 
     With pi = zeta - 1, sum_k theta_k pi^k is sum_k theta_k (zeta - 1)^k:
     one Taylor shift by -1 of the theta digits gives its coefficients on
     the powers of zeta, which `from_zeta` folds by zeta^P = 1 and reduces
     mod p^N.  No ring product is taken, and the arithmetic is exact in
     (Z/p^N)[zeta], so the digits are those of the term-by-term Horner.
-    The one unit entry that reads its ring unchecked: `check_level` is in
-    `cyclotomic`, a layer up, and the public caller `kummer.cw_unit` reads it.
     """
     p, N = ring.ctx.p, ring.ctx.N
     top = ring.degree * N - 1

@@ -360,7 +360,6 @@ def regularity_certificate(p: int) -> bool:
 _PREC_LADDER = (3, 5, 7, 9)
 
 
-@lru_cache(maxsize=None, typed=True)
 def lp_valuation(p: int, i: int, s: int) -> int:
     """v_p(L_p(s, omega^i)) for even i in 2..p-3, the eigenpieces' torsion
     exponent, at the first precision of the ladder that certifies it
@@ -375,6 +374,13 @@ def lp_valuation(p: int, i: int, s: int) -> int:
     check_int(s, "s")
     if check_int(i, "character exponent i", 2, p - 3) % 2:
         raise UsageError(f"odd character exponent {i} has no L-values here")
+    return _lp_valuation(p, i, s)
+
+
+@lru_cache(maxsize=None)
+def _lp_valuation(p: int, i: int, s: int) -> int:
+    # lp_valuation on checked ints, cached: the cache hashes its arguments,
+    # so only ints reach it
     if i not in _irregular_up_to(p, p - 3):
         return 0
     for M in _PREC_LADDER[:-1]:

@@ -156,6 +156,8 @@ class PadicInt:
     __slots__ = ("ctx", "value", "prec")
 
     def __init__(self, ctx: PadicCtx, value: int, prec: int | None = None):
+        if type(ctx) is not PadicCtx:
+            raise UsageError(f"expected a PadicCtx, got {ctx!r}")
         if not isinstance(value, int):
             raise RingMismatch(f"cannot read {value!r} in {ctx!r}")
         self.ctx = ctx

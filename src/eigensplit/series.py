@@ -7,7 +7,8 @@ changes of basis are its Taylor shift by +-1.  A series is known
 mod X^trunc.  Every coefficient is a Fraction; ints coerce exactly, and any
 other coefficient or scalar, a PadicInt included, is refused with
 RingMismatch.  Results always carry trunc = min over the inputs, and the
-invariant derivative drops trunc by one.
+invariant derivative drops trunc by one.  No layer reads the exact series:
+the tests' exact formal group and their oracles do.
 """
 
 from __future__ import annotations
@@ -195,10 +196,3 @@ class TruncSeries:
             acc = g * (Fraction(1, k) - acc)
         return acc
 
-
-def log_one_plus_x(T: int) -> TruncSeries:
-    """log(1+X) = X - X^2/2 + X^3/3 - ... over the rationals."""
-    check_int(T, "truncation", 1)
-    return TruncSeries(
-        [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, T)]
-    )

@@ -21,7 +21,7 @@ from eigensplit.cyclotomic import (
     galois_apply,
     nontorsion_certified,
 )
-from eigensplit.formal_groups import cw_tower_x, theta
+from eigensplit.formal_groups import cw_tower_x
 from eigensplit.homotopy import (
     SpectrumId,
     assemble,
@@ -39,20 +39,14 @@ from eigensplit.kummer import (
 )
 from eigensplit.lfunctions import bernoulli, irregular_pairs
 from eigensplit.padic import is_prime
-from eigensplit.series import log_one_plus_x
+
+from conftest import random_one_unit
+from exact_formal_group import log_one_plus_x, theta
 
 
 def _verdict(ok: bool, label: str):
     print(("PASS: " if ok else "FAIL: ") + label)
     assert ok, label
-
-
-def _random_one_unit(rng, ring):
-    N = ring.ctx.N
-    p = ring.ctx.p
-    coeffs = [1 + p * rng.randrange(p ** (N - 1))]
-    coeffs += [rng.randrange(p ** N) for _ in range(ring.degree - 1)]
-    return ring.from_coeffs(coeffs)
 
 
 def test_criterion_01_coates_wiles_values():
@@ -112,7 +106,7 @@ def test_criterion_04_idempotent_algebra():
     for p in (3, 5, 7):
         ring = cyc_ring(p, 0)
         for _ in range(20):
-            u = _random_one_unit(rng, ring)
+            u = random_one_unit(rng, ring)
             parts = [eigen_unit(i, u) for i in range(p - 1)]
             prod = ring.one()
             for w in parts:
@@ -132,8 +126,8 @@ def test_criterion_05_kummer_homomorphism_laws():
     for p in (3, 5, 7):
         ring = cyc_ring(p, 0)
         for _ in range(50):
-            u = _random_one_unit(rng, ring)
-            v = _random_one_unit(rng, ring)
+            u = random_one_unit(rng, ring)
+            v = random_one_unit(rng, ring)
             a = rng.randrange(2, p)
             for i in range(1, p - 1):
                 ok = ok and kummer_phi(i, u * v) == \

@@ -47,13 +47,7 @@ from eigensplit.kummer import (check_eps1_nontorsion, cw_unit, cw_unit_pair,
 from eigensplit.padic import PadicCtx, PadicInt, power_product
 from eigensplit.series import pack_digits, unpack_digits
 
-
-def _random_one_unit(rng, ring):
-    N = ring.ctx.N
-    p = ring.ctx.p
-    coeffs = [1 + p * rng.randrange(p ** (N - 1))]
-    coeffs += [rng.randrange(p ** N) for _ in range(ring.degree - 1)]
-    return ring.from_coeffs(coeffs)
+from conftest import random_one_unit
 
 
 def test_zeta_has_order_p():
@@ -162,8 +156,8 @@ def test_int_and_padic_int_read_alike(p, N, c, rng):
     # int lambda and takes a PadicInt as given, so it reads a lift
     ring0, ring1 = cyc_ring(p, 0, N), cyc_ring(p, 1, N)
     ctx = ring0.ctx
-    u0 = _random_one_unit(rng, ring0)
-    u1 = _random_one_unit(rng, ring1)
+    u0 = random_one_unit(rng, ring0)
+    u1 = random_one_unit(rng, ring1)
     lift = ctx.teichmuller(c).value if c % p else c
     for f, a in ((ctx.teichmuller, c),
                  (lambda a: galois_apply(a, u0), c),
@@ -202,7 +196,7 @@ def test_galois_is_an_action():
         units = [a for a in range(1, q) if a % p != 0]
         for _ in range(10):
             a, b = rng.choice(units), rng.choice(units)
-            x = _random_one_unit(rng, ring)
+            x = random_one_unit(rng, ring)
             assert galois_apply(a, galois_apply(b, x)) == \
                 galois_apply(a * b % q, x)
         z = ring.zeta()
@@ -216,8 +210,8 @@ def test_galois_respects_ring_ops():
     rng = random.Random(37)
     ring = cyc_ring(7, 0)
     for _ in range(10):
-        x = _random_one_unit(rng, ring)
-        y = _random_one_unit(rng, ring)
+        x = random_one_unit(rng, ring)
+        y = random_one_unit(rng, ring)
         a = rng.choice((2, 3, 4, 5, 6))
         assert galois_apply(a, x * y) == galois_apply(a, x) * galois_apply(a, y)
         assert galois_apply(a, x + y) == galois_apply(a, x) + galois_apply(a, y)
@@ -244,7 +238,7 @@ def test_norm_down_of_embedded_is_pth_power():
         ring1 = cyc_ring(p, 1)
         ring0 = ring1.base_ring()
         for _ in range(5):
-            x = _random_one_unit(rng, ring0)
+            x = random_one_unit(rng, ring0)
             assert norm_down(embed_up(x, ring1)) == x ** p
 
 
@@ -252,8 +246,8 @@ def test_embed_up_is_a_ring_map():
     rng = random.Random(47)
     ring1 = cyc_ring(3, 1)
     ring0 = ring1.base_ring()
-    x = _random_one_unit(rng, ring0)
-    y = _random_one_unit(rng, ring0)
+    x = random_one_unit(rng, ring0)
+    y = random_one_unit(rng, ring0)
     assert embed_up(x * y, ring1) == embed_up(x, ring1) * embed_up(y, ring1)
     assert embed_up(x + y, ring1) == embed_up(x, ring1) + embed_up(y, ring1)
 
@@ -288,7 +282,7 @@ def test_unit_pow_zp_exponent_laws():
         ring = cyc_ring(p, 0)
         ctx = ring.ctx
         for _ in range(8):
-            u = _random_one_unit(rng, ring)
+            u = random_one_unit(rng, ring)
             a = ctx.of(rng.randrange(ctx.modulus))
             b = ctx.of(rng.randrange(ctx.modulus))
             assert unit_pow_zp(u, a) * unit_pow_zp(u, b) == \
@@ -304,7 +298,7 @@ def test_eigen_unit_idempotent_orthogonal_partition():
     for p in (3, 5):
         ring = cyc_ring(p, 0)
         for _ in range(3):
-            u = _random_one_unit(rng, ring)
+            u = random_one_unit(rng, ring)
             parts = [eigen_unit(i, u) for i in range(p - 1)]
             prod = ring.one()
             for w in parts:
@@ -1356,8 +1350,8 @@ def test_ring_maps_stay_on_the_zeta_basis(monkeypatch):
     rng = random.Random(61)
     for p, level in ((5, 0), (23, 0), (7, 1)):
         ring = cyc_ring(p, level)
-        x, y = _random_one_unit(rng, ring), _random_one_unit(rng, ring)
-        x0 = _random_one_unit(rng, ring.base_ring()) if level else x
+        x, y = random_one_unit(rng, ring), random_one_unit(rng, ring)
+        x0 = random_one_unit(rng, ring.base_ring()) if level else x
         calls.clear()
         a = p + 1 if level else p - 1
         out = [galois_apply(2, x), galois_apply(a, y), x * y, x * x]

@@ -15,12 +15,16 @@ from eigensplit.formal_groups import (
     _theta_loss,
     _theta_mod,
     cw_tower_x,
+)
+from eigensplit.series import TruncSeries
+
+from exact_formal_group import (
     default_trunc,
+    log_one_plus_x,
     lubin_tate_exp,
     lubin_tate_log,
     theta,
 )
-from eigensplit.series import TruncSeries, log_one_plus_x
 
 
 def _poly(T, *coeffs):

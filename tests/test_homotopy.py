@@ -37,6 +37,7 @@ from eigensplit.homotopy import (
 )
 from eigensplit.lfunctions import (
     _PREC_LADDER,
+    _lp_valuation,
     bernoulli,
     lp_valuation,
     lp_value,
@@ -140,7 +141,7 @@ def test_covers_compute_only_the_degrees_they_keep(monkeypatch, p,
                         lambda *a: calls.append(a) or lp_sum(*a))
     bound = 6 * (p - 1)
     for tag, expected in (("KZ", 0), ("FibTau", fibtau_calls)):
-        lp_valuation.cache_clear()
+        _lp_valuation.cache_clear()
         calls.clear()
         assemble(tag, p, (-bound, bound), kv_assume=True)
         assert len(calls) == expected
@@ -469,7 +470,7 @@ def test_gate_follows_the_bernoulli_depth(monkeypatch, entry):
     # the guard the model would have read an L-value past the depth
     monkeypatch.setattr(lfunctions, "LP_BERNOULLI_DEPTH", 100)
     monkeypatch.setattr(homotopy, "LP_BERNOULLI_DEPTH", 100)
-    lp_valuation.cache_clear()  # so that _build below reads lp_value
+    _lp_valuation.cache_clear()  # so that _build below reads lp_value
     entry(199)
     with pytest.raises(UsageError, match=r"^window .* exceeds the \+-199 "
                        r"guard of the Bernoulli depth 100$"):
@@ -751,7 +752,7 @@ def test_regular_pairs_never_reach_lp_value(monkeypatch):
         raise Reached((p, i, s))
 
     monkeypatch.setattr(lfunctions, "lp_value", refuse)
-    uncached = lp_valuation.__wrapped__
+    uncached = _lp_valuation.__wrapped__
     for p in (5, 7, 11, 13, 37, 101):
         for i in range(2, p - 2, 2):
             if (p, i) not in _IRREGULAR_BELOW_160:
@@ -769,7 +770,7 @@ def test_duality_reads_lvalues_only_at_irregular_pairs(monkeypatch):
         return lp_value(p, i, s, M)
 
     monkeypatch.setattr(lfunctions, "lp_value", record)
-    lp_valuation.cache_clear()
+    _lp_valuation.cache_clear()
     assert verify_main_duality(37, (-60, 60), kv_assume=True).passed
     assert verify_main_duality(101, (-200, 180), kv_assume=True).passed
     assert seen == {(37, 32), (101, 68)}

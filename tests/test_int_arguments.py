@@ -10,7 +10,6 @@ import pytest
 from eigensplit.cyclotomic import CycElt, cyc_ring, eigen_unit
 from eigensplit.errors import (PrecisionExhausted, RingMismatch,
                                UsageError, check_int)
-from eigensplit.formal_groups import lubin_tate_exp, lubin_tate_log, theta
 from eigensplit.homotopy import (FgZpModule, GradedModule, SpectrumId,
                                  connected_cover, cyclic, homotopy_of, shift)
 from eigensplit.kummer import (bernoulli_criterion_surrogate, cw_unit,
@@ -19,7 +18,10 @@ from eigensplit.kummer import (bernoulli_criterion_surrogate, cw_unit,
 from eigensplit.lfunctions import (bernoulli, irregular_pairs, lp_valuation,
                                    lp_value)
 from eigensplit.padic import PadicCtx, PadicInt, is_prime
-from eigensplit.series import TruncSeries, log_one_plus_x, taylor_shift
+from eigensplit.series import TruncSeries, taylor_shift
+
+from exact_formal_group import (log_one_plus_x, lubin_tate_exp,
+                                lubin_tate_log, theta)
 
 CTX = PadicCtx(5, 4)
 RING = cyc_ring(5, 0)
@@ -132,13 +134,35 @@ def test_integral_looking_floats_are_refused(call, name):
 
 
 def test_a_cached_lp_valuation_does_not_serve_an_equal_float():
-    # lru_cache keys 32.0 like 32 unless it is typed
+    # lru_cache keys 32.0 like 32, so the checks run before the cache
     assert lp_valuation(37, 32, 13) == 2
     with pytest.raises(UsageError, match="^character exponent i must be "):
         lp_valuation(37, 32.0, 13)
     assert lp_valuation(5, 2, 3) == 0
     with pytest.raises(UsageError, match="^s must be an int, got 3.0$"):
         lp_valuation(5, 2, 3.0)
+
+
+def test_lp_valuation_refuses_unhashable_arguments():
+    # each once ended in "TypeError: unhashable type", raised by the cache
+    # before any check ran
+    for call, message in [
+        (lambda: lp_valuation([5], 2, 0), "[5] is not an odd prime"),
+        (lambda: lp_valuation(37, [32], 13),
+         "character exponent i must be in 2..34, got [32]"),
+        (lambda: lp_valuation(37, 32, {}), "s must be an int, got {}"),
+    ]:
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_padic_int_reads_its_context():
+    # each once ended in "AttributeError: ... has no attribute 'N'"
+    for ctx in ("x", 5, None, CycElt):
+        message = f"expected a PadicCtx, got {ctx!r}"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            PadicInt(ctx, 3)
+    assert PadicInt(CTX, 3).ctx is CTX
 
 
 def test_padic_int_reads_only_ints():

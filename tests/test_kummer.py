@@ -46,13 +46,7 @@ from eigensplit.kummer import (
     lang_unit,
 )
 
-
-def _random_one_unit(rng, ring):
-    N = ring.ctx.N
-    p = ring.ctx.p
-    coeffs = [1 + p * rng.randrange(p ** (N - 1))]
-    coeffs += [rng.randrange(p ** N) for _ in range(ring.degree - 1)]
-    return ring.from_coeffs(coeffs)
+from conftest import random_one_unit
 
 
 def test_phi_range_guard():
@@ -256,8 +250,8 @@ def test_phi_additive():
     for p in (3, 5, 7):
         ring = cyc_ring(p, 0)
         for _ in range(10):
-            u = _random_one_unit(rng, ring)
-            v = _random_one_unit(rng, ring)
+            u = random_one_unit(rng, ring)
+            v = random_one_unit(rng, ring)
             for i in range(1, p - 1):
                 assert kummer_phi(i, u * v) == \
                     (kummer_phi(i, u) + kummer_phi(i, v)) % p
@@ -269,7 +263,7 @@ def test_phi_galois_equivariant():
     for p in (5, 7):
         ring = cyc_ring(p, 0)
         for _ in range(8):
-            u = _random_one_unit(rng, ring)
+            u = random_one_unit(rng, ring)
             a = rng.randrange(2, p)
             for i in range(1, p - 1):
                 assert kummer_phi(i, galois_apply(a, u)) == \
@@ -281,7 +275,7 @@ def test_phi_picks_out_eigenparts():
     for p in (5, 7):
         ring = cyc_ring(p, 0)
         for _ in range(4):
-            u = _random_one_unit(rng, ring)
+            u = random_one_unit(rng, ring)
             i = rng.randrange(1, p - 1)
             j = 1 + (i - 1 + 1 + rng.randrange(p - 3)) % (p - 2)
             proj = eigen_unit(i, u)

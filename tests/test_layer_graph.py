@@ -1,11 +1,13 @@
 """The layer graph: each layer's module-level imports reach only layers
 listed before it in `eigensplit._EXPORTS`, the one import inside a
 function body is the known upward edge, a few edges that the design
-rules out stay absent, homotopy reads lfunctions through two entries and
-its depth, one function alone raises several bases in one squaring chain,
-argument checks are defined only in the known places, the window guard
-reads the window alone, the homotopy layer reads its input only where it
-enters, and contexts and rings compare by identity."""
+rules out stay absent, series and formal_groups export nothing and
+formal_groups holds only theta mod p^N and the tower points, homotopy
+reads lfunctions through two entries and its depth, one function alone
+raises several bases in one squaring chain, argument checks are defined
+only in the known places, the window guard reads the window alone, the
+homotopy layer reads its input only where it enters, and contexts and
+rings compare by identity."""
 
 import ast
 import os
@@ -26,6 +28,12 @@ _ABSENT = {"series": {"padic"}, "kummer": {"series"}}
 # the layers that use it besides the exact series
 _KERNEL = {"pack_digits", "unpack_digits", "taylor_shift"}
 _KERNEL_USERS = ("cyclotomic", "formal_groups")
+
+# the layers with no public name, and what formal_groups defines: theta
+# mod p^N with its loss bound, and the tower points; the exact formal
+# group is the tests' oracle
+_UNEXPORTED = ("series", "formal_groups")
+_FORMAL_GROUPS = {"_theta_loss", "_theta_mod", "_theta_digits", "cw_tower_x"}
 
 # (layer, function, layer it imports): the only imports inside function
 # bodies, each of a later layer that the function alone reads
@@ -130,6 +138,35 @@ def test_one_packed_kernel_lives_in_series():
                     if isinstance(node, ast.ImportFrom) and node.level == 1
                     and node.module == "series" for alias in node.names}
         assert _KERNEL <= imported, layer
+
+
+def _imported_from(tree, module, level):
+    """The names that ``tree`` imports from ``module`` at that level."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            and node.level == level for alias in node.names}
+
+
+def _defined(tree):
+    """The functions and classes defined at the top of ``tree``."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+@pytest.mark.parametrize("layer", _UNEXPORTED)
+def test_series_and_formal_groups_export_nothing(layer):
+    assert eigensplit._EXPORTS[layer] == ()
+    for name in sorted(_defined(_tree(layer))):
+        assert not hasattr(eigensplit, name), name
+
+
+def test_formal_groups_holds_only_theta_mod_p_and_the_tower():
+    tree = _tree("formal_groups")
+    assert _imported_from(tree, "series", 1) == _KERNEL
+    assert not _imported_from(tree, "fractions", 0)
+    assert not any(alias.name == "fractions" for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names)
+    assert _defined(tree) == _FORMAL_GROUPS
 
 
 def test_function_level_imports_are_the_known_upward_edges():

@@ -15,6 +15,7 @@ from eigensplit.errors import (
 )
 from eigensplit.lfunctions import (
     BernoulliTable,
+    _lp_valuation,
     bernoulli,
     configure_cache,
     irregular_pairs,
@@ -138,9 +139,9 @@ def test_lp_valuation_reads_the_cached_scan(monkeypatch):
     read = _spy_on_bernoulli(monkeypatch)
     for i in range(2, 99, 2):
         if i != 68:
-            assert lp_valuation.__wrapped__(101, i, -3) == 0
+            assert _lp_valuation.__wrapped__(101, i, -3) == 0
     assert read == []
-    assert lp_valuation.__wrapped__(101, 68, 0) == 1 and read
+    assert _lp_valuation.__wrapped__(101, 68, 0) == 1 and read
 
 
 @pytest.mark.parametrize("p, i", [(3, 2), (5, 0), (5, 4), (7, 3), (7, 6)])

@@ -15,7 +15,9 @@ from eigensplit.errors import (
     UsageError,
 )
 from eigensplit.padic import PadicCtx
-from eigensplit.series import TruncSeries, log_one_plus_x, taylor_shift
+from eigensplit.series import TruncSeries, taylor_shift
+
+from exact_formal_group import log_one_plus_x
 
 
 def one_plus_x_pow(a: int, T: int) -> TruncSeries:
