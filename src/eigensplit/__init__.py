@@ -36,11 +36,11 @@ _EXPORTS = {
                "cw_unit", "cw_unit_pair", "generator_certificate",
                "kummer_phi", "kummer_phis", "lang_generator_search",
                "lang_unit"),
-    "lfunctions": ("LValue", "bernoulli", "configure_cache", "irregular_pairs",
+    "lfunctions": ("bernoulli", "configure_cache", "irregular_pairs",
                    "lp_valuation", "lp_value", "regularity_certificate"),
-    "homotopy": ("DualityReport", "FgZpModule", "GradedModule", "LesReport",
-                 "SpectrumId", "anderson_dual", "assemble", "homotopy_of",
-                 "les_consistency", "verify_main_duality"),
+    "homotopy": ("FgZpModule", "GradedModule", "SpectrumId", "anderson_dual",
+                 "assemble", "homotopy_of", "les_consistency",
+                 "verify_main_duality"),
 }
 
 __version__ = "0.1.0"

@@ -91,13 +91,15 @@ class CycRing:
     # -- constructors ----------------------------------------------------
 
     def zero(self) -> "CycElt":
-        return CycElt(self, [0] * self.degree, self.ctx.N)
+        return self.from_scalar(0)
 
     def one(self) -> "CycElt":
         return self.from_scalar(1)
 
     def from_scalar(self, c) -> "CycElt":
-        return self.from_coeffs([c])
+        """[c, 0, ..., 0] on the zeta basis, c read by `PadicCtx.of`."""
+        c = self.ctx.of(c)
+        return _on_zeta(self, [c.value] + [0] * (self.order - 1), c.prec)
 
     def uniformizer(self) -> "CycElt":
         return self.from_zeta([-1, 1])
@@ -148,9 +150,8 @@ def check_level(cls, x, level: int | None = None):
 
 def _pi_to_zeta(ring: CycRing, digits: list, prec: int) -> list:
     """The order-P coefficient vector of sum digits[j] pi^j, mod p^prec:
-    the Taylor shift by -1, as pi = zeta - 1."""
-    if not any(digits[1:]):  # a scalar, the same on both bases
-        return digits[:1] + [0] * (ring.order - 1)
+    the Taylor shift by -1, as pi = zeta - 1, of digits a caller hands in
+    (`from_scalar` writes a scalar on the zeta basis)."""
     q = ring.ctx.p ** prec
     return ([c % q for c in taylor_shift(digits, -1)]
             + [0] * (ring.order - ring.degree))

@@ -425,9 +425,11 @@ def verify_main_duality(p: int, window,
     covered and shifted dual of the matching K-theory eigenpiece.
 
     The fiber side pairs index i with K-side index p-i reduced mod p-1;
-    the i = 1 piece pairs with the sphere summand of the K-side rather
-    than any Y, and the convention-sensitive cells in degrees -3..0 for
-    i in {0, 1} are reported as notes instead of failures.  For even
+    the i = 1 piece pairs with the sphere summand J of the K-side rather
+    than any Y.  One cell is a note, not a failure: (i = 1, degree -1),
+    where the dual route's cover at -3 keeps the Z_p dual to pi_0 J and
+    the fiber route x(1) + j' has 0, a difference of cover convention
+    that the paper does not settle; any other mismatch fails.  For even
     i >= 2 the adopted pattern sits two degrees below the alternative
     prose reading, and the degrees where the readings differ are
     reported as informational flags.
@@ -458,7 +460,7 @@ def verify_main_duality(p: int, window,
                 "fiber_route": _module_cell(a),
                 "dual_route": _module_cell(b),
             }
-            if i in (0, 1) and -3 <= n <= 0:
+            if (i, n) == (1, -1):
                 cell["status"] = "note"
                 report.notes.append(cell)
             else:

@@ -102,16 +102,15 @@ class BernoulliTable:
     numbers of `_tangent_numbers`.  The table keeps that generator, and so
     the recurrence's last row, and resumes from it when it grows: growing
     to B_n costs O(n^2) small multiply-adds in all, however it is asked
-    for.  A table loaded from disk parses the file's rows only as far as
-    it is asked to read (`values` reads them all), and starts a new
-    generator the first time it grows past the file.
+    for.  A table loaded from disk sieves the file's denominators once,
+    parses its rows only as far as it is asked to read (`values` reads
+    them all), and starts a new generator when it first grows past them.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._known = [Fraction(1)]
         self._rows = ()
-        self._dens = []
         self._tangents = _tangent_numbers()
         if path is not None and os.path.exists(path):
             self._load()
@@ -128,20 +127,16 @@ class BernoulliTable:
         except OSError as err:
             raise self._unusable(err) from err
         self._known = []
+        self._dens = _denominators(len(self._rows) - 1)
         self._parse(0)
 
     def _parse(self, top: int):
-        """Read the file's rows up to index `top` that are not read yet.
-        The table keeps the longest valid prefix of the file; the rows
-        from the first bad one on are dropped, and recomputed when next
-        asked for."""
+        """Check the file's rows up to index `top` not read yet against the
+        denominators sieved at load.  The table keeps the longest valid
+        prefix of the file; the rows from the first bad one on are dropped,
+        and recomputed when next asked for."""
         known, rows = self._known, self._rows
-        last = min(top, len(rows) - 1)
-        if len(self._dens) <= last:
-            # twice what is asked for, so that reads in small steps sieve
-            # O(log n) times
-            self._dens = _denominators(min(2 * last, len(rows) - 1))
-        for n in range(len(known), last + 1):
+        for n in range(len(known), min(top, len(rows) - 1) + 1):
             b = _read_row(rows[n], n, self._dens[n])
             if b is None:
                 self._rows = ()

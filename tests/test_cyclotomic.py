@@ -43,7 +43,7 @@ from eigensplit.errors import (
     ZeroResidue,
 )
 from eigensplit.kummer import (check_eps1_nontorsion, cw_unit, cw_unit_pair,
-                               lang_unit)
+                               kummer_phi, lang_unit)
 from eigensplit.padic import PadicCtx, PadicInt, power_product
 from eigensplit.series import pack_digits, unpack_digits
 
@@ -1361,3 +1361,21 @@ def test_ring_maps_stay_on_the_zeta_basis(monkeypatch):
         for z in out:
             z.digits, z.digits, z.pi_valuation(), z.coeffs
         assert calls == ["_zeta_to_pi"] * len(out)
+    # no library entry builds an element from pi-adic digits: a scalar is
+    # written on the zeta basis, so CycElt.__init__, the way in for a
+    # caller's digits, runs for none of them
+    inits = []
+    init = CycElt.__init__
+
+    def counting_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CycElt, "__init__", counting_init)
+    for p in (5, 7, 11):
+        ring = cyc_ring(p, 0)
+        u, pair = cw_unit(ring), cw_unit_pair(cyc_ring(p, 1))
+        for v in (u, lang_unit(ring, 2), pair.u1):
+            eigen_unit(1, v), norm_to_qp(v), nontorsion_certified(v)
+        kummer_phi(3, u)
+    assert inits == []

@@ -1,5 +1,6 @@
 """Graded Z_p-module models, duality, and long-exact-sequence bookkeeping."""
 
+import json
 import random
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigensplit import homotopy, lfunctions
+from eigensplit import cli, homotopy, lfunctions
 from eigensplit.errors import (
     KummerVandiverRequired,
     PrecisionExhausted,
@@ -923,7 +924,7 @@ def _dense_duality(p, lo, hi):
                 if not a.is_zero():
                     cells.append({"i": i, "degree": n, "status": "PASS",
                                   "module": _module_cell(a)})
-            elif i in (0, 1) and -3 <= n <= 0:
+            elif (i, n) == (1, -1):
                 notes.append({"i": i, "degree": n, "status": "note",
                               "fiber_route": _module_cell(a),
                               "dual_route": _module_cell(b)})
@@ -964,11 +965,42 @@ def test_sparse_duality_matches_dense_walk(case):
     assert report.to_dict() == _dense_duality(p, lo, hi)
 
 
-def test_duality_low_degree_note():
+def _inject_dual_cell(monkeypatch, p, i, n):
+    """Give the dual route of index i a Z/p more in degree n: its last
+    step, the cover at -3, runs once per index, in order."""
+    cover, covers = homotopy.connected_cover, []
+
+    def injected(M, c):
+        out = cover(M, c)
+        if len(covers) % (p - 1) == i:
+            out.entries[n] = out.entries.get(n, homotopy.ZERO) + cyclic(1)
+        covers.append(c)
+        return out
+
+    monkeypatch.setattr(homotopy, "connected_cover", injected)
+
+
+def test_duality_low_degree_note(capsys):
     report = verify_main_duality(5, (-8, 16))
     notes = report.notes
     assert len(notes) == 1
     assert notes[0]["i"] == 1 and notes[0]["degree"] == -1
+    # a mismatch injected into the dual route there stays the one note; at
+    # any other cell it is a FAIL, and the CLI exits 2
+    argv = ["duality", "--prime", "5", "--from", "-8", "--to", "16"]
+    for i, n in ((1, -1), (0, -1), (1, -3), (0, 0)):
+        noted = (i, n) == (1, -1)
+        with pytest.MonkeyPatch.context() as mp:
+            _inject_dual_cell(mp, 5, i, n)
+            report = verify_main_duality(5, (-8, 16))
+            rc = cli.main(argv)
+        assert [(c["i"], c["degree"]) for c in report.notes] == [(1, -1)]
+        fails = [(c["i"], c["degree"]) for c in report.cells
+                 if c["status"] == "FAIL"]
+        assert fails == ([] if noted else [(i, n)])
+        assert report.passed is noted
+        assert json.loads(capsys.readouterr().out)["passed"] is noted
+        assert rc == (0 if noted else 2)
 
 
 def test_duality_irregular_prime_torsion_cells():

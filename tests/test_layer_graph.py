@@ -6,8 +6,8 @@ formal_groups holds only theta mod p^N and the tower points, homotopy
 reads lfunctions through two entries and its depth, one function alone
 raises several bases in one squaring chain, argument checks are defined
 only in the known places, the window guard reads the window alone, the
-homotopy layer reads its input only where it enters, and contexts and
-rings compare by identity."""
+homotopy layer reads its input only where it enters, pi-adic digits enter
+a ring only from a caller, and contexts and rings compare by identity."""
 
 import ast
 import os
@@ -86,6 +86,24 @@ def direct_sum(*mods):
         for n, m in M.entries.items():
             out.add_at(n, m)
     return out
+"""
+
+# pi-adic digits enter a ring only where a caller hands them in: one method
+# builds a CycElt from digits and no layer calls it, as every scalar the
+# layers make is written on the zeta basis
+_DIGIT_ENTRY = "CycRing.from_coeffs"
+
+# the ring as it was when scalars went through the digit constructor
+_SCALARS_AS_DIGITS = """
+class CycRing:
+    def zero(self):
+        return CycElt(self, [0] * self.degree, self.ctx.N)
+
+    def from_scalar(self, c):
+        return self.from_coeffs([c])
+
+    def from_coeffs(self, coeffs):
+        return CycElt(self, coeffs, self.ctx.N)
 """
 
 # one instance per key, so identity is equality: (layer, class)
@@ -267,6 +285,29 @@ def test_homotopy_reads_its_input_where_it_enters():
 def test_the_boundary_rule_sees_a_piecewise_layer():
     breaches = sorted(_boundary_breaches(ast.parse(_PIECEWISE_LAYER)))
     assert breaches == [("_assemble", "SpectrumId"), ("direct_sum", "add_at")]
+
+
+def _digit_builds(tree):
+    """(function, callee) for each CycElt built outside the digit entry
+    and each call of the digit entry."""
+    for _, func, call in _scoped_calls(tree):
+        f = call.func
+        if (isinstance(f, ast.Name) and f.id == "CycElt"
+                and func != _DIGIT_ENTRY):
+            yield func, f.id
+        elif isinstance(f, ast.Attribute) and f.attr == "from_coeffs":
+            yield func, f.attr
+
+
+def test_digits_enter_only_from_a_caller():
+    found = [(layer, *hit) for layer in LAYERS
+             for hit in _digit_builds(_tree(layer))]
+    assert found == []
+
+
+def test_the_digit_rule_sees_scalars_built_as_digits():
+    assert list(_digit_builds(ast.parse(_SCALARS_AS_DIGITS))) == [
+        ("CycRing.zero", "CycElt"), ("CycRing.from_scalar", "from_coeffs")]
 
 
 def _multi_base_power_products(layer, tree):

@@ -552,6 +552,28 @@ def test_cache_reads_only_the_rows_asked_for(tmp_path, clean_rows,
     assert path.read_text().splitlines() == clean_rows[:601]
 
 
+def test_a_loaded_file_is_sieved_once(tmp_path, monkeypatch, clean_rows,
+                                      rows_read):
+    # the denominators of every row come from one sieve when the file
+    # loads, however many reads follow; each row is still checked once
+    sieves = []
+    sieve = lfunctions._denominators
+
+    def record(top):
+        sieves.append(top)
+        return sieve(top)
+
+    monkeypatch.setattr(lfunctions, "_denominators", record)
+    path = tmp_path / "bernoulli.tsv"
+    _write_rows(path, clean_rows)
+    table = BernoulliTable(str(path))
+    for n in (10, 154, 600):
+        _, num, den = map(int, clean_rows[n].split("\t"))
+        assert table.get(n) == Fraction(num, den)
+    assert sieves == [len(clean_rows) - 1]
+    assert rows_read == list(range(601))
+
+
 def test_values_reads_the_whole_valid_prefix(tmp_path, clean_rows,
                                              rows_read):
     path = tmp_path / "bernoulli.tsv"

@@ -55,3 +55,14 @@ def test_the_sweep_leaves_out_only_the_exception_classes():
     assert set(eigensplit.__all__) - set(_ENTRIES) == {
         "EigensplitError", "PrecisionError", "UsageError",
         "VerificationError"}
+
+
+def test_result_types_are_not_entries():
+    # the library builds its results itself; one built by hand from wrong
+    # arguments failed only later, in a method the sweep does not call
+    for layer, name in (("lfunctions", "LValue"),
+                        ("homotopy", "DualityReport"),
+                        ("homotopy", "LesReport")):
+        assert name not in eigensplit.__all__
+        assert not hasattr(eigensplit, name)
+        assert isinstance(getattr(getattr(eigensplit, layer), name), type)
