@@ -33,15 +33,10 @@ from operator import mul
 
 from .errors import (
     IndistinguishableFromZero,
-    LambdaIsOne,
-    NotAUnitExponent,
-    NotInBaseField,
-    NotInSubfield,
-    NotOneUnit,
     PrecisionExhausted,
     RingMismatch,
     UsageError,
-    ZeroResidue,
+    VerificationError,
     check_int,
     check_type,
 )
@@ -339,7 +334,7 @@ def galois_apply(a: int, x: CycElt) -> CycElt:
     P = ring.order
     a = ring.ctx.of(a).residue(ring.level + 1)
     if a % ring.ctx.p == 0:
-        raise NotAUnitExponent(f"{a} is not a unit mod {P}")
+        raise UsageError(f"{a} is not a unit mod {P}")
     if a == 1:
         return x
     # the coefficient of zeta^j is that of zeta^(j/a)
@@ -386,7 +381,7 @@ def norm_down(x: CycElt) -> CycElt:
     acc = _orbit_product(x, 1 + p, p)
     out = _on_zeta(ring.base_ring(), acc.zeta_coeffs[::p], acc.prec)
     if not (acc - embed_up(out, ring)).vanishes_mod_pi(ring.pi_prec):
-        raise NotInSubfield("norm does not lie in the level-0 subring")
+        raise VerificationError("norm does not lie in the level-0 subring")
     return out
 
 
@@ -414,7 +409,7 @@ def norm_to_qp(x: CycElt) -> PadicInt:
     acc = _orbit_product(x, primitive_root(ring.ctx.p), ring.ctx.p - 1)
     scalar = ring.ctx.of(acc.digits[0], acc.prec)
     if not (acc - scalar).vanishes_mod_pi(ring.pi_prec):
-        raise NotInBaseField("norm has nonscalar digits")
+        raise VerificationError("norm has nonscalar digits")
     return scalar
 
 
@@ -443,7 +438,7 @@ def unit_pow_zp(u: CycElt, c) -> CycElt:
     c needs k digits, and the power is one squaring chain on that residue.
     """
     if not check_level(CycElt, u).is_one_unit():
-        raise NotOneUnit("Z_p-powers need a 1-unit base")
+        raise UsageError("Z_p-powers need a 1-unit base")
     return u ** u.ring.ctx.of(c).residue(_exponent_digits(u))
 
 
@@ -458,7 +453,7 @@ def eigen_unit(i: int, u: CycElt) -> CycElt:
     p - 1 to v(u - 1) >= 1 and pi_prec <= N (p - 1).  The Bernoulli
     surrogate of `kummer` is this projection of one unit, to a power."""
     if not check_level(CycElt, u).is_one_unit():
-        raise NotOneUnit("eigenprojection acts on 1-units")
+        raise UsageError("eigenprojection acts on 1-units")
     ctx = u.ring.ctx
     p = ctx.p
     i = check_int(i, "character index i") % (p - 1)
@@ -494,9 +489,9 @@ def as_mu_element(ctx: PadicCtx, lam) -> PadicInt:
     x = ctx.of(lam)
     residue = x.residue(1)
     if residue == 0:
-        raise ZeroResidue(f"lambda = 0 mod {ctx.p} is excluded")
+        raise UsageError(f"lambda = 0 mod {ctx.p} is excluded")
     if residue == 1:
-        raise LambdaIsOne("lambda = 1 is excluded")
+        raise UsageError("lambda = 1 is excluded")
     return x if isinstance(lam, PadicInt) else ctx.teichmuller(residue)
 
 
@@ -567,7 +562,7 @@ class NormCompatiblePair:
         check_level(CycElt, u1, 1)
         check_level(CycElt, u0, 0)
         if norm_down(u1) != u0:
-            raise NotInSubfield("norm_down(u1) differs from u0")
+            raise VerificationError("norm_down(u1) differs from u0")
         self.u1 = u1
         self.u0 = u0
 

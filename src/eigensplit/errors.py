@@ -3,7 +3,15 @@
 Anything raised on bad input derives from UsageError; anything raised when a
 quantity cannot be pinned down at the working precision derives from
 PrecisionError.  A computation that finishes but contradicts a certified
-expectation raises VerificationError (the CLI maps these to exit code 2).
+expectation raises VerificationError (the CLI maps these to exit code 2),
+and a search the mathematics guarantees to succeed that comes up empty
+raises a bare EigensplitError (a bug; also exit code 2).
+
+A refusal raises its category unless a caller tells it apart: a subclass
+is defined here only if an ``except`` in the package or the README names
+it.  The library catches PrecisionExhausted (the L-value ladder) and
+IndistinguishableFromZero (valuations); the README names RingMismatch and
+KummerVandiverRequired.
 
 Every int argument of a public entry in the package, a precision, an
 index, an exponent, a truncation or a rank, is read by ``check_int``: a
@@ -50,27 +58,13 @@ def check_type(cls, *values):
             raise UsageError(f"expected a {cls.__name__}, got {x!r}")
 
 
-# p-adic scalars
-
-class NotAUnit(UsageError):
-    pass
-
-
-class ZeroResidue(UsageError):
-    pass
-
-
-# truncated series
+# the subclasses a caller tells apart
 
 class RingMismatch(UsageError):
     pass
 
 
-class NonzeroConstantTerm(UsageError):
-    pass
-
-
-class NonUnitConstantTerm(UsageError):
+class KummerVandiverRequired(UsageError):
     pass
 
 
@@ -78,51 +72,5 @@ class PrecisionExhausted(PrecisionError):
     pass
 
 
-# formal groups
-
-class NonIntegralCoefficient(VerificationError):
-    pass
-
-
-# cyclotomic rings
-
-class NotAUnitExponent(UsageError):
-    pass
-
-
-class NotInSubfield(VerificationError):
-    pass
-
-
-class NotInBaseField(VerificationError):
-    pass
-
-
-class NotOneUnit(UsageError):
-    pass
-
-
 class IndistinguishableFromZero(PrecisionError):
-    pass
-
-
-# Kummer homomorphisms
-
-class LambdaIsOne(UsageError):
-    pass
-
-
-class NoneFound(EigensplitError, RuntimeError):
-    """A search the mathematics guarantees to succeed came up empty: a bug."""
-
-
-# L-values
-
-class PoleAtZeroCharacter(UsageError):
-    pass
-
-
-# graded modules
-
-class KummerVandiverRequired(UsageError):
     pass

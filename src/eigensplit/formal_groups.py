@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import NonIntegralCoefficient
+from .errors import VerificationError
 from .padic import power_product
 from .series import pack_digits, taylor_shift, unpack_digits
 
@@ -69,7 +69,7 @@ def _theta_mod(p: int, T: int, K: int) -> list:
             theta_p = power_product(mul, [c], [p])
         r = (theta_p[m] - ((lhs >> (m * w)) & mask)) % q
         if r % p:
-            raise NonIntegralCoefficient(
+            raise VerificationError(
                 f"theta coefficient of X^{m} is not p-integral"
             )
         c[m] = r // p * pow(pow(p, m - 1, q) - 1, -1, q) % q

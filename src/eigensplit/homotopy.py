@@ -180,6 +180,9 @@ def anderson_dual(M: GradedModule) -> GradedModule:
     """Degreewise dual: rank from the mirror degree, torsion from one
     below it; determined on [-hi, -lo-1] and undefined outside."""
     check_type(GradedModule, M)
+    if M.lo == M.hi:
+        raise UsageError(f"the Anderson dual needs lo < hi, got the window "
+                         f"[{M.lo}, {M.hi}]")
     out = GradedModule(-M.hi, -M.lo - 1)
     get = M.entries.get
     # a stored degree d feeds only the free part of -d and the torsion

@@ -19,7 +19,7 @@ from .cyclotomic import (
     unit_is_p_torsion,
     unit_pow_zp,
 )
-from .errors import NoneFound, NotOneUnit, UsageError, check_int
+from .errors import EigensplitError, UsageError, check_int
 from .formal_groups import cw_tower_x
 from .padic import PadicInt, primitive_root
 
@@ -54,7 +54,7 @@ def _phis_up_to(top: int, u: CycElt) -> list:
     exact.
     """
     if not u.is_one_unit():
-        raise NotOneUnit("not congruent to 1 mod pi")
+        raise UsageError("not congruent to 1 mod pi")
     ctx = u.ring.ctx
     f = [PadicInt(ctx, c, u.prec) for c in u.digits[:top + 1]]
     # dividing out the constant term shifts log f by a constant,
@@ -143,7 +143,7 @@ def lang_generator_search(ring: CycRing, i: int) -> PadicInt:
         lam = ring.ctx.teichmuller(a)
         if kummer_phi(i, lang_unit(ring, lam)) != 0:
             return lam
-    raise NoneFound(f"no Lang unit with phi_{i} != 0; should not happen")
+    raise EigensplitError(f"no Lang unit with phi_{i} != 0; should not happen")
 
 
 def generator_certificate(i: int, u) -> bool:

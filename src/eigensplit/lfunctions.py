@@ -23,7 +23,6 @@ from itertools import accumulate
 
 from .errors import (
     IndistinguishableFromZero,
-    PoleAtZeroCharacter,
     PrecisionExhausted,
     UsageError,
     check_int,
@@ -266,7 +265,7 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
     check_odd_prime(p)
     i = check_int(i, "character exponent i") % (p - 1)
     if i == 0:
-        raise PoleAtZeroCharacter(
+        raise UsageError(
             "the trivial-character branch has a pole and is never needed"
         )
     if i % 2 != 0:

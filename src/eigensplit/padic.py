@@ -19,12 +19,10 @@ from functools import lru_cache
 
 from .errors import (
     IndistinguishableFromZero,
-    NonIntegralCoefficient,
-    NotAUnit,
     PrecisionExhausted,
     RingMismatch,
     UsageError,
-    ZeroResidue,
+    VerificationError,
     check_int,
 )
 
@@ -118,7 +116,7 @@ class PadicCtx:
             raise RingMismatch(f"{q!r} is not an exact rational")
         q = Fraction(q)
         if q.denominator % self.p == 0:
-            raise NonIntegralCoefficient(
+            raise VerificationError(
                 f"denominator of {q} is divisible by p={self.p}"
             )
         den_inv = pow(q.denominator, -1, self.modulus)
@@ -132,7 +130,7 @@ class PadicCtx:
         mod p-1."""
         a0 = self.of(a).residue(1)
         if a0 == 0:
-            raise ZeroResidue("Teichmuller lift needs a nonzero residue mod p")
+            raise UsageError("Teichmuller lift needs a nonzero residue mod p")
         cached = self._teich.get(a0)
         if cached is None:
             cached = self._teich[a0] = PadicInt(
@@ -262,7 +260,7 @@ class PadicInt:
 
     def invert(self) -> "PadicInt":
         if not self.is_unit():
-            raise NotAUnit(f"{self!r} has positive valuation")
+            raise UsageError(f"{self!r} has positive valuation")
         pk = self.ctx.p ** self.prec
         return PadicInt(self.ctx, pow(self.value, -1, pk), self.prec)
 
@@ -282,7 +280,7 @@ class PadicInt:
                 f"dividing by p^{v} leaves no guaranteed digits (prec {self.prec})"
             )
         if self.value % p ** v != 0:
-            raise NonIntegralCoefficient(
+            raise VerificationError(
                 f"{self!r} is not divisible by p^{v} at the working precision"
             )
         new_prec = self.prec - v

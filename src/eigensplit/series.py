@@ -16,13 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    NonUnitConstantTerm,
-    NonzeroConstantTerm,
-    RingMismatch,
-    UsageError,
-    check_int,
-)
+from .errors import RingMismatch, UsageError, check_int
 
 
 def pack_digits(digits, w: int) -> int:
@@ -162,7 +156,7 @@ class TruncSeries:
     def compose(self, g: "TruncSeries") -> "TruncSeries":
         """self(g), requiring g(0) = 0; Horner from the top coefficient."""
         if g.coeffs[0]:
-            raise NonzeroConstantTerm("inner series must have zero constant term")
+            raise UsageError("inner series must have zero constant term")
         T = min(self.trunc, g.trunc)
         gT = g.truncate(T)
         result = TruncSeries([self.coeffs[T - 1]] + [0] * (T - 1))
@@ -189,7 +183,7 @@ class TruncSeries:
         """log f = g - g^2/2 + g^3/3 - ... with g = f - 1, by Horner in g,
         for constant term exactly 1."""
         if self.coeffs[0] != 1:
-            raise NonUnitConstantTerm("log needs constant term exactly 1")
+            raise UsageError("log needs constant term exactly 1")
         g = self - 1
         acc = TruncSeries([0] * self.trunc)
         for k in range(self.trunc - 1, 0, -1):

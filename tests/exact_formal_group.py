@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from eigensplit.errors import NonIntegralCoefficient, check_int
+from eigensplit.errors import VerificationError, check_int
 from eigensplit.padic import check_odd_prime, power_product
 from eigensplit.series import TruncSeries
 
@@ -93,7 +93,7 @@ def _exact_theta(p: int, T: int) -> tuple:
     th = acc * L
     for k, ck in enumerate(th.coeffs):
         if ck.denominator % p == 0:
-            raise NonIntegralCoefficient(
+            raise VerificationError(
                 f"theta coefficient of X^{k} = {ck} is not p-integral"
             )
     return tuple(th.coeffs)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigensplit import cli, cyclotomic, homotopy, lfunctions
+from eigensplit import cli, cyclotomic, errors, homotopy, lfunctions
 from eigensplit.errors import UsageError
 from eigensplit.homotopy import SpectrumId, homotopy_of
 from eigensplit.lfunctions import configure_cache
@@ -381,6 +381,40 @@ def test_main_checks_the_prime_once(capsys, monkeypatch, argv):
     assert cli.main([*argv, "--prime", "5"]) == 0
     capsys.readouterr()
     assert calls == [9, 5]
+
+
+# the CLI's one refusal policy: the exit code and stderr prefix of each
+# class the errors module defines, read off its category alone
+_CATEGORY_TABLE = {
+    errors.UsageError: (1, "eigensplit: error: "),
+    errors.RingMismatch: (1, "eigensplit: error: "),
+    errors.KummerVandiverRequired: (1, "eigensplit: error: "),
+    errors.PrecisionError: (1, "eigensplit: error: "),
+    errors.PrecisionExhausted: (1, "eigensplit: error: "),
+    errors.IndistinguishableFromZero: (1, "eigensplit: error: "),
+    errors.VerificationError: (2, "eigensplit: verification failed: "),
+    errors.EigensplitError: (2, "eigensplit: internal inconsistency: "),
+}
+
+
+def test_the_category_table_covers_every_error_class():
+    defined = {value for value in vars(errors).values()
+               if isinstance(value, type)
+               and issubclass(value, errors.EigensplitError)}
+    assert defined == set(_CATEGORY_TABLE)
+
+
+@pytest.mark.parametrize("cls", _CATEGORY_TABLE, ids=lambda c: c.__name__)
+def test_refusals_exit_by_category(capsys, monkeypatch, cls):
+    def refuse(p):
+        raise cls("the message")
+
+    monkeypatch.setattr(cli, "check_odd_prime", refuse)
+    rc = cli.main(["teich", "--prime", "5"])
+    captured = capsys.readouterr()
+    code, prefix = _CATEGORY_TABLE[cls]
+    assert (rc, captured.out, captured.err) == (
+        code, "", prefix + "the message\n")
 
 
 def test_cache_is_configured_before_the_prime_is_checked(capsys, monkeypatch,

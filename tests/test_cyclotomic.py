@@ -32,15 +32,10 @@ from eigensplit.cyclotomic import (
 from eigensplit.errors import (
     EigensplitError,
     IndistinguishableFromZero,
-    LambdaIsOne,
-    NotAUnitExponent,
-    NotInBaseField,
-    NotInSubfield,
-    NotOneUnit,
     PrecisionExhausted,
     RingMismatch,
     UsageError,
-    ZeroResidue,
+    VerificationError,
 )
 from eigensplit.kummer import (check_eps1_nontorsion, cw_unit, cw_unit_pair,
                                kummer_phi, lang_unit)
@@ -202,7 +197,7 @@ def test_galois_is_an_action():
         z = ring.zeta()
         for a in units[:4]:
             assert galois_apply(a, z) == z ** a
-    with pytest.raises(NotAUnitExponent):
+    with pytest.raises(UsageError, match="^0 is not a unit mod 5$"):
         galois_apply(5, cyc_ring(5, 0).zeta())
 
 
@@ -257,7 +252,8 @@ def test_norm_compatible_pair_guard():
     ring0 = ring1.base_ring()
     z1, z0 = ring1.zeta(), ring0.zeta()
     NormCompatiblePair(z1 - 1, z0 - 1)
-    with pytest.raises(NotInSubfield):
+    with pytest.raises(VerificationError,
+                       match=r"^norm_down\(u1\) differs from u0$"):
         NormCompatiblePair(z1 - 1, z0 ** 2 - 1)
 
 
@@ -268,9 +264,11 @@ def test_norms_refuse_a_product_outside_the_base(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_orbit_product", lambda x, g, n: x)
     for p in (3, 5, 7):
         ring1 = cyc_ring(p, 1)
-        with pytest.raises(NotInSubfield, match="level-0 subring"):
+        with pytest.raises(VerificationError,
+                           match="^norm does not lie in the level-0 subring$"):
             norm_down(ring1.zeta())
-        with pytest.raises(NotInBaseField, match="nonscalar digits"):
+        with pytest.raises(VerificationError,
+                           match="^norm has nonscalar digits$"):
             norm_to_qp(ring1.base_ring().zeta())
         # a scalar is its own orbit product, and passes
         assert norm_to_qp(ring1.base_ring().one()) == 1
@@ -289,7 +287,7 @@ def test_unit_pow_zp_exponent_laws():
                 unit_pow_zp(u, a + b)
             assert unit_pow_zp(u, 1) == u
             assert unit_pow_zp(u, 0) == ring.one()
-    with pytest.raises(NotOneUnit):
+    with pytest.raises(UsageError, match="^Z_p-powers need a 1-unit base$"):
         unit_pow_zp(cyc_ring(5, 0).zeta() - 1, 2)
 
 
@@ -332,15 +330,16 @@ def test_as_mu_element():
     lam = as_mu_element(ctx, 3)
     assert lam == ctx.teichmuller(3)
     assert as_mu_element(ctx, ctx.of(-1)) == ctx.of(-1)
-    with pytest.raises(LambdaIsOne):
+    with pytest.raises(UsageError, match="^lambda = 1 is excluded$"):
         as_mu_element(ctx, 1)
-    with pytest.raises(LambdaIsOne):
+    with pytest.raises(UsageError, match="^lambda = 1 is excluded$"):
         as_mu_element(ctx, ctx.of(1 + 7))
     # lambda = 0 mod p is refused by name, as an int or as a PadicInt
     for lam in (0, 7, -14, ctx.of(0), ctx.of(7 * 5)):
-        with pytest.raises(ZeroResidue, match="lambda"):
+        with pytest.raises(UsageError,
+                           match="^lambda = 0 mod 7 is excluded$"):
             as_mu_element(ctx, lam)
-    with pytest.raises(ZeroResidue, match="lambda"):
+    with pytest.raises(UsageError, match="^lambda = 0 mod 7 is excluded$"):
         lang_unit(cyc_ring(7, 0, 4), ctx.of(0))
 
 
@@ -678,7 +677,7 @@ def _per_base_pow_zp(u, c):
     square-and-multiply chain for this base alone."""
     ring = u.ring
     if not u.is_one_unit():
-        raise NotOneUnit("Z_p-powers need a 1-unit base")
+        raise UsageError("Z_p-powers need a 1-unit base")
     try:
         v0 = (u - 1).pi_valuation()
     except IndistinguishableFromZero:
@@ -686,7 +685,8 @@ def _per_base_pow_zp(u, c):
     k = _stable_exponent_prec(ring, v0)
     if isinstance(c, PadicInt):
         if c.prec < k:
-            raise PrecisionExhausted("exponent too short")
+            raise PrecisionExhausted(f"residue mod p^{k} requested but "
+                                     f"only {c.prec} digits known")
         c = c.value
     return u ** (int(c) % ring.ctx.p ** k)
 
@@ -695,7 +695,7 @@ def _per_base_eigen_unit(i, u):
     """The eigenprojection as a product of p-1 separate Z_p-powers."""
     ring = u.ring
     if not u.is_one_unit():
-        raise NotOneUnit("eigenprojection acts on 1-units")
+        raise UsageError("eigenprojection acts on 1-units")
     ctx = ring.ctx
     p = ctx.p
     i = i % (p - 1)
@@ -729,12 +729,12 @@ def _average_eigen_valuation(u):
 
 
 def _outcome(f, *args):
-    """(digits, prec) of an element, another value as is, or the type of
-    the exception raised."""
+    """(digits, prec) of an element, another value as is, or the type and
+    message of the exception raised."""
     try:
         out = f(*args)
     except EigensplitError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return (out.digits, out.prec) if isinstance(out, CycElt) else out
 
 
@@ -779,7 +779,7 @@ def test_shared_chain_matches_per_base_paths(ring_key, N, kind, seed):
     for i in range(p - 1):
         got = _outcome(eigen_unit, i, u)
         assert got == _outcome(_per_base_eigen_unit, i, u)
-        if isinstance(got, type):
+        if isinstance(got[0], type):  # refused: (type, message)
             continue
         e = CycElt(ring, *got)
         assert nontorsion_certified(e) == _all_roots_nontorsion(e)
@@ -820,7 +820,7 @@ def test_unit_pow_zp_matches_the_per_base_chain(p):
             for c in exponents:
                 assert _outcome(unit_pow_zp, u, c) == \
                     _outcome(_per_base_pow_zp, u, c), (N, c)
-            with pytest.raises(NotOneUnit,
+            with pytest.raises(UsageError,
                                match="^Z_p-powers need a 1-unit base$"):
                 unit_pow_zp(u * 2, 1)
 
@@ -833,7 +833,8 @@ def _digit_loop_vanishes_mod_pi(x, M):
     every j < M."""
     d = x.ring.degree
     if -(-M // d) > x.prec:
-        raise PrecisionExhausted(f"too few digits to test mod pi^{M}")
+        raise PrecisionExhausted(f"digits have {x.prec} p-adic digits, need "
+                                 f"{-(-M // d)} to test mod pi^{M}")
     p = x.ring.ctx.p
     return all(c % p ** -(-(M - j) // d) == 0
                for j, c in enumerate(x.digits) if j < M)
@@ -919,7 +920,7 @@ def _loop_norm_down(x):
                             _oracle_to_zeta(_PiElt.of(acc))[::p],
                             acc.prec).elt()
     if not (acc - embed_up(out, ring)).vanishes_mod_pi(ring.pi_prec):
-        raise NotInSubfield("norm does not lie in the level-0 subring")
+        raise VerificationError("norm does not lie in the level-0 subring")
     return out
 
 
@@ -934,7 +935,7 @@ def _loop_norm_to_qp(x):
         acc = acc * galois_apply(a, x)
     scalar = ring.ctx.of(acc.digits[0], acc.prec)
     if not (acc - scalar).vanishes_mod_pi(ring.pi_prec):
-        raise NotInBaseField("norm has nonscalar digits")
+        raise VerificationError("norm has nonscalar digits")
     return scalar
 
 
@@ -1136,8 +1137,10 @@ class _PiElt:
         raise IndistinguishableFromZero("zero at the working precision")
 
     def vanishes(self, M):
-        if -(-M // self.ring.degree) > self.prec:
-            raise PrecisionExhausted(f"too few digits to test mod pi^{M}")
+        need = -(-M // self.ring.degree)
+        if need > self.prec:
+            raise PrecisionExhausted(f"digits have {self.prec} p-adic digits, "
+                                     f"need {need} to test mod pi^{M}")
         try:
             return self.valuation() >= M
         except IndistinguishableFromZero:
@@ -1172,7 +1175,7 @@ def _pi_galois(a, x):
     q = p ** (ring.level + 1)
     a = int(a.value if isinstance(a, PadicInt) else a) % q
     if a % p == 0:
-        raise NotAUnitExponent(f"{a} is not a unit mod {q}")
+        raise UsageError(f"{a} is not a unit mod {q}")
     d, step = ring.degree, q // p
     out, spill = [0] * d, [0] * step
     for k, c in enumerate(_oracle_to_zeta(x)):
@@ -1204,7 +1207,7 @@ def _pi_norm_down(x):
     out = _oracle_from_zeta(ring.base_ring(), _oracle_to_zeta(acc)[::p],
                             acc.prec)
     if not (acc - _pi_embed_up(out, ring)).vanishes(ring.pi_prec):
-        raise NotInSubfield("norm does not lie in the level-0 subring")
+        raise VerificationError("norm does not lie in the level-0 subring")
     return out
 
 
@@ -1217,7 +1220,7 @@ def _pi_norm_to_qp(x):
         acc = acc * _pi_galois(a, x)
     scalar = ring.ctx.of(acc.digits[0], acc.prec)
     if not (acc - scalar).vanishes(ring.pi_prec):
-        raise NotInBaseField("norm has nonscalar digits")
+        raise VerificationError("norm has nonscalar digits")
     return scalar
 
 
@@ -1226,7 +1229,7 @@ def _pi_eigen_unit(i, u):
     reduced as far as its conjugate's valuation allows."""
     ring = u.ring
     if not u.is_one_unit():
-        raise NotOneUnit("eigenprojection acts on 1-units")
+        raise UsageError("eigenprojection acts on 1-units")
     ctx = ring.ctx
     p = ctx.p
     i = i % (p - 1)
@@ -1240,7 +1243,8 @@ def _pi_eigen_unit(i, u):
         except IndistinguishableFromZero:
             k = 0
         if c.prec < k:
-            raise PrecisionExhausted("exponent too short")
+            raise PrecisionExhausted(f"residue mod p^{k} requested but "
+                                     f"only {c.prec} digits known")
         bases.append(conj)
         reduced.append(c.value % p ** k)
     acc = power_product(mul, bases, reduced)

@@ -44,7 +44,7 @@ from eigensplit.lfunctions import (
     lp_value,
     regularity_certificate,
 )
-from eigensplit.padic import vp
+from eigensplit.padic import PadicCtx, vp
 
 Zp = free()
 
@@ -200,6 +200,16 @@ def test_anderson_dual_window_and_entries():
     D2 = anderson_dual(M2)
     assert D2.entry(0) == FgZpModule(1)
     assert D2.entry(-1) == cyclic(2)
+
+
+def test_anderson_dual_of_one_degree_names_the_window():
+    # the dual of [lo, hi] lives on [-hi, -lo - 1], empty when lo = hi
+    for lo in (3, 0, -2):
+        M = GradedModule(lo, lo, {lo: Zp})
+        with pytest.raises(UsageError, match=re.escape(
+                f"the Anderson dual needs lo < hi, got the window "
+                f"[{lo}, {lo}]")):
+            anderson_dual(M)
 
 
 def _dense_anderson_dual(M):
@@ -699,6 +709,30 @@ def test_lvalue_exponent_climbs_the_precision_ladder():
     assert lp_valuation(37, 32, 13) == 2
 
 
+def test_lvalue_exponent_refused_past_the_last_rung(monkeypatch, capsys):
+    # an L-value that vanishes at every precision asked climbs the whole
+    # ladder and is refused at its top, and the CLI reports that with exit 1
+    asked = []
+
+    def vanished(p, i, s, M=3):
+        asked.append(M)
+        return lfunctions.LValue(PadicCtx(p, M).of(0), s, i)
+
+    monkeypatch.setattr(lfunctions, "lp_value", vanished)
+    _lp_valuation.cache_clear()
+    with pytest.raises(PrecisionExhausted, match="^valuation >= 9 not "
+                       "certifiable at precision 9$"):
+        lp_valuation(37, 32, 5)
+    assert asked == list(_PREC_LADDER) == [3, 5, 7, 9]
+    # X(5) at degree 8 reads L_37(5, omega^32)
+    rc = cli.main(["homotopy", "X(5)", "--prime", "37", "--from", "0",
+                   "--to", "10", "--kv-assume"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == ("eigensplit: error: valuation >= 9 not "
+                            "certifiable at precision 9\n")
+
+
 def _ladder_exponent(p, i, s):
     # oracle: the precision ladder at every pair, regular or not
     for M in _PREC_LADDER[:-1]:
@@ -1096,6 +1130,28 @@ def test_les_three_term_torsion_bounds(exponents, status):
     assert report.passed is (status == "ok")
     assert report.segments == [{
         "slots": ["X_2", "Y_2", "Z_2"],
+        "modules": [{"rank": 0, "torsion": [e]} for e in exponents],
+        "status": status,
+    }]
+
+
+@pytest.mark.parametrize("exponents, status", [
+    ((1, 2, 2, 1), "ok"),
+    ((1, 2, 1, 1), "FAIL"),  # the orders alternate to 1 - 2 + 1 - 1 != 0
+])
+def test_les_four_term_torsion_orders(exponents, status):
+    # one run X_2 -> Y_2 -> Z_2 -> X_1 of torsion groups, zeros on both
+    # sides: past three terms only the alternating order sum is checked
+    ex2, ey, ez, ex1 = exponents
+    X = GradedModule(0, 4, {2: cyclic(ex2), 1: cyclic(ex1)})
+    Y = GradedModule(0, 4, {2: cyclic(ey)})
+    Z = GradedModule(0, 4, {2: cyclic(ez)})
+    run = [X.entry(2), Y.entry(2), Z.entry(2), X.entry(1)]
+    assert _segment_status(run) == status
+    report = les_consistency(X, Y, Z)
+    assert report.passed is (status == "ok")
+    assert report.segments == [{
+        "slots": ["X_2", "Y_2", "Z_2", "X_1"],
         "modules": [{"rank": 0, "torsion": [e]} for e in exponents],
         "status": status,
     }]

@@ -29,7 +29,7 @@ from eigensplit.cyclotomic import (
     unit_is_p_torsion,
     unit_pow_zp,
 )
-from eigensplit.errors import NotOneUnit, UsageError
+from eigensplit.errors import UsageError
 from eigensplit.formal_groups import _theta_digits
 from eigensplit.padic import (PadicCtx, PadicInt, power_product,
                               primitive_root)
@@ -226,7 +226,7 @@ def _raised(f, *args):
     try:
         f(*args)
     except Exception as err:
-        return type(err)
+        return type(err), str(err)
     return None
 
 
@@ -234,15 +234,18 @@ def _raised(f, *args):
 def test_phi_table_refuses_what_single_indices_refuse(p):
     ring = cyc_ring(p, 0)
     level1 = cyc_ring(p, 1).one()
-    for bad, error in ((level1, UsageError),
-                       (ring.from_scalar(2), NotOneUnit),
-                       (ring.uniformizer(), NotOneUnit)):
-        assert _raised(kummer_phis, bad) is error
+    not_one_unit = (UsageError, "not congruent to 1 mod pi")
+    for bad, error in ((level1, (UsageError,
+                                 "needs a level-0 CycElt, got level 1")),
+                       (ring.from_scalar(2), not_one_unit),
+                       (ring.uniformizer(), not_one_unit)):
+        assert _raised(kummer_phis, bad) == error
         assert {_raised(kummer_phi, i, bad) for i in range(1, p - 1)} == {
             error}
     # the range is checked first, whatever the unit
     for i in (0, p - 1):
-        assert _raised(kummer_phi, i, ring.from_scalar(2)) is UsageError
+        assert _raised(kummer_phi, i, ring.from_scalar(2)) == (
+            UsageError, f"phi index i must be in 1..{p - 2}, got {i}")
 
 
 def test_phi_additive():

@@ -7,10 +7,13 @@ reads lfunctions through two entries and its depth, one function alone
 raises several bases in one squaring chain, argument checks are defined
 only in the known places, the window guard reads the window alone, the
 homotopy layer reads its input only where it enters, pi-adic digits enter
-a ring only from a caller, and contexts and rings compare by identity."""
+a ring only from a caller, contexts and rings compare by identity, and
+an exception class beyond the four categories is one a caller tells
+apart."""
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -19,6 +22,7 @@ import eigensplit
 from conftest import SRC
 
 PACKAGE = os.path.join(SRC, "eigensplit")
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 LAYERS = list(eigensplit._EXPORTS)
 
 # series is exact-only and kummer walks its own logarithm
@@ -108,6 +112,33 @@ class CycRing:
 
 # one instance per key, so identity is equality: (layer, class)
 _CANONICAL = {("padic", "PadicCtx"), ("cyclotomic", "CycRing")}
+
+# the refusal categories the CLI maps to exit codes; any other class in
+# errors must be caught by name in the package or named in the README
+_CATEGORIES = {"EigensplitError", "UsageError", "PrecisionError",
+               "VerificationError"}
+
+# an errors module with a subclass that nothing tells apart
+_FAKE_ERRORS = """
+class UsageError(Exception):
+    pass
+
+class Caught(UsageError):
+    pass
+
+class Named(UsageError):
+    pass
+
+class Unnamed(UsageError):
+    pass
+"""
+_FAKE_CALLER = """
+def f():
+    try:
+        g()
+    except (errors.Caught, ValueError):
+        pass
+"""
 
 
 def _tree(layer):
@@ -372,3 +403,36 @@ def test_the_identity_rule_sees_a_value_comparison():
                      "u.ring.level != 1\nx.ctx is not y.ctx\n")
     assert list(_value_comparisons(tree)) == [
         "a.ring != b.ring", "r.base_ring() == x.ring"]
+
+
+def _caught(tree):
+    """The class names in the ``except`` clauses of ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            for t in types:
+                yield t.attr if isinstance(t, ast.Attribute) else t.id
+
+
+def _untold_errors(errors_tree, caller_trees, readme):
+    """The classes ``errors_tree`` defines beyond the categories that no
+    ``except`` among ``caller_trees`` catches and ``readme`` never names."""
+    caught = {name for tree in caller_trees for name in _caught(tree)}
+    return [node.name for node in errors_tree.body
+            if isinstance(node, ast.ClassDef)
+            and node.name not in _CATEGORIES | caught
+            and not re.search(rf"\b{node.name}\b", readme)]
+
+
+def test_every_error_class_is_told_apart():
+    with open(README, encoding="utf-8") as f:
+        readme = f.read()
+    trees = [_tree(name[:-3]) for name in sorted(os.listdir(PACKAGE))
+             if name.endswith(".py")]
+    assert _untold_errors(_tree("errors"), trees, readme) == []
+
+
+def test_the_error_rule_sees_an_untold_subclass():
+    assert _untold_errors(ast.parse(_FAKE_ERRORS), [ast.parse(_FAKE_CALLER)],
+                          "`Named` is raised on bad input") == ["Unnamed"]

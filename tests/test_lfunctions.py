@@ -8,11 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensplit import lfunctions
-from eigensplit.errors import (
-    PoleAtZeroCharacter,
-    PrecisionExhausted,
-    UsageError,
-)
+from eigensplit.errors import PrecisionExhausted, UsageError
 from eigensplit.lfunctions import (
     BernoulliTable,
     _lp_valuation,
@@ -191,7 +187,8 @@ def test_cache_directory_must_be_a_path():
 
 
 def test_character_guards():
-    with pytest.raises(PoleAtZeroCharacter):
+    with pytest.raises(UsageError, match="^the trivial-character branch has "
+                       "a pole and is never needed$"):
         lp_value(5, 0, -3)
     with pytest.raises(UsageError, match="^odd character exponent 3 "):
         lp_value(5, 3, -2)
