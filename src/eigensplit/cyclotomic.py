@@ -332,14 +332,14 @@ def galois_apply(a: int, x: CycElt) -> CycElt:
     mod p^(n+1), so a PadicInt a needs n+1 digits."""
     ring = check_level(CycElt, x).ring
     P = ring.order
-    a = ring.ctx.of(a).residue(ring.level + 1)
-    if a % ring.ctx.p == 0:
-        raise UsageError(f"{a} is not a unit mod {P}")
-    if a == 1:
+    r = ring.ctx.of(a).residue(ring.level + 1)
+    if r % ring.ctx.p == 0:
+        raise UsageError(f"{a!r} is not a unit mod {P}")
+    if r == 1:
         return x
     # the coefficient of zeta^j is that of zeta^(j/a)
     z = x.zeta_coeffs
-    b = pow(a, -1, P)
+    b = pow(r, -1, P)
     return _on_zeta(ring, [z[k % P] for k in range(0, b * P, b)], x.prec)
 
 

@@ -11,7 +11,6 @@ p-integrality witness.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .errors import VerificationError
@@ -78,7 +77,6 @@ def _theta_mod(p: int, T: int, K: int) -> list:
     return c
 
 
-@lru_cache(maxsize=None)
 def _theta_digits(p: int, T: int, N: int) -> tuple:
     """theta mod (p^N, X^T) as int residues."""
     m = p ** N

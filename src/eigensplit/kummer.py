@@ -8,6 +8,8 @@ of u IS such an f, so the representative is a coefficient copy.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cyclotomic import (
     CycElt,
     CycRing,
@@ -121,18 +123,31 @@ def check_eps1_nontorsion(ring: CycRing, lam) -> bool:
 
 
 def cw_unit(ring: CycRing) -> CycElt:
-    """beta - theta(zeta - 1), the Coates-Wiles unit at the ring's level."""
-    beta = check_level(CycRing, ring).ctx.beta()
-    u = ring.from_scalar(beta) - cw_tower_x(ring)
-    assert u.is_one_unit()
-    return u
+    """beta - theta(zeta - 1), the Coates-Wiles unit at the ring's level,
+    built once per ring: each call returns the same element, which a
+    caller must not write into."""
+    return _cw_unit(check_level(CycRing, ring))
 
 
 def cw_unit_pair(ring1: CycRing) -> NormCompatiblePair:
     """The levels 0 and 1 Coates-Wiles units as a norm-compatible pair;
-    the norm relation is checked on construction."""
-    check_level(CycRing, ring1, 1)
-    return NormCompatiblePair(cw_unit(ring1), cw_unit(ring1.base_ring()))
+    the norm relation is checked when the ring's pair is first built."""
+    return _cw_unit_pair(check_level(CycRing, ring1, 1))
+
+
+# functions of a ring alone, cached on checked rings: there is one ring per
+# (context, level, window), so the caches grow with the rings in use and
+# not with the elements a session reads
+@lru_cache(maxsize=None)
+def _cw_unit(ring: CycRing) -> CycElt:
+    u = ring.from_scalar(ring.ctx.beta()) - cw_tower_x(ring)
+    assert u.is_one_unit()
+    return u
+
+
+@lru_cache(maxsize=None)
+def _cw_unit_pair(ring1: CycRing) -> NormCompatiblePair:
+    return NormCompatiblePair(_cw_unit(ring1), _cw_unit(ring1.base_ring()))
 
 
 def lang_generator_search(ring: CycRing, i: int) -> PadicInt:

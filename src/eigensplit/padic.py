@@ -183,7 +183,7 @@ class PadicInt:
         return self.value
 
     def residue(self, k: int) -> int:
-        if check_int(k, "digits k") > self.prec:
+        if check_int(k, "digits k", 0) > self.prec:
             raise PrecisionExhausted(
                 f"residue mod p^{k} requested but only {self.prec} digits known"
             )

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from eigensplit import cli, cyclotomic, errors, homotopy, lfunctions
+from eigensplit import (cli, cyclotomic, errors, homotopy, kummer,
+                        lfunctions)
 from eigensplit.errors import UsageError
 from eigensplit.homotopy import SpectrumId, homotopy_of
 from eigensplit.lfunctions import configure_cache
@@ -563,7 +564,10 @@ def test_duality_failure_exits_two(capsys, monkeypatch):
 
 def test_norm_failure_exits_two(capsys, monkeypatch):
     # a norm that multiplies no conjugates leaves the level-1 unit itself,
-    # which is not in the level-0 subring
+    # which is not in the level-0 subring; the pair is built once per ring,
+    # so one that an earlier test built would hide the fault
+    kummer._cw_unit_pair.cache_clear()
+    kummer._cw_unit.cache_clear()
     monkeypatch.setattr(cyclotomic, "_orbit_product", lambda x, g, n: x)
     rc = cli.main(["units", "--prime", "5"])
     captured = capsys.readouterr()

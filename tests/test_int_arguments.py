@@ -133,6 +133,13 @@ def test_integral_looking_floats_are_refused(call, name):
         call()
 
 
+def test_residue_refuses_a_negative_k():
+    # p^-1 is a float, so residue(-1) once returned 7 % 0.2, a float
+    with pytest.raises(UsageError, match="^digits k must be >= 0, got -1$"):
+        CTX.of(7).residue(-1)
+    assert CTX.of(7).residue(0) == 0
+
+
 def test_a_cached_lp_valuation_does_not_serve_an_equal_float():
     # lru_cache keys 32.0 like 32, so the checks run before the cache
     assert lp_valuation(37, 32, 13) == 2

@@ -370,6 +370,42 @@ def test_cw_pair_is_norm_compatible():
         assert pair.u0 == cw_unit(cyc_ring(p, 0))
 
 
+# every ring a level allows at N in {1, 2, 4}: level 1 needs N >= 2
+_CACHED_RINGS = [(p, level, N) for p in (3, 5, 7, 11, 13) for level in (0, 1)
+                 for N in (1, 2, 4) if N > level]
+
+
+@pytest.mark.parametrize("p, level, N", _CACHED_RINGS)
+def test_cw_units_are_built_once_per_ring(p, level, N):
+    kummer._cw_unit_pair.cache_clear()
+    kummer._cw_unit.cache_clear()
+    ring = cyc_ring(p, level, N)
+    u = cw_unit(ring)
+    assert cw_unit(ring) is u
+    # the cached unit is the one a fresh build gives
+    kummer._cw_unit.cache_clear()
+    fresh = cw_unit(ring)
+    assert fresh is not u
+    assert (fresh.digits, fresh.prec) == (u.digits, u.prec)
+    if level:
+        pair = cw_unit_pair(ring)
+        assert cw_unit_pair(ring) is pair
+        assert pair.u1 is fresh
+        assert pair.u0 is cw_unit(ring.base_ring())
+
+
+@pytest.mark.parametrize("p, N", [(p, N) for p in (3, 5, 7, 11, 13)
+                                  for N in (1, 2, 4)])
+def test_two_windows_are_two_cached_units(p, N):
+    kummer._cw_unit.cache_clear()
+    narrow, wide = cyc_ring(p, 0, N, 1), cyc_ring(p, 0, N, N * (p - 1))
+    u, v = cw_unit(narrow), cw_unit(wide)
+    assert kummer._cw_unit.cache_info().currsize == 2
+    assert u is not v and u.ring is narrow and v.ring is wide
+    # the level-0 digits are summed to the storage depth at every window
+    assert (u.digits, u.prec) == (v.digits, v.prec)
+
+
 @pytest.mark.parametrize("p, prec", [(3, 2), (3, 3), (5, 2), (7, 2)])
 def test_level1_default_pi_prec_fits_the_base_ring(p, prec):
     # the level-1 default is the level-0 one, min(p + 3, N (p-1)); at

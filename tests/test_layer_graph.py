@@ -7,9 +7,9 @@ reads lfunctions through two entries and its depth, one function alone
 raises several bases in one squaring chain, argument checks are defined
 only in the known places, the window guard reads the window alone, the
 homotopy layer reads its input only where it enters, pi-adic digits enter
-a ring only from a caller, contexts and rings compare by identity, and
-an exception class beyond the four categories is one a caller tells
-apart."""
+a ring only from a caller, contexts and rings compare by identity, an
+exception class beyond the four categories is one a caller tells apart,
+and only functions of a prime, an index or a ring are cached."""
 
 import ast
 import os
@@ -117,6 +117,39 @@ _CANONICAL = {("padic", "PadicCtx"), ("cyclotomic", "CycRing")}
 # errors must be caught by name in the package or named in the README
 _CATEGORIES = {"EigensplitError", "UsageError", "PrecisionError",
                "VerificationError"}
+
+# the functions cached for the life of the process, (layer, function):
+# each is keyed by a prime, an index or a checked ring, so its cache is
+# bounded by the primes and rings in use; one keyed by an element would
+# grow with every query a session answers
+_CACHED = {
+    ("padic", "primitive_root"),
+    ("kummer", "_cw_unit"),
+    ("kummer", "_cw_unit_pair"),
+    ("lfunctions", "_irregular_up_to"),
+    ("lfunctions", "_lp_valuation"),
+}
+
+# a layer that caches functions of an element, in each way of writing it
+_ELEMENT_CACHES = """
+import functools
+from functools import cache, lru_cache
+
+@lru_cache(maxsize=None)
+def _phis(u):
+    pass
+
+@functools.lru_cache
+def _log(g):
+    pass
+
+@cache
+def _eigen(i, u):
+    pass
+
+def _plain(u):
+    pass
+"""
 
 # an errors module with a subclass that nothing tells apart
 _FAKE_ERRORS = """
@@ -436,3 +469,30 @@ def test_every_error_class_is_told_apart():
 def test_the_error_rule_sees_an_untold_subclass():
     assert _untold_errors(ast.parse(_FAKE_ERRORS), [ast.parse(_FAKE_CALLER)],
                           "`Named` is raised on bad input") == ["Unnamed"]
+
+
+def _cached(layer, tree):
+    """(layer, function) for each function under ``tree`` decorated with
+    functools' ``lru_cache`` or ``cache``, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                f = d.func if isinstance(d, ast.Call) else d
+                name = f.id if isinstance(f, ast.Name) else \
+                    getattr(f, "attr", None)
+                if name in ("lru_cache", "cache"):
+                    yield layer, node.name
+
+
+def test_only_functions_of_a_prime_an_index_or_a_ring_are_cached():
+    found = {hit for name in sorted(os.listdir(PACKAGE))
+             if name.endswith(".py")
+             for hit in _cached(name[:-3], _tree(name[:-3]))}
+    assert found == _CACHED
+
+
+def test_the_cache_rule_sees_a_cache_of_elements():
+    found = set(_cached("kummer", ast.parse(_ELEMENT_CACHES)))
+    assert found == {("kummer", "_phis"), ("kummer", "_log"),
+                     ("kummer", "_eigen")}
+    assert not found & _CACHED
