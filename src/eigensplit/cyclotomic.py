@@ -3,7 +3,7 @@
 Level n holds zeta of order P = p^{n+1} and degree d = p^n (p-1); pi =
 zeta - 1 is a uniformizer with Eisenstein minimal polynomial Phi_P(1+X).
 An element is stored as its coefficients of 1, zeta, ..., zeta^(P-1): a
-list of int residues mod p^prec, with one absolute precision ``prec`` for
+tuple of int residues mod p^prec, with one absolute precision ``prec`` for
 the whole element, propagated by the min rule.  The vector is redundant,
 mod zeta^P - 1: the multiples of Phi_P(zeta) are the vectors constant on
 each class k mod P/p, so taking the class of each k >= d off its class
@@ -42,10 +42,6 @@ from .errors import (
 )
 from .padic import PadicCtx, PadicInt, power_product, primitive_root
 from .series import pack_digits, taylor_shift, unpack_digits
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 class CycRing:
@@ -143,30 +139,31 @@ def check_level(cls, x, level: int | None = None):
 
 # -- the two changes of basis ------------------------------------------------
 
-def _pi_to_zeta(ring: CycRing, digits: list, prec: int) -> list:
+def _pi_to_zeta(ring: CycRing, digits: tuple, prec: int) -> tuple:
     """The order-P coefficient vector of sum digits[j] pi^j, mod p^prec:
     the Taylor shift by -1, as pi = zeta - 1, of digits a caller hands in
     (`from_scalar` writes a scalar on the zeta basis)."""
     q = ring.ctx.p ** prec
-    return ([c % q for c in taylor_shift(digits, -1)]
-            + [0] * (ring.order - ring.degree))
+    return tuple([c % q for c in taylor_shift(digits, -1)]
+                 + [0] * (ring.order - ring.degree))
 
 
-def _zeta_to_pi(ring: CycRing, coeffs: list, prec: int) -> list:
+def _zeta_to_pi(ring: CycRing, coeffs: tuple, prec: int) -> tuple:
     """The pi-adic digits of sum coeffs[k] zeta^k, mod p^prec: the top
     class k >= d comes off each class, then the Taylor shift by +1, as
     zeta = 1 + pi."""
     q = ring.ctx.p ** prec
     top = coeffs[ring.degree:] * (ring.ctx.p - 1)
     normal = [(c - t) % q for c, t in zip(coeffs, top)]
-    return [c % q for c in taylor_shift(normal, 1)]
+    return tuple([c % q for c in taylor_shift(normal, 1)])
 
 
 def _on_zeta(ring: CycRing, coeffs: list, prec: int) -> "CycElt":
     """The element with order-P coefficient vector ``coeffs``, already
-    reduced mod p^prec; its digits are computed when first read."""
+    reduced mod p^prec, kept as a tuple (elements are shared, so never
+    written); its digits are computed when first read."""
     x = object.__new__(CycElt)
-    x.ring, x.zeta_coeffs, x.prec, x._digits = ring, coeffs, prec, None
+    x.ring, x.zeta_coeffs, x.prec, x._digits = ring, tuple(coeffs), prec, None
     return x
 
 
@@ -187,12 +184,12 @@ class CycElt:
         if len(values) != ring.degree:
             raise UsageError(f"needs {ring.degree} digits, got {len(values)}")
         q = ctx.p ** prec
-        digits = [c % q for c in values]
+        digits = tuple([c % q for c in values])
         self.ring, self.prec, self._digits = ring, prec, digits
         self.zeta_coeffs = _pi_to_zeta(ring, digits, prec)
 
     @property
-    def digits(self) -> list:
+    def digits(self) -> tuple:
         """The pi-adic digits mod p^prec, computed when first read."""
         if self._digits is None:
             self._digits = _zeta_to_pi(self.ring, self.zeta_coeffs, self.prec)
@@ -284,7 +281,7 @@ class CycElt:
         """Whether pi^M divides the element: j + degree*v_p(c_j) >= M at
         every digit position j.  Refused when M exceeds degree*prec, the
         depth the digits resolve."""
-        need = _ceil_div(check_int(M, "pi-power M"), self.ring.degree)
+        need = -(-check_int(M, "pi-power M") // self.ring.degree)
         if need > self.prec:
             raise PrecisionExhausted(
                 f"digits have {self.prec} p-adic digits, need {need} "

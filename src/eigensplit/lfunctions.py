@@ -10,8 +10,8 @@ is decided, never guessed.  `lp_value` is the one L-value entry and reads
 its arguments once: L_p(1-n, omega^i) at interpolation points is the exact
 rational -(1 - p^{n-1}) B_n / n; elsewhere the value is Washington's
 finite sum (Introduction to Cyclotomic Fields, Thm 5.11) over a = 1..p-1,
-reduced mod p^K, which agrees with the rational interpolation at every
-admissible point (tested, not assumed).
+reduced mod p^T at the depth T its docstring proves; it agrees with the
+rational interpolation at every admissible point (tested, not assumed).
 """
 
 from __future__ import annotations
@@ -287,36 +287,39 @@ def lp_value(p: int, i: int, s: int, M: int = 3) -> LValue:
 def _lp_sum(p: int, i: int, s: int, M: int) -> LValue:
     """L_p(s, omega^i) mod p^M for even i in 2..p-3 and s != 1.
 
-    Washington's finite sum (Introduction to Cyclotomic Fields, Thm 5.11)
-    over a = 1..p-1 of omega^i(a) <a>^{1-s} sum_j r_j (p/a)^j, divided by
-    p(s-1), with the row r_j = C(1-s, j) B_j built once per value; each
+    Washington's finite sum (Introduction to Cyclotomic Fields, Thm 5.11):
+    the sum over a = 1..p-1 of omega^i(a) <a>^{1-s} sum_j r_j (p/a)^j,
+    divided by p(s-1), with the row r_j = C(1-s, j) B_j built once.  Each
     inner sum is a Horner in p/a over exact Fractions, reduced once mod
-    p^K.  The j-th term has valuation >= j-1, so the tail past j = K+1 is
-    invisible mod p^K.  With K = M + 2 + v_p(s-1), the two divisions
-    leave M + 1 digits, of which the value keeps M, in the exact branch's
-    PadicCtx(p, max(M, 4)): one context per (p, M).  Since <a> =
-    a / omega(a) and omega(a)^(p-1) = 1, the unit factor is
-    omega(a)^((i+s-1) mod (p-1)) a^(1-s) mod p^K.  omega is a character,
-    so the sum visits a = g^k mod p for the least primitive root g and
-    carries omega(a)^e = (omega(g)^e)^k mod p^K: one Teichmuller lift per
-    call.  The total is an exact int sum, so the order changes no digit.
+    p^T.  As <a> = a / omega(a), the unit factor is omega(a)^e a^(1-s),
+    e = (i+s-1) mod (p-1).  The sum visits a = g^k mod p, g the least
+    primitive root, carrying omega(a)^e = (omega(g)^e)^k mod p^T (one
+    Teichmuller lift); the total is an exact int, so order changes no digit.
+
+    Depth: T = M + 1 + v_p(s-1), and the row runs over j = 0..T.  The two
+    divisions cost 1 + v_p(s-1) digits, so M digits of the value need the
+    total mod p^T.  Term j has valuation >= j - 1: C(1-s, j) is an int, a
+    a unit, and v_p(B_j) >= -1 as B_j has a squarefree denominator (von
+    Staudt-Clausen).  So every term with j > T vanishes mod p^T, and each
+    inner sum, whose term 0 is 1, is p-integral.  The value keeps its M
+    digits in the exact branch's PadicCtx(p, max(M, 4)), one per (p, M).
     """
-    K = M + 2 + vp(s - 1, p)
-    if K + 1 > LP_BERNOULLI_DEPTH:
+    T = M + 1 + vp(s - 1, p)
+    if T > LP_BERNOULLI_DEPTH:
         raise UsageError(
-            f"precision {M} at s = {s} reads B_{K + 1}, past the Bernoulli "
+            f"precision {M} at s = {s} reads B_{T}, past the Bernoulli "
             f"depth bound B_{LP_BERNOULLI_DEPTH}")
-    ctx = PadicCtx(p, K)
+    ctx = PadicCtx(p, T)
     e = (i + s - 1) % (p - 1)
     total = 0
-    bernoulli(K + 1)  # extends the table, and writes the cache, once
+    bernoulli(T)  # extends the table, and writes the cache, once
     # C(1-s, j+1) = C(1-s, j) (1-s-j) / (j+1), exact in ints
-    binoms = accumulate(range(K + 1), lambda c, j: c * (1 - s - j) // (j + 1),
+    binoms = accumulate(range(T), lambda c, j: c * (1 - s - j) // (j + 1),
                         initial=1)
     row = [c * bernoulli(j) for j, c in enumerate(binoms)][::-1]  # Horner
     g = primitive_root(p)
     step = pow(ctx.teichmuller(g).value, e, ctx.modulus)
-    a, w = 1, 1  # a = g^k mod p and w = omega(a)^e mod p^K
+    a, w = 1, 1  # a = g^k mod p and w = omega(a)^e mod p^T
     for _ in range(p - 1):
         x, inner = Fraction(p, a), Fraction(0)
         for r in row:

@@ -146,14 +146,14 @@ def test_lvalues_refuses_s_below_the_bernoulli_depth(capsys):
 
 def test_lvalues_refuses_a_precision_past_the_bernoulli_depth(capsys):
     # --precision 4000 at s = 3 once read B_4003 (about 8 s); the sum
-    # reads no Bernoulli number past B_2000
+    # reads B_0..B_(P + 1), and no Bernoulli number past B_2000
     rc = cli.main(["lvalues", "--prime", "5", "--char", "2", "--at", "3",
                    "--precision", "4000"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "eigensplit: error: precision 4000 at s = 3 reads B_4003, past the "
+        "eigensplit: error: precision 4000 at s = 3 reads B_4001, past the "
         "Bernoulli depth bound B_2000"]
 
 

@@ -207,7 +207,7 @@ def test_cyc_elt_reads_its_arguments():
     # a digit known to fewer p-adic digits lowers the prec, as in
     # from_coeffs, and every digit is reduced mod p^prec
     x = CycElt(RING, [CTX.of(3, 2), 5 ** 4 + 7, 0, 0], 4)
-    assert (x.digits, x.prec) == ([3, 7, 0, 0], 2)
+    assert (x.digits, x.prec) == ((3, 7, 0, 0), 2)
     assert RING.from_coeffs([CTX.of(3, 2)]).prec == 2
 
 

@@ -394,6 +394,18 @@ def test_cw_units_are_built_once_per_ring(p, level, N):
         assert pair.u0 is cw_unit(ring.base_ring())
 
 
+def test_a_shared_unit_cannot_be_written():
+    # every caller gets the one cached unit of its ring, and a write into
+    # its vectors would change every later answer for that ring
+    u = cw_unit(cyc_ring(7, 0))
+    phis = kummer_phis(u)
+    with pytest.raises(TypeError):
+        u.zeta_coeffs[1] += 1
+    with pytest.raises(TypeError):
+        u.digits[0] = 2
+    assert kummer_phis(cw_unit(cyc_ring(7, 0))) == phis
+
+
 @pytest.mark.parametrize("p, N", [(p, N) for p in (3, 5, 7, 11, 13)
                                   for N in (1, 2, 4)])
 def test_two_windows_are_two_cached_units(p, N):

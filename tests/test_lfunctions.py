@@ -299,11 +299,11 @@ def test_lp_value_reads_no_bernoulli_number_past_its_depth(monkeypatch):
 
 def test_lp_value_precision_reads_no_bernoulli_number_past_its_depth(
         monkeypatch):
-    # the sum at s reads B_0..B_(M + 3 + v_p(s - 1)), so an M that would
+    # the sum at s reads B_0..B_(M + 1 + v_p(s - 1)), so an M that would
     # read past the depth is refused before any Bernoulli number is read
     # (M = 4000 at s = 3 once read B_4003, for about 7 s)
     read = _spy_on_bernoulli(monkeypatch)
-    for s, M, top in ((3, 4000, 4003), (3, 1998, 2001), (26, 1996, 2001)):
+    for s, M, top in ((3, 4000, 4001), (3, 2000, 2001), (26, 1998, 2001)):
         with pytest.raises(UsageError, match=rf"^precision {M} at s = {s} "
                            rf"reads B_{top}, past the Bernoulli depth bound "
                            r"B_2000$"):
@@ -312,11 +312,11 @@ def test_lp_value_precision_reads_no_bernoulli_number_past_its_depth(
     # the bound follows the depth: cut to 20, the last admitted M reads
     # B_20 and one more is refused
     monkeypatch.setattr(lfunctions, "LP_BERNOULLI_DEPTH", 20)
-    assert lp_value(5, 2, 3, 17).value.prec == 17
+    assert lp_value(5, 2, 3, 19).value.prec == 19
     assert max(read) == 20
-    with pytest.raises(UsageError, match=r"^precision 18 at s = 3 reads "
+    with pytest.raises(UsageError, match=r"^precision 20 at s = 3 reads "
                        r"B_21, past the Bernoulli depth bound B_20$"):
-        lp_value(5, 2, 3, 18)
+        lp_value(5, 2, 3, 20)
 
 
 def test_kummer_congruence_spot_checks():
@@ -401,6 +401,9 @@ def _lp_at_points(draw):
 @example((7, 4, 2, 6))  # the same, at s = 2
 @example((23, 10, 0, 6))  # C(1, j) = 0 for j >= 2
 @example((29, 12, 2, 8))  # C(-1, j) = (-1)^j
+@example((5, 2, 3, 3))  # T = p - 1: the last kept term's B_T has p in
+@example((7, 4, 2, 5))  # its denominator, so its valuation is T - 1
+@example((5, 2, 26, 1))  # the same, T = M + 1 + v_5(25) = 4
 def test_lp_at_matches_the_term_chain(point):
     # the unit factor omega(a)^((i+s-1) mod (p-1)) a^(1-s) in ints equals
     # omega^i(a) <a>^(1-s) term by term
@@ -417,6 +420,19 @@ def test_lp_sum_lifts_one_primitive_root(monkeypatch):
                         lambda ctx, a: lifted.append(a) or lift(ctx, a))
     lfunctions._lp_sum(157, 110, -200, 9)
     assert lifted == [primitive_root(157)]
+
+
+@pytest.mark.parametrize("p, i, s, M, top", [
+    (5, 2, 3, 3, 4), (7, 4, 2, 5, 6), (5, 2, 26, 1, 4),
+    (157, 110, -200, 9, 10),
+])
+def test_lp_sum_reads_bernoulli_numbers_to_its_proved_depth(
+        monkeypatch, p, i, s, M, top):
+    # the terms j <= T = M + 1 + v_p(s - 1) give the value mod p^M, and the
+    # sum reads B_0..B_T, no more
+    read = _spy_on_bernoulli(monkeypatch)
+    lfunctions._lp_sum(p, i, s, M)
+    assert sorted(set(read)) == list(range(top + 1))
 
 
 def test_lp_sum_raises_no_fraction_to_a_power(monkeypatch):
@@ -484,10 +500,10 @@ def test_lp_at_writes_an_empty_cache_once(tmp_path, monkeypatch):
     path = tmp_path / "bernoulli.tsv"
     monkeypatch.setattr(lfunctions, "_table", BernoulliTable(str(path)))
     # s = 3 is no interpolation point, so the finite sum reads
-    # B_0..B_{K+1}, K = 8
+    # B_0..B_T, T = M + 1 = 7
     lp_value(7, 4, 3, M=6)
     assert len(stores) == 1
-    assert len(path.read_text().splitlines()) == 10
+    assert len(path.read_text().splitlines()) == 8
 
 
 @pytest.fixture(scope="module")
